@@ -5,6 +5,14 @@ control-variate regression and Picard iteration at each node.
 The conditional expectations are projected onto monomials in standardized
 coordinates, refreshed node by node; the Brownian increments are never
 stored — each node regenerates its block from (seed, step).
+
+Each node is factored once. Its centred, standardized design B gets one
+R-only QR; the condition estimate that guards against a degenerate basis
+is read off that raw R, and Q is never formed. The same R gives the
+node's ridge least-squares map P = (R^T R + ridge I)^{-1} B^T, formed once,
+so every fit at the node (the value projection, each Picard z-regression
+and the final value fit) is the single product P y. The ridge of 1e-10
+keeps the smallest eigenvalue of R^T R + ridge I at or above 1e-10.
 """
 
 from __future__ import annotations
@@ -201,29 +209,35 @@ class BsdeSolution:
 
 
 class _NodeRegressor:
-    """One node's ridge-QR factorization, reused across all its fits."""
+    """One node's ridge least-squares map, factored once and reused by
+    every fit at the node.
+
+    The design B (N x nb) is factored by a single R-only QR, B = QR, and
+    Q is never formed. The condition estimate max|R_ii| / min|R_ii| is
+    read off that raw R, before any ridge: the ridge would mask a
+    degenerate basis by flooring every pivot at sqrt(_RIDGE). Since
+    B^T B = R^T R, the ridge solution of min |B c - y|^2 + _RIDGE |c|^2 is
+    c = P y with P = (R^T R + _RIDGE I)^{-1} B^T, which is formed once per
+    node (nb x N). The smallest eigenvalue of R^T R + _RIDGE I is at least
+    _RIDGE = 1e-10, so the nb x nb inverse always exists.
+    """
 
     def __init__(self, states: np.ndarray, exponents: np.ndarray, node: int):
         self.center = states.mean(axis=0)
         self.scale = np.maximum(states.std(axis=0), 1e-8)
         u = (states - self.center) / self.scale
         self.basis = _design(u, exponents)
-        nb = self.basis.shape[1]
-        # degeneracy is judged on the raw design: the ridge would mask it
-        # by flooring every pivot at sqrt(_RIDGE)
-        raw = np.abs(np.diag(np.linalg.qr(self.basis, mode="r")))
+        r = np.linalg.qr(self.basis, mode="r")
+        raw = np.abs(np.diag(r))
         cond = float(raw.max() / max(raw.min(), 1e-300))
         if cond > _COND_LIMIT:
             raise BasisDegeneracyError(node, cond)
-        aug = np.vstack([self.basis, math.sqrt(_RIDGE) * np.eye(nb)])
-        self.q, self.r = np.linalg.qr(aug)
+        gram = r.T @ r + _RIDGE * np.eye(r.shape[1])
+        self.proj = np.linalg.inv(gram) @ self.basis.T
 
     def fit(self, y: np.ndarray) -> np.ndarray:
-        """Coefficients for targets y of shape (N,) or (N, m)."""
-        rhs = y if y.ndim == 2 else y[:, None]
-        pad = np.zeros((self.r.shape[0], rhs.shape[1]))
-        qt = self.q.T @ np.vstack([rhs, pad])
-        return np.linalg.solve(self.r, qt)
+        """Coefficients (nb, m) for targets y of shape (N,) or (N, m)."""
+        return self.proj @ (y if y.ndim == 2 else y[:, None])
 
     def predict(self, coeffs: np.ndarray) -> np.ndarray:
         return self.basis @ coeffs

@@ -13,6 +13,7 @@ across threads.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -61,13 +62,33 @@ def gaussian_increments(seed: int, step: int, n: int, dim: int,
     per step. Deterministic in (seed, step): row i is particle i's draw."""
     if seed < 0 or step < 0:
         raise ValueError("seed and step must be nonnegative")
-    rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, step)))
-    block = rng.standard_normal((n, channels, dim))
+    block = _keyed_generator(seed, step).standard_normal((n, channels, dim))
     return block[:, 0, :] if channels == 1 else block
 
 
 def _philox_key(seed: int, step: int) -> np.ndarray:
     return np.array([seed, step], dtype=np.uint64)
+
+
+# one generator per thread, rekeyed per block: building a fresh Philox and
+# Generator costs about a fifth of an N = 3000 block, and a shared one would
+# race when blocks are drawn from a thread pool
+_thread_rng = threading.local()
+
+
+def _keyed_generator(seed: int, step: int) -> np.random.Generator:
+    """This thread's generator, reset to the state of a fresh
+    ``Philox(key=[seed, step])``: zero counter, empty buffer."""
+    rng = getattr(_thread_rng, "generator", None)
+    if rng is None:
+        rng = _thread_rng.generator = np.random.Generator(np.random.Philox())
+    rng.bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": _philox_key(seed, step)},
+        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def derive_seed(seed: int, tag: int) -> int:
@@ -238,17 +259,18 @@ def draw_initial(theta: EmpiricalMeasure, n_particles: int,
     return theta.points[idx].copy()
 
 
-def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int, seed: int,
-            t0: float = 0.0) -> Iterator[tuple[int, float, np.ndarray, EmpiricalMeasure]]:
-    """Advance the interacting-particle system in place, yielding
-    (step, time, states, measure) before the first step and after each
-    one. The yielded array is the live buffer: copy before storing."""
+def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int,
+            seed: int) -> Iterator[tuple[int, float, np.ndarray, EmpiricalMeasure]]:
+    """Advance the interacting-particle system from time 0 in place,
+    yielding (step, time, states, measure) before the first step and after
+    each one; step k consumes the (seed, k) noise block. The yielded array
+    is the live buffer: copy before storing."""
     x = np.array(states, dtype=float)
     n, d = x.shape
     mu = EmpiricalMeasure(x.copy())
-    yield 0, t0, x, mu
+    yield 0, 0.0, x, mu
     for k in range(n_steps):
-        t = t0 + k * dt
+        t = k * dt
         b = spec.drift(t, x, mu)
         sig = np.asarray(spec.diffusion(x, mu), dtype=float)
         dw = math.sqrt(dt) * gaussian_increments(seed, k, n, d)
@@ -256,6 +278,23 @@ def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int, seed: int,
         _check_finite(x, k + 1, t + dt)
         mu = EmpiricalMeasure(x.copy())
         yield k + 1, t + dt, x, mu
+
+
+def _record(steps, n_steps: int, record_every: int,
+            shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """Times and states of every ``record_every``-th node of an Euler
+    iterator, plus the terminal node, written into one preallocated
+    (n_records, N, d) array."""
+    n_rec = -(-n_steps // record_every) + 1
+    times = np.empty(n_rec)
+    states = np.empty((n_rec,) + tuple(shape))
+    i = 0
+    for k, t, x, *_ in steps:
+        if k % record_every == 0 or k == n_steps:
+            times[i] = t
+            states[i] = x
+            i += 1
+    return times, states
 
 
 def simulate_mv(spec, theta: EmpiricalMeasure, dt: float, T: float,
@@ -273,12 +312,9 @@ def simulate_mv(spec, theta: EmpiricalMeasure, dt: float, T: float,
     record_every = max(int(record_every), 1)
     x0 = draw_initial(theta, n_particles, seed)
 
-    rec_times, rec_states = [], []
-    for k, t, x, _mu in iter_mv(spec, x0, dt, n_steps, seed):
-        if k % record_every == 0 or k == n_steps:
-            rec_times.append(t)
-            rec_states.append(x.copy())
-    bundle = PathBundle(np.array(rec_times), np.stack(rec_states), seed)
+    times, states = _record(iter_mv(spec, x0, dt, n_steps, seed), n_steps,
+                            record_every, x0.shape)
+    bundle = PathBundle(times, states, seed)
     # flow nodes view the bundle's storage rather than holding copies
     flow = MeasureFlow(bundle.times,
                        [EmpiricalMeasure(bundle.states[i])
@@ -352,13 +388,10 @@ def simulate_decoupled(spec, x0, flow: MeasureFlow, dt: float, T: float,
     _check_flow_alignment(flow, dt)
     record_every = max(int(record_every), 1)
 
-    rec_times, rec_states = [], []
-    for k, t, x in iter_decoupled(spec, states, flow, dt, n_steps, seed,
-                                  shift=shift, t0=t0):
-        if k % record_every == 0 or k == n_steps:
-            rec_times.append(t)
-            rec_states.append(x.copy())
-    return PathBundle(np.array(rec_times), np.stack(rec_states), seed)
+    times, rec = _record(iter_decoupled(spec, states, flow, dt, n_steps, seed,
+                                        shift=shift, t0=t0),
+                         n_steps, record_every, states.shape)
+    return PathBundle(times, rec, seed)
 
 
 def _w_capped(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int) -> float:

@@ -8,9 +8,9 @@ import pytest
 
 import oracle_reference as oracle
 from ergolab import model
-from ergolab.bsde import (BasisDegeneracyError, OffGridWarning, backward_lsmc,
-                          monomial_exponents, solve_finite_bsde,
-                          z_from_gradient)
+from ergolab.bsde import (_RIDGE, BasisDegeneracyError, OffGridWarning,
+                          _NodeRegressor, backward_lsmc, monomial_exponents,
+                          solve_finite_bsde, z_from_gradient)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
 from ergolab.sde import simulate_mv
 
@@ -157,6 +157,23 @@ def test_growth_envelope_constant_is_stable(ou_spec):
             ** ((q + 1) / (2 * q + 2))
         ratios.append(abs(sol.y0) / envelope)
     assert max(ratios) <= 5.0 * max(min(ratios), 0.05)
+
+
+@pytest.mark.parametrize("dim,degree", [(1, 3), (2, 3)])
+def test_node_fit_is_the_ridge_least_squares_solution(dim, degree):
+    rng = np.random.default_rng(21)
+    states = rng.normal(0.5, 2.0, size=(700, dim))
+    reg = _NodeRegressor(states, monomial_exponents(dim, degree), node=0)
+    nb = reg.basis.shape[1]
+    aug = np.vstack([reg.basis, math.sqrt(_RIDGE) * np.eye(nb)])
+    for y in (rng.normal(size=700), rng.normal(size=(700, 3))):
+        rhs = y if y.ndim == 2 else y[:, None]
+        ref, *_ = np.linalg.lstsq(
+            aug, np.vstack([rhs, np.zeros((nb, rhs.shape[1]))]), rcond=None)
+        got = reg.fit(y)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
+        np.testing.assert_array_equal(reg.predict(got), reg.basis @ got)
 
 
 def test_degenerate_basis_is_reported():

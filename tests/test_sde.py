@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -40,6 +41,31 @@ def test_increment_stream_contract():
     # the initial-condition stream never collides with a step stream
     init = gaussian_increments(5, INIT_DRAW_STEP, 4, 2)
     assert not np.array_equal(a, init)
+
+
+def test_increments_from_threads_match_fresh_generators():
+    keys = [(seed, step) for seed in (3, 11) for step in range(12)]
+    keys.append((3, INIT_DRAW_STEP))
+    serial = [gaussian_increments(seed, step, 257, 2) for seed, step in keys]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(
+                lambda key: gaussian_increments(key[0], key[1], 257, 2),
+                keys * 4, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, block in enumerate(threaded):
+        np.testing.assert_array_equal(block, serial[i % len(keys)])
+    for (seed, step), block in zip(keys, serial):
+        fresh = np.random.Generator(np.random.Philox(
+            key=np.array([seed, step], dtype=np.uint64)))
+        np.testing.assert_array_equal(block, fresh.standard_normal((257, 2)))
+    # a draw with several channels leaves nothing behind for the next key
+    gaussian_increments(5, 1, 3, 1, channels=3)
+    np.testing.assert_array_equal(gaussian_increments(*keys[0], 257, 2),
+                                  serial[0])
 
 
 def test_derive_seed_spreads():
@@ -220,6 +246,24 @@ def test_flow_coverage_guard(ou_spec):
     with pytest.raises(ValueError, match="covers"):
         simulate_decoupled(ou_spec, 0.0, flow, dt=0.01, T=2.0,
                            n_particles=10, seed=0)
+
+
+def test_sparse_records_match_the_full_bundle(ou_spec):
+    theta = EmpiricalMeasure.dirac(1.0)
+    full = simulate_mv(ou_spec, theta, dt=0.1, T=1.0, n_particles=50,
+                       seed=3).bundle
+    sparse = simulate_mv(ou_spec, theta, dt=0.1, T=1.0, n_particles=50,
+                         seed=3, record_every=3).bundle
+    # 10 steps, every third recorded, plus the terminal node
+    nodes = [0, 3, 6, 9, 10]
+    np.testing.assert_array_equal(sparse.times, full.times[nodes])
+    np.testing.assert_array_equal(sparse.states, full.states[nodes])
+    flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 1.5)
+    kw = dict(dt=0.1, T=1.0, n_particles=50, seed=4, t0=0.5)
+    dec_full = simulate_decoupled(ou_spec, 0.2, flow, **kw)
+    dec = simulate_decoupled(ou_spec, 0.2, flow, record_every=4, **kw)
+    np.testing.assert_array_equal(dec.times, dec_full.times[[0, 4, 8, 10]])
+    np.testing.assert_array_equal(dec.states, dec_full.states[[0, 4, 8, 10]])
 
 
 def test_bundle_accessors(tmp_path, ou_spec):
