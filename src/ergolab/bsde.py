@@ -77,9 +77,13 @@ def _design(u: np.ndarray, exponents: np.ndarray) -> np.ndarray:
     for j in range(d):
         for k in range(1, deg + 1):
             pows[j, k] = pows[j, k - 1] * u[:, j]
-    cols = [np.prod([pows[j, e[j]] for j in range(d)], axis=0)
-            for e in exponents]
-    return np.stack(cols, axis=1)
+    out = np.empty((n, exponents.shape[0]))
+    for i, e in enumerate(exponents):
+        col = pows[0, e[0]]
+        for j in range(1, d):
+            col = col * pows[j, e[j]]
+        out[:, i] = col
+    return out
 
 
 @dataclass(frozen=True, eq=False)
