@@ -71,8 +71,8 @@ def _philox_key(seed: int, step: int) -> np.ndarray:
 
 
 # one generator per thread, rekeyed per block: building a fresh Philox and
-# Generator costs about a fifth of an N = 3000 block, and a shared one would
-# race when blocks are drawn from a thread pool
+# Generator costs more than drawing an N = 3000 block, and a shared one
+# would race when blocks are drawn from a thread pool
 _thread_rng = threading.local()
 
 
@@ -285,9 +285,10 @@ def _record(steps, n_steps: int, record_every: int,
     """Times and states of every ``record_every``-th node of an Euler
     iterator, plus the terminal node, written into one preallocated
     (n_records, N, d) array."""
+    record_every = max(int(record_every), 1)
     n_rec = -(-n_steps // record_every) + 1
     times = np.empty(n_rec)
-    states = np.empty((n_rec,) + tuple(shape))
+    states = np.empty((n_rec, *shape))
     i = 0
     for k, t, x, *_ in steps:
         if k % record_every == 0 or k == n_steps:
@@ -309,9 +310,7 @@ def simulate_mv(spec, theta: EmpiricalMeasure, dt: float, T: float,
     if theta.dim != spec.dim:
         raise ValueError(f"theta is {theta.dim}-dimensional, model wants {spec.dim}")
     n_steps = _steps_for(T, dt)
-    record_every = max(int(record_every), 1)
     x0 = draw_initial(theta, n_particles, seed)
-
     times, states = _record(iter_mv(spec, x0, dt, n_steps, seed), n_steps,
                             record_every, x0.shape)
     bundle = PathBundle(times, states, seed)
@@ -386,8 +385,6 @@ def simulate_decoupled(spec, x0, flow: MeasureFlow, dt: float, T: float,
             f"flow covers [{flow.t0:.6g}, {flow.t1:.6g}] but the run needs "
             f"[{t0:.6g}, {t0 + T:.6g}]")
     _check_flow_alignment(flow, dt)
-    record_every = max(int(record_every), 1)
-
     times, rec = _record(iter_decoupled(spec, states, flow, dt, n_steps, seed,
                                         shift=shift, t0=t0),
                          n_steps, record_every, states.shape)

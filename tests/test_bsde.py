@@ -173,7 +173,6 @@ def test_node_fit_is_the_ridge_least_squares_solution(dim, degree):
         got = reg.fit(y)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-10 * np.max(np.abs(ref))
-        np.testing.assert_array_equal(reg.predict(got), reg.basis @ got)
 
 
 def test_degenerate_basis_is_reported():
