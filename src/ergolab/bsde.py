@@ -3,8 +3,14 @@ cloud of decoupled forward paths, with the driver's z-argument handled by
 control-variate regression and Picard iteration at each node.
 
 The conditional expectations are projected onto monomials in standardized
-coordinates, refreshed node by node; the Brownian increments are never
-stored — each node regenerates its block from (seed, step).
+coordinates, refreshed node by node. The forward cloud of M Euler steps is
+run once and kept only as checkpoints every S = ceil(sqrt(M)) steps; the
+sweep then replays one segment at a time from its checkpoint, at its global
+step index, holding that segment's states and the (seed, step) noise blocks
+its Euler steps drew. So about 3 sqrt(M) N d floats are held (checkpoints,
+one segment's states, its noise), never the (M+1) N d bundle, no node
+redraws its block, and the result is bit-identical to a sweep over the
+stored bundle.
 
 Each node is factored once. Its centred, standardized design B gets one
 R-only QR; the condition estimate that guards against a degenerate basis
@@ -25,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
-from ergolab.sde import (INIT_DRAW_STEP, gaussian_increments, simulate_decoupled,
-                         _steps_for)
+from ergolab.sde import (INIT_DRAW_STEP, CheckpointedPaths, gaussian_increments,
+                         simulate_decoupled, _steps_for)
 
 __all__ = [
     "BasisDegeneracyError",
@@ -258,9 +264,24 @@ def _spread_cloud(x0: np.ndarray, flow: MeasureFlow, T: float,
     return x0 + sd * xi
 
 
-def backward_lsmc(spec, bundle_states: np.ndarray, flow: MeasureFlow,
-                  dt: float, degree: int, picard: int, seed: int,
-                  terminal: Callable | None = None,
+def _checkpointed_cloud(spec, x0: np.ndarray, flow: MeasureFlow, T: float,
+                        dt: float, n_particles: int,
+                        seed: int) -> CheckpointedPaths:
+    """The forward regression cloud from x0's spread law on [0, T], run
+    once and kept as checkpoints every S = ceil(sqrt(M)) of its M steps."""
+    n_steps = _steps_for(T, dt)
+    every = math.isqrt(n_steps - 1) + 1
+    cloud = _spread_cloud(x0, flow, T, n_particles, seed)
+    bundle = simulate_decoupled(spec, cloud, flow, dt=dt, T=T,
+                                n_particles=n_particles, seed=seed,
+                                record_every=every)
+    return CheckpointedPaths(spec, flow, dt, seed, n_steps, every,
+                             bundle.states)
+
+
+def backward_lsmc(spec, bundle_states: np.ndarray | CheckpointedPaths,
+                  flow: MeasureFlow, dt: float, degree: int, picard: int,
+                  seed: int, terminal: Callable | None = None,
                   discount: float = 0.0) -> BsdeSolution:
     """Backward induction over a simulated forward cloud.
 
@@ -269,17 +290,32 @@ def backward_lsmc(spec, bundle_states: np.ndarray, flow: MeasureFlow,
     update Y_k = (proj + dt f(X_k, mu_k, Z_k)) / (1 + discount dt),
     iterating the Z/Y pair ``picard`` times. Measure arguments always
     come from the frozen flow.
+
+    ``bundle_states`` is either the stored (M+1, N, d) cloud, whose node-k
+    increments are redrawn from (seed, k), or a CheckpointedPaths. The
+    latter is swept segment by segment, last first: each segment of
+    S = ceil(sqrt(M)) nodes is replayed from its checkpoint together with
+    the noise blocks its Euler steps drew, so no node redraws its block and
+    about 3 sqrt(M) N d floats are held instead of (M+1) N d: the
+    checkpoints, one segment's states and that segment's noise. Both
+    forms give bit-identical solutions.
     """
     m_plus_1, n, d = bundle_states.shape
     m = m_plus_1 - 1
     if picard < 1:
         raise ValueError("picard must be >= 1")
+    if isinstance(bundle_states, CheckpointedPaths):
+        x_T = bundle_states.checkpoints[-1]
+        segments = bundle_states.segments()
+    else:
+        x_T = bundle_states[-1]
+        segments = [(0, bundle_states[:-1], None)]
     exponents = monomial_exponents(d, degree)
     times = np.arange(m_plus_1) * dt
 
     g = terminal if terminal is not None else spec.terminal
     mu_T = flow.at_time(times[-1])
-    y = np.asarray(g(bundle_states[-1], mu_T), dtype=float)
+    y = np.asarray(g(x_T, mu_T), dtype=float)
 
     nb = exponents.shape[0]
     u_coeffs = np.zeros((m_plus_1, nb, 1))
@@ -291,35 +327,38 @@ def backward_lsmc(spec, bundle_states: np.ndarray, flow: MeasureFlow,
     sqrt_n = math.sqrt(n)
 
     # terminal node: fit g itself so the surface covers [0, T]
-    reg_T = _NodeRegressor(bundle_states[-1], exponents, m)
+    reg_T = _NodeRegressor(x_T, exponents, m)
     u_coeffs[m] = reg_T.fit(y)
     centers[m], scales[m] = reg_T.center, reg_T.scale
 
-    for k in range(m - 1, -1, -1):
-        x_k = bundle_states[k]
-        mu_k = flow.at_time(times[k])
-        reg = _NodeRegressor(x_k, exponents, k)
-        centers[k], scales[k] = reg.center, reg.scale
+    for k0, xs, dws in segments:
+        for k in range(k0 + len(xs) - 1, k0 - 1, -1):
+            x_k = xs[k - k0]
+            mu_k = flow.at_time(times[k])
+            reg = _NodeRegressor(x_k, exponents, k)
+            centers[k], scales[k] = reg.center, reg.scale
 
-        e_coef = reg.fit(y)
-        e_val = reg.predict(e_coef)[:, 0]
-        residuals[k] = float(np.linalg.norm(y - e_val) / sqrt_n)
+            e_coef = reg.fit(y)
+            e_val = reg.predict(e_coef)[:, 0]
+            residuals[k] = float(np.linalg.norm(y - e_val) / sqrt_n)
 
-        dw = gaussian_increments(seed, k, n, d) * math.sqrt(dt)
-        y_cand = e_val
-        z_val = np.zeros((n, d))
-        zc = np.zeros((nb, d))
-        for j in range(picard):
-            zc = reg.fit((y - y_cand)[:, None] * dw / dt)
-            z_val = reg.predict(zc)
-            f_val = np.asarray(spec.driver(x_k, mu_k, z_val), dtype=float)
-            y_new = (e_val + dt * f_val) / (1.0 + discount * dt)
-            if j > 0:
-                gaps[k, j - 1] = float(np.linalg.norm(y_new - y_cand) / sqrt_n)
-            y_cand = y_new
-        y = y_cand
-        z_coeffs[k] = zc
-        u_coeffs[k] = reg.fit(y)
+            dw = (gaussian_increments(seed, k, n, d) * math.sqrt(dt)
+                  if dws is None else dws[k - k0])
+            y_cand = e_val
+            z_val = np.zeros((n, d))
+            zc = np.zeros((nb, d))
+            for j in range(picard):
+                zc = reg.fit((y - y_cand)[:, None] * dw / dt)
+                z_val = reg.predict(zc)
+                f_val = np.asarray(spec.driver(x_k, mu_k, z_val), dtype=float)
+                y_new = (e_val + dt * f_val) / (1.0 + discount * dt)
+                if j > 0:
+                    gaps[k, j - 1] = float(
+                        np.linalg.norm(y_new - y_cand) / sqrt_n)
+                y_cand = y_new
+            y = y_cand
+            z_coeffs[k] = zc
+            u_coeffs[k] = reg.fit(y)
 
     picard_warning = False
     if picard > 2:
@@ -365,11 +404,8 @@ def solve_finite_bsde(spec, flow: MeasureFlow, x0, T: float, dt: float,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != spec.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, model wants {spec.dim}")
-    _steps_for(T, dt)
-    cloud = _spread_cloud(x0, flow, T, n_particles, seed)
-    bundle = simulate_decoupled(spec, cloud, flow, dt=dt, T=T,
-                                n_particles=n_particles, seed=seed)
-    sol = backward_lsmc(spec, bundle.states, flow, dt, degree, picard, seed)
+    paths = _checkpointed_cloud(spec, x0, flow, T, dt, n_particles, seed)
+    sol = backward_lsmc(spec, paths, flow, dt, degree, picard, seed)
     return _with_readout(sol, x0)
 
 

@@ -523,9 +523,11 @@ def _cmd_control(scenario, params, outdir):
         spec.control, 0.25 * (spec.control.lo + spec.control.hi)
         + 0.1 * (spec.control.hi - spec.control.lo))
     t_short = min(T, 1.0)
+    # only j and se of this run are used, as the Girsanov benchmark, so it
+    # needs no BSDE solve of its own at t_short
     direct = evaluate_cost_finite(spec, small, x0, flow, t_short, dt, n,
                                   seed=derive_seed(seed, 60), benchmark=sol.y0
-                                  if t_short == T else None)
+                                  if t_short == T else math.nan)
     weighted = girsanov_reweighted_cost(spec, small, x0, flow, t_short, dt,
                                         n, seed=derive_seed(seed, 61),
                                         benchmark=direct.j,

@@ -273,8 +273,8 @@ def evaluate_cost_finite(spec, policy: ControlPolicy, x0, theta, T: float,
     shift = _policy_shift(spec, policy)
     states = np.tile(x0, (n_particles, 1))
     costs = np.zeros(n_particles)
-    for k, t, x in iter_decoupled(spec, states, flow, dt, n_steps, seed,
-                                  shift=shift):
+    for k, t, x, _ in iter_decoupled(spec, states, flow, dt, n_steps, seed,
+                                     shift=shift):
         mu = flow.at_time(min(t, T))
         if k < n_steps:
             a = policy.actions(t, x, mu)
@@ -311,7 +311,7 @@ def girsanov_reweighted_cost(spec, policy: ControlPolicy, x0, theta,
     states = np.tile(x0, (n_particles, 1))
     costs = np.zeros(n_particles)
     log_rho = np.zeros(n_particles)
-    for k, t, x in iter_decoupled(spec, states, flow, dt, n_steps, seed):
+    for k, t, x, _ in iter_decoupled(spec, states, flow, dt, n_steps, seed):
         mu = flow.at_time(min(t, T))
         if k < n_steps:
             a = policy.actions(t, x, mu)
@@ -360,8 +360,8 @@ def evaluate_cost_ergodic(spec, policy: ControlPolicy, x0, mu_star,
     shift = _policy_shift(spec, policy)
     states = np.tile(x0, (n_particles, 1))
     samples = []
-    for k, t, x in iter_decoupled(spec, states, flow, dt, n_steps, seed,
-                                  shift=shift):
+    for k, t, x, _ in iter_decoupled(spec, states, flow, dt, n_steps, seed,
+                                     shift=shift):
         if burn <= k < n_steps:
             mu = flow.at_time(t)
             a = policy.actions(t, x, mu)

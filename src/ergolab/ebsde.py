@@ -18,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ergolab.bsde import (BsdeSolution, RegressionFunction, backward_lsmc,
-                          _spread_cloud)
+                          _checkpointed_cloud)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow, invariant_measure
-from ergolab.sde import derive_seed, iter_mv, simulate_decoupled, _steps_for
+from ergolab.sde import derive_seed, iter_mv, _steps_for
 
 __all__ = [
     "HorizonBudgetError",
@@ -148,11 +148,10 @@ def solve_alpha_bsde(spec, mu_star: EmpiricalMeasure, alpha: float,
     t_alpha = discount_horizon(alpha, c_hat, dt, tol)
     flow = MeasureFlow.constant(mu_star, 0.0, t_alpha)
 
-    cloud = _spread_cloud(anchor, flow, t_alpha, n_particles, seed)
-    bundle = simulate_decoupled(spec, cloud, flow, dt=dt, T=t_alpha,
-                                n_particles=n_particles, seed=seed)
+    paths = _checkpointed_cloud(spec, anchor, flow, t_alpha, dt, n_particles,
+                                seed)
     zero_terminal = lambda x, mu: np.zeros(x.shape[0])
-    sol = backward_lsmc(spec, bundle.states, flow, dt, degree, picard=3,
+    sol = backward_lsmc(spec, paths, flow, dt, degree, picard=3,
                         seed=seed, terminal=zero_terminal, discount=alpha)
 
     anchor_value = float(sol.u.eval_node(0, anchor)[0])

@@ -183,6 +183,63 @@ class PathBundle:
 
 
 @dataclass(frozen=True, eq=False)
+class CheckpointedPaths:
+    """A decoupled forward cloud on nodes 0..M, run from time 0, held as
+    checkpoints: the states at every ``every``-th node and at node M, as
+    ``simulate_decoupled(..., record_every=every)`` records them.
+
+    ``segments`` hands the cloud back one segment at a time, last first,
+    by replaying the Euler steps from each checkpoint at its global step
+    index. So the replayed states and noise blocks are the first pass's
+    bit for bit, and only the checkpoints plus one segment are ever held.
+    ``shape`` is that of the full (M+1, N, d) state array it stands in for;
+    ``nbytes`` counts what is held while a segment is out: the checkpoints
+    plus one segment's states and noise blocks.
+    """
+
+    spec: object
+    flow: MeasureFlow
+    dt: float
+    seed: int
+    n_steps: int
+    every: int
+    checkpoints: np.ndarray  # (ceil(M / every) + 1, N, d)
+
+    @property
+    def nodes(self) -> list[int]:
+        """Global step index of each checkpoint."""
+        return list(range(0, self.n_steps, self.every)) + [self.n_steps]
+
+    @property
+    def shape(self) -> tuple[int, int, int]:
+        return (self.n_steps + 1, *self.checkpoints.shape[1:])
+
+    @property
+    def nbytes(self) -> int:
+        segment = self.every * self.checkpoints[0].nbytes
+        return self.checkpoints.nbytes + 2 * segment
+
+    def segments(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """(g0, states, dw) per segment [g0, g1), last segment first:
+        ``states[j]`` is node g0 + j and ``dw[j]`` the Brownian increment
+        sqrt(dt) * (seed, g0 + j) block that carries it to the next node.
+        Both arrays are reused for the next segment."""
+        n, d = self.checkpoints.shape[1:]
+        xs, dws = np.empty((self.every, n, d)), np.empty((self.every, n, d))
+        nodes = self.nodes
+        for i in range(len(nodes) - 2, -1, -1):
+            g0, length = nodes[i], nodes[i + 1] - nodes[i]
+            for j, _t, x, dw in iter_decoupled(
+                    self.spec, self.checkpoints[i], self.flow, self.dt,
+                    length, self.seed, start=g0):
+                if j < length:
+                    xs[j] = x
+                if j > 0:
+                    dws[j - 1] = dw
+            yield g0, xs[:length], dws[:length]
+
+
+@dataclass(frozen=True, eq=False)
 class DriftShift:
     """Bounded measurable drift shift beta(t, x, mu), entering the dynamics
     as sigma(x, mu)(beta dt + dW). The declared sup bound is enforced on
@@ -236,6 +293,10 @@ def _steps_for(T: float, dt: float) -> int:
 
 def _sigma_dot(sig: np.ndarray, vec: np.ndarray) -> np.ndarray:
     """sigma @ v per particle; sig is (d, d) or (N, d, d), vec is (N, d)."""
+    if sig.shape == (1, 1):
+        # one exact product per row, as the matmul forms it, at a tenth
+        # of the matmul's call cost
+        return vec * sig[0, 0]
     if sig.ndim == 2:
         return vec @ sig.T
     return np.einsum("nij,nj->ni", sig, vec)
@@ -348,26 +409,32 @@ def _check_flow_alignment(flow: MeasureFlow, dt: float) -> None:
 
 def iter_decoupled(spec, states: np.ndarray, flow: MeasureFlow, dt: float,
                    n_steps: int, seed: int, shift: DriftShift | None = None,
-                   t0: float = 0.0) -> Iterator[tuple[int, float, np.ndarray]]:
+                   t0: float = 0.0, start: int = 0) -> Iterator[tuple]:
     """Advance the decoupled system: coefficients read the frozen flow,
-    never the simulated cloud. Step k consumes the (seed, k0+k) noise
-    block where k0 aligns t0 to the global step grid, so restarted
-    segments keep disjoint, reproducible streams."""
+    never the simulated cloud. ``states`` sit at global step ``start`` of
+    a run from t0; global step g runs at t = t0 + g dt and consumes the
+    (seed, k0 + g) noise block, where k0 aligns t0 to the global step
+    grid. So restarted segments keep disjoint, reproducible streams, and
+    a run resumed from its step-g state at ``start=g`` repeats the unsplit
+    run bit for bit. Yields (j, t, x, dw) before the first step and after
+    each one, j counting the steps taken; dw is the Brownian increment
+    sqrt(dt) * block that carried the previous state to x (None at j = 0),
+    without any drift shift. x is the live buffer: copy before storing."""
     x = np.array(states, dtype=float)
     n, d = x.shape
     k0 = int(round(t0 / dt))
-    yield 0, t0, x
+    yield 0, t0 + start * dt, x, None
     for k in range(n_steps):
-        t = t0 + k * dt
+        g = start + k
+        t = t0 + g * dt
         mu = flow.at_time(t)
         b = spec.drift(t, x, mu)
         sig = np.asarray(spec.diffusion(x, mu), dtype=float)
-        dw = math.sqrt(dt) * gaussian_increments(seed, k0 + k, n, d)
-        if shift is not None:
-            dw = dw + shift(t, x, mu) * dt
-        x += b * dt + _sigma_dot(sig, dw)
-        _check_finite(x, k + 1, t + dt)
-        yield k + 1, t + dt, x
+        dw = math.sqrt(dt) * gaussian_increments(seed, k0 + g, n, d)
+        push = dw if shift is None else dw + shift(t, x, mu) * dt
+        x += b * dt + _sigma_dot(sig, push)
+        _check_finite(x, g + 1, t + dt)
+        yield k + 1, t + dt, x, dw
 
 
 def simulate_decoupled(spec, x0, flow: MeasureFlow, dt: float, T: float,

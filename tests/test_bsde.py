@@ -1,18 +1,20 @@
 """Backward LSMC solver: closed-form starts, z readouts, stability flags."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import oracle_reference as oracle
-from ergolab import model
+from ergolab import bsde, ebsde, model, sde
 from ergolab.bsde import (_RIDGE, BasisDegeneracyError, OffGridWarning,
                           _NodeRegressor, backward_lsmc, monomial_exponents,
                           solve_finite_bsde, z_from_gradient)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
-from ergolab.sde import simulate_mv
+from ergolab.sde import (INIT_DRAW_STEP, gaussian_increments,
+                         simulate_decoupled, simulate_mv)
 
 
 def _flow_for(spec, T, n=4000, seed=17, dt=0.01):
@@ -209,3 +211,83 @@ def test_monomial_basis_layout():
                           MeasureFlow.constant(EmpiricalMeasure.dirac(0.0),
                                                0.0, 1.0),
                           x0=0.0, T=1.0, dt=0.1, n_particles=100, degree=1)
+
+
+def _stored_cloud(spec, x0, flow, T, dt, n_particles, seed):
+    """The checkpointed cloud's full (M+1, N, d) bundle: same start, same
+    seed, every node stored."""
+    cloud = bsde._spread_cloud(x0, flow, T, n_particles, seed)
+    return simulate_decoupled(spec, cloud, flow, dt=dt, T=T,
+                              n_particles=n_particles, seed=seed).states
+
+
+def _assert_same_solution(a, b):
+    for name in ("y0", "z0", "residuals", "picard_gaps", "x0"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+    assert a.picard_warning == b.picard_warning
+    for field in ("u", "zeta"):
+        fa, fb = getattr(a, field), getattr(b, field)
+        for name in ("times", "coeffs", "centers", "scales"):
+            np.testing.assert_array_equal(getattr(fa, name),
+                                          getattr(fb, name))
+
+
+@pytest.mark.parametrize("m", [1, 2, 9, 10, 101])
+def test_checkpointed_sweep_equals_the_stored_one(ou_spec, monkeypatch, m):
+    flow = _flow_for(ou_spec, 1.1, n=300, seed=5)  # interacting, not constant
+    kw = dict(x0=0.4, T=m * 0.01, dt=0.01, n_particles=300, seed=9)
+    checkpointed = solve_finite_bsde(ou_spec, flow, **kw)
+    monkeypatch.setattr(bsde, "_checkpointed_cloud", _stored_cloud)
+    stored = solve_finite_bsde(ou_spec, flow, **kw)
+    _assert_same_solution(checkpointed, stored)
+
+
+@pytest.mark.parametrize("m", [1, 2, 9, 10, 101])
+def test_checkpointed_discounted_sweep_equals_the_stored_one(
+        ou_spec, monkeypatch, m):
+    alpha, dt = 0.3, 0.02
+    mu_star = EmpiricalMeasure(
+        np.random.default_rng(4).normal(0.0, 0.7, size=(300, 1)))
+    c_hat = ebsde.driver_growth_constant(ou_spec, mu_star)
+    # the truncation tolerance whose horizon is exactly m steps
+    tol = (c_hat / alpha) * math.exp(-alpha * (m - 0.5) * dt)
+    kw = dict(dt=dt, n_particles=300, seed=6, tol=tol)
+    checkpointed = ebsde.solve_alpha_bsde(ou_spec, mu_star, alpha, **kw)
+    assert round(checkpointed.t_alpha / dt) == m
+    monkeypatch.setattr(ebsde, "_checkpointed_cloud", _stored_cloud)
+    stored = ebsde.solve_alpha_bsde(ou_spec, mu_star, alpha, **kw)
+    assert checkpointed.anchor_value == stored.anchor_value
+    assert checkpointed.lambda_candidate == stored.lambda_candidate
+    _assert_same_solution(checkpointed.solution, stored.solution)
+
+
+def test_checkpointed_sweep_draws_each_block_once_per_pass(ou_spec,
+                                                          monkeypatch):
+    flow = _flow_for(ou_spec, 1.1, n=300, seed=5)
+    drawn = []
+
+    def counted(seed, step, *args, **kwargs):
+        drawn.append(step)
+        return gaussian_increments(seed, step, *args, **kwargs)
+
+    monkeypatch.setattr(sde, "gaussian_increments", counted)
+    monkeypatch.setattr(bsde, "gaussian_increments", counted)
+    solve_finite_bsde(ou_spec, flow, x0=0.4, T=1.01, dt=0.01,
+                      n_particles=300, seed=9)
+    # the forward pass and the replay; the sweep itself redraws nothing
+    assert sorted(drawn) == sorted(list(range(101)) * 2 + [INIT_DRAW_STEP])
+
+
+def test_checkpointed_sweep_memory_is_a_fraction_of_the_bundle(ou_spec):
+    T, dt, n = 25.0, 0.01, 2000
+    flow = MeasureFlow.constant(EmpiricalMeasure(
+        np.random.default_rng(1).normal(0.0, 0.7, size=(500, 1))), 0.0, T)
+    bundle_bytes = (round(T / dt) + 1) * n * 8
+    tracemalloc.start()
+    try:
+        solve_finite_bsde(ou_spec, flow, x0=0.0, T=T, dt=dt, n_particles=n,
+                          seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bundle_bytes / 4

@@ -8,13 +8,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle_reference as oracle
 from ergolab import model
 from ergolab.measure import EmpiricalMeasure, MeasureFlow, moment, wasserstein
 from ergolab.sde import (INIT_DRAW_STEP, BlowUpError, DriftShift, PathBundle,
-                         contraction_rate, derive_seed, draw_initial,
-                         flow_property_check, gaussian_increments,
+                         _sigma_dot, contraction_rate, derive_seed,
+                         draw_initial, flow_property_check,
+                         gaussian_increments, iter_decoupled,
                          simulate_decoupled, simulate_mv)
 
 
@@ -278,3 +280,45 @@ def test_bundle_accessors(tmp_path, ou_spec):
     assert path.read_text().startswith("step,time,particle,x0")
     with pytest.raises(ValueError):
         PathBundle(np.array([0.0, 1.0]), np.zeros((3, 2, 1)), seed=0)
+
+
+def test_scalar_diffusion_product_matches_matmul():
+    rng = np.random.default_rng(8)
+    for n in (1, 7, 3000):
+        vec = rng.normal(size=(n, 1)) * 10.0 ** rng.integers(-8, 8, (n, 1))
+        for s in (1.0, 0.37, -2.5, rng.normal(), 1e-300, -7e200):
+            sig = np.array([[s]])
+            np.testing.assert_array_equal(_sigma_dot(sig, vec), vec @ sig.T)
+
+
+@pytest.fixture(scope="module")
+def mv_flow(ou_spec):
+    # an interacting flow out of a Dirac mass: its law moves every step
+    return simulate_mv(ou_spec, EmpiricalMeasure.dirac(1.5), dt=0.1, T=4.0,
+                       n_particles=40, seed=2).flow
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_resumed_run_is_the_unsplit_run(ou_spec, mv_flow, data):
+    m = data.draw(st.integers(1, 30), label="M")
+    k = data.draw(st.integers(0, m), label="split step")
+    every = data.draw(st.integers(1, 12), label="record_every")
+    t0 = data.draw(st.sampled_from([0.0, 0.3]), label="t0")
+    dt, seed = 0.1, 5
+    x0 = np.linspace(-1.0, 2.0, 20)[:, None]
+    unsplit = [(x.copy(), dw) for _j, _t, x, dw in iter_decoupled(
+        ou_spec, x0, mv_flow, dt, m, seed, t0=t0)]
+    # the recorded checkpoints are the unsplit run's states
+    rec = simulate_decoupled(ou_spec, x0, mv_flow, dt=dt, T=m * dt,
+                             n_particles=20, seed=seed, t0=t0,
+                             record_every=every)
+    nodes = list(range(0, m, every)) + [m]
+    np.testing.assert_array_equal(
+        rec.states, np.stack([unsplit[g][0] for g in nodes]))
+    resumed = [(x.copy(), dw) for _j, _t, x, dw in iter_decoupled(
+        ou_spec, unsplit[k][0], mv_flow, dt, m - k, seed, t0=t0, start=k)]
+    assert len(resumed) == m - k + 1
+    for (x, dw), (x_ref, dw_ref) in zip(resumed[1:], unsplit[k + 1:]):
+        np.testing.assert_array_equal(x, x_ref)
+        np.testing.assert_array_equal(dw, dw_ref)
