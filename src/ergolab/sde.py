@@ -206,11 +206,6 @@ class CheckpointedPaths:
     checkpoints: np.ndarray  # (ceil(M / every) + 1, N, d)
 
     @property
-    def nodes(self) -> list[int]:
-        """Global step index of each checkpoint."""
-        return list(range(0, self.n_steps, self.every)) + [self.n_steps]
-
-    @property
     def shape(self) -> tuple[int, int, int]:
         return (self.n_steps + 1, *self.checkpoints.shape[1:])
 
@@ -226,7 +221,7 @@ class CheckpointedPaths:
         Both arrays are reused for the next segment."""
         n, d = self.checkpoints.shape[1:]
         xs, dws = np.empty((self.every, n, d)), np.empty((self.every, n, d))
-        nodes = self.nodes
+        nodes = list(range(0, self.n_steps, self.every)) + [self.n_steps]
         for i in range(len(nodes) - 2, -1, -1):
             g0, length = nodes[i], nodes[i + 1] - nodes[i]
             for j, _t, x, dw in iter_decoupled(
