@@ -53,6 +53,7 @@ from ergolab.coupling import (
     EllipticityError,
     LyapunovConstants,
     LyapunovTable,
+    RadiusMoments,
     build_lyapunov,
     kappa_star,
     mollifier_reflect,
@@ -130,6 +131,7 @@ __all__ = [
     "OffGridWarning",
     "PathBundle",
     "ProblemSpec",
+    "RadiusMoments",
     "RegressionFunction",
     "Scenario",
     "ScenarioError",

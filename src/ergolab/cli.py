@@ -328,7 +328,7 @@ def _cmd_coupling(scenario, params, outdir):
         spec, flow, flow_p, x0, x0p, dt=params["dt"], T=T,
         n_paths=int(params["paths"]), seed=derive_seed(seed, 9),
         delta=params["delta"])
-    _require_finite("coupling", run_.radii)
+    _require_finite("coupling", run_.mean_radius, run_.se_radius)
     _write_csv(outdir / "coupling_radius.csv",
                {"t": run_.times, "mean_r": run_.mean_radius,
                 "se_r": run_.se_radius})

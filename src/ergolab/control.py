@@ -20,8 +20,8 @@ from ergolab.ebsde import ErgodicSolution
 from ergolab.ltb import DecayFit, _fit_exponential
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
 from ergolab.model import ControlSpec
-from ergolab.sde import (DriftShift, derive_seed, gaussian_increments,
-                         iter_decoupled, simulate_mv, _steps_for)
+from ergolab.sde import (DriftShift, derive_seed, iter_decoupled,
+                         simulate_mv, _steps_for)
 
 __all__ = [
     "ControlConfigurationError",
@@ -311,15 +311,16 @@ def girsanov_reweighted_cost(spec, policy: ControlPolicy, x0, theta,
     states = np.tile(x0, (n_particles, 1))
     costs = np.zeros(n_particles)
     log_rho = np.zeros(n_particles)
-    for k, t, x, _ in iter_decoupled(spec, states, flow, dt, n_steps, seed):
+    ra = None
+    for k, t, x, dw in iter_decoupled(spec, states, flow, dt, n_steps, seed):
+        # dw is step k - 1's increment: close that step's density term
+        if ra is not None:
+            log_rho += np.sum(ra * dw, axis=1) \
+                - 0.5 * dt * np.sum(ra * ra, axis=1)
         mu = flow.at_time(min(t, T))
         if k < n_steps:
             a = policy.actions(t, x, mu)
             ra = a @ r.T
-            dw = math.sqrt(dt) * gaussian_increments(seed, k, n_particles,
-                                                     spec.dim)
-            log_rho += np.sum(ra * dw, axis=1) \
-                - 0.5 * dt * np.sum(ra * ra, axis=1)
             costs += dt * np.asarray(
                 spec.control.running_cost(x, mu, a), dtype=float)
         else:

@@ -25,6 +25,7 @@ __all__ = [
     "LyapunovConstants",
     "LyapunovTable",
     "CouplingRun",
+    "RadiusMoments",
     "kappa_star",
     "build_lyapunov",
     "verify_lyapunov_inequality",
@@ -153,10 +154,6 @@ class LyapunovTable:
         evaluated in extended precision; ~0 by construction."""
         return verify_lyapunov_inequality(self, self.kappa_star)
 
-    def interp_phi(self, r) -> np.ndarray:
-        return np.interp(np.asarray(r, dtype=float),
-                         self.r.astype(float), self.phi.astype(float))
-
     def to_csv(self, path) -> None:
         c = self.constants
         header = (f"# eta={c.eta:.17g} m_b={c.m_b:.17g} k_b_x={c.k_b_x:.17g} "
@@ -274,28 +271,68 @@ def verify_lyapunov_inequality(table: LyapunovTable, drift_samples) -> float:
     return float(np.max(margin))
 
 
+def _mollifier_angle(r, delta: float):
+    """(pi/2) * ramp, the ramp rising from 0 at delta/2 to 1 at delta; the
+    two mollifiers are its sine and cosine."""
+    return 0.5 * math.pi * np.clip((2.0 * np.asarray(r) - delta) / delta,
+                                   0.0, 1.0)
+
+
 def mollifier_reflect(r, delta: float):
     """pi^1: weight of the reflected noise channel; 0 below delta/2, 1 above
     delta, a quarter sine wave between."""
-    ramp = np.clip((2.0 * np.asarray(r) - delta) / delta, 0.0, 1.0)
-    return np.sin(0.5 * math.pi * ramp)
+    return np.sin(_mollifier_angle(r, delta))
 
 
 def mollifier_share(r, delta: float):
     """pi^2: weight of the shared channel; pi1^2 + pi2^2 = 1 exactly."""
-    ramp = np.clip((2.0 * np.asarray(r) - delta) / delta, 0.0, 1.0)
-    return np.cos(0.5 * math.pi * ramp)
+    return np.cos(_mollifier_angle(r, delta))
+
+
+def _radius_moments(r: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of one step's radii, bit for bit what
+    ``radii.mean(axis=0)`` and ``radii.std(axis=0, ddof=1) / sqrt(n)`` give
+    on a C-ordered (n, steps) record: those add the rows one after another,
+    so the sums here are sequential (``add.accumulate``), not the pairwise
+    ``r.sum()``."""
+    n = r.shape[0]
+    mean = np.add.accumulate(r)[-1] / n
+    x = r - mean
+    x *= x
+    var = np.add.accumulate(x)[-1] / (n - 1)
+    return mean, math.sqrt(var) / math.sqrt(n)
+
+
+@dataclass(frozen=True, eq=False)
+class RadiusMoments:
+    """Per-step mean and standard error of the inter-path radius over
+    ``n_paths`` paths. ``shape`` is that of the (n_paths, steps) record it
+    summarises; ``nbytes`` counts the two curves it actually holds."""
+
+    mean: np.ndarray
+    se: np.ndarray
+    n_paths: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.n_paths, self.mean.shape[0])
+
+    @property
+    def nbytes(self) -> int:
+        return self.mean.nbytes + self.se.nbytes
 
 
 @dataclass(frozen=True, eq=False)
 class CouplingRun:
-    """Radius samples of a reflection coupling with the fitted decay.
+    """Radius moments of a reflection coupling with the fitted decay.
 
-    ``radii`` has one row per path; ``rate`` is the slope magnitude of
-    log mean-radius over [rate_window_start, T], NaN when degenerate."""
+    ``radii`` holds the mean radius and its standard error at each grid
+    time, reduced step by step from the paths, not a per-path record;
+    ``rate`` is the slope magnitude of log mean-radius over
+    [rate_window_start, T], NaN when degenerate."""
 
     times: np.ndarray
-    radii: np.ndarray
+    radii: RadiusMoments
     delta: float
     rate: float
     rate_window_start: float
@@ -305,12 +342,11 @@ class CouplingRun:
 
     @property
     def mean_radius(self) -> np.ndarray:
-        return self.radii.mean(axis=0)
+        return self.radii.mean
 
     @property
     def se_radius(self) -> np.ndarray:
-        n = self.radii.shape[0]
-        return self.radii.std(axis=0, ddof=1) / math.sqrt(n)
+        return self.radii.se
 
     def monotone_after(self, t_start: float, slack_se: float = 2.0) -> bool:
         """Is the mean radius nonincreasing (within slack_se standard
@@ -365,8 +401,12 @@ def simulate_reflection_coupling(spec, flow: MeasureFlow,
     pi2(r); any diffusion above the floor is driven synchronously. Each
     leg alone has the marginal law of its decoupled equation.
 
-    Records the inter-path radius and fits its exponential decay on a
-    window starting one fitted time constant in (two-pass fit)."""
+    Keeps no per-path radius record: each step's radii are reduced at once
+    to their mean and standard error by sequential sums, which reproduce
+    the reductions of a stored (n_paths, n_steps + 1) record bit for bit,
+    so memory grows as O(n_paths + n_steps). Fits the mean radius's
+    exponential decay on a window starting one fitted time constant in
+    (two-pass fit)."""
     if n_paths < 2:
         raise ValueError("need at least 2 paths for standard errors")
     c = spec.constants
@@ -392,20 +432,22 @@ def simulate_reflection_coupling(spec, flow: MeasureFlow,
                          (n_paths, d)).copy()
 
     times = np.empty(n_steps + 1)
-    radii = np.empty((n_paths, n_steps + 1))
+    mean_r = np.empty(n_steps + 1)
+    se_r = np.empty(n_steps + 1)
     times[0] = 0.0
-    radii[:, 0] = np.linalg.norm(x1 - x2, axis=1)
+    diff = x1 - x2
+    r = np.linalg.norm(diff, axis=1)
+    mean_r[0], se_r[0] = _radius_moments(r)
 
     for k in range(n_steps):
         t = k * dt
         mu1 = flow.at_time(t)
         mu2 = flow_prime.at_time(t)
-        diff = x1 - x2
-        r = np.linalg.norm(diff, axis=1)
         e = np.where(r[:, None] > 0.0, diff / np.maximum(r, 1e-300)[:, None],
                      0.0)
-        p1 = mollifier_reflect(r, delta)[:, None]
-        p2 = mollifier_share(r, delta)[:, None]
+        angle = _mollifier_angle(r, delta)
+        p1 = np.sin(angle)[:, None]
+        p2 = np.cos(angle)[:, None]
 
         dw = math.sqrt(dt) * gaussian_increments(seed, k, n_paths, d,
                                                  channels=3)
@@ -430,17 +472,19 @@ def simulate_reflection_coupling(spec, flow: MeasureFlow,
         _check_finite(x1, k + 1, t + dt)
         _check_finite(x2, k + 1, t + dt)
         times[k + 1] = t + dt
-        radii[:, k + 1] = np.linalg.norm(x1 - x2, axis=1)
+        diff = x1 - x2
+        r = np.linalg.norm(diff, axis=1)
+        mean_r[k + 1], se_r[k + 1] = _radius_moments(r)
 
-    rate, window, note = _fit_radius_decay(times, radii, delta)
+    rate, window, note = _fit_radius_decay(times, mean_r, delta)
+    radii = RadiusMoments(mean=mean_r, se=se_r, n_paths=n_paths)
     return CouplingRun(times=times, radii=radii, delta=delta, rate=rate,
                        rate_window_start=window, terminal_states=x1,
                        terminal_states_prime=x2, note=note)
 
 
-def _fit_radius_decay(times: np.ndarray, radii: np.ndarray,
+def _fit_radius_decay(times: np.ndarray, mean_r: np.ndarray,
                       delta: float) -> tuple[float, float, str]:
-    mean_r = radii.mean(axis=0)
     usable = mean_r > max(3.0 * delta, 1e-12)
     if int(usable.sum()) < 3:
         return math.nan, 0.0, "radius at the mollifier floor everywhere"

@@ -110,10 +110,6 @@ class EmpiricalMeasure:
             pt = np.full(dim, pt[0])
         return cls(pt[None, :])
 
-    @classmethod
-    def from_samples(cls, points) -> "EmpiricalMeasure":
-        return cls(points)
-
     # -- statistics ----------------------------------------------------------
 
     def mean(self) -> np.ndarray:

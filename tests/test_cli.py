@@ -30,6 +30,17 @@ n_controls = 2
 alphas = 0.4 0.2
 """
 
+SINE_SCN = """\
+[model]
+preset = sine-weak
+
+[run]
+particles = 300
+paths = 200
+dt = 0.01
+horizon = 3
+"""
+
 # value field of a [run] key given a second '=': column 13 of line 4
 BAD_SCN = """\
 [model]
@@ -73,7 +84,8 @@ def scn_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("scenarios")
     for name, text in (("ou.scn", OU_SCN), ("lq.scn", LQ_SCN),
                        ("bad.scn", BAD_SCN), ("expand.scn", EXPANDING_SCN),
-                       ("cubic.scn", CUBIC_SCN)):
+                       ("cubic.scn", CUBIC_SCN),
+                       ("sine.scn", SINE_SCN)):
         (d / name).write_text(text)
     return d
 
@@ -146,6 +158,23 @@ def test_bsde_rerun_is_byte_identical(scn_dir, tmp_path):
     assert code == 0
     assert rerun_from_manifest(first / "manifest", again) == 0
     for name in ("bsde_surface.csv", "bsde_residuals.csv", "bsde.report"):
+        assert filecmp.cmp(first / name, again / name, shallow=False), name
+
+
+def test_coupling_rerun_is_byte_identical(scn_dir, tmp_path):
+    first = tmp_path / "first"
+    again = tmp_path / "again"
+    code = run(["coupling", "--scenario", str(scn_dir / "sine.scn"),
+                "--out", str(first)])
+    assert code == 0
+    assert "passed=1" in (first / "coupling.report").read_text()
+    manifest = RunManifest.read(first / "manifest")
+    assert set(manifest.outputs) >= {"coupling_radius.csv",
+                                     "coupling.report", "manifest"}
+    for name in manifest.outputs:
+        assert (first / name).exists(), name
+    assert rerun_from_manifest(first / "manifest", again) == 0
+    for name in ("coupling_radius.csv", "coupling.report"):
         assert filecmp.cmp(first / name, again / name, shallow=False), name
 
 

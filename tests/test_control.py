@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import oracle_reference as oracle
+from ergolab import control, sde
 from ergolab.bsde import solve_finite_bsde
 from ergolab.control import (
     AdmissibilityError,
@@ -19,7 +20,7 @@ from ergolab.control import (
     ocp_longtime,
 )
 from ergolab.ltb import ltb2_experiment
-from ergolab.measure import MeasureFlow
+from ergolab.measure import EmpiricalMeasure, MeasureFlow
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +258,25 @@ def test_girsanov_matches_direct_simulation(lq_spec, erg_lq):
                                   benchmark_se=direct.se)
     assert abs(rw.j - direct.j) <= 3.0 * (rw.se + direct.se)
     assert rw.verdict == "consistent"
+
+
+def test_girsanov_draws_each_block_once(lq_spec, monkeypatch):
+    flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 1.0)
+    pol = ControlPolicy.constant_action(lq_spec.control, [0.15])
+    drawn = []
+    real = sde.gaussian_increments
+
+    def counted(seed, step, *args, **kwargs):
+        drawn.append((seed, step))
+        return real(seed, step, *args, **kwargs)
+
+    monkeypatch.setattr(sde, "gaussian_increments", counted)
+    monkeypatch.setattr(control, "gaussian_increments", counted,
+                        raising=False)
+    girsanov_reweighted_cost(lq_spec, pol, [0.0], flow, T=1.0, dt=0.02,
+                             n_particles=200, seed=4)
+    # the density reads the increments the Euler steps drew
+    assert sorted(drawn) == [(4, k) for k in range(50)]
 
 
 def test_finite_policy_saturates_far_from_origin(lq_spec, erg_lq):

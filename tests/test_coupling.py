@@ -1,16 +1,19 @@
 """Radial Lyapunov tables and the reflection coupling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle_reference as oracle
 from ergolab import model
 from ergolab.coupling import (CouplingRun, EllipticityError,
                               LyapunovConstants, LyapunovTable,
-                              build_lyapunov, kappa_star, mollifier_reflect,
-                              mollifier_share, simulate_reflection_coupling,
+                              _radius_moments, build_lyapunov, kappa_star,
+                              mollifier_reflect, mollifier_share,
+                              simulate_reflection_coupling,
                               verify_lyapunov_inequality)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow, wasserstein
 from ergolab.sde import simulate_decoupled, simulate_mv
@@ -129,7 +132,49 @@ def test_identical_starts_stay_glued(sine_spec):
     run = simulate_reflection_coupling(sine_spec, flow, flow, x0=1.0,
                                        x0_prime=1.0, dt=0.01, T=1.0,
                                        n_paths=50, seed=0)
-    assert np.all(run.radii == 0.0)
+    assert np.all(run.mean_radius == 0.0)
+    assert np.all(run.se_radius == 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_paths=st.integers(2, 300), steps=st.integers(2, 6),
+       seed=st.integers(0, 2 ** 32 - 1),
+       log_scale=st.floats(-8.0, 8.0))
+def test_radius_moments_match_the_stored_record(n_paths, steps, seed,
+                                                log_scale):
+    rng = np.random.default_rng(seed)
+    radii = 10.0 ** log_scale * rng.exponential(size=(n_paths, steps))
+    got = [_radius_moments(radii[:, j]) for j in range(steps)]
+    mean = np.array([m for m, _ in got])
+    se = np.array([s for _, s in got])
+    assert np.array_equal(mean, radii.mean(axis=0))
+    assert np.array_equal(
+        se, radii.std(axis=0, ddof=1) / math.sqrt(n_paths))
+
+
+def test_radius_record_contract(sine_spec):
+    flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 0.5)
+    run = simulate_reflection_coupling(sine_spec, flow, flow, 0.0, 2.0,
+                                       dt=0.01, T=0.5, n_paths=64, seed=9)
+    n_steps = 50
+    assert run.radii.shape == (64, n_steps + 1)
+    assert run.radii.n_paths == 64
+    assert run.radii.nbytes <= 16 * (n_steps + 1) + 64
+    assert run.mean_radius.shape == run.times.shape
+
+
+def test_coupling_memory_is_a_fraction_of_the_radius_record(sine_spec):
+    T, dt, n = 10.0, 0.005, 4000
+    flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, T)
+    record_bytes = n * (round(T / dt) + 1) * 8
+    tracemalloc.start()
+    try:
+        simulate_reflection_coupling(sine_spec, flow, flow, -2.0, 2.0,
+                                     dt=dt, T=T, n_paths=n, seed=5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < record_bytes / 4
 
 
 def test_coupled_radius_contracts(sine_spec):
