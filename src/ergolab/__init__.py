@@ -36,6 +36,7 @@ from ergolab.model import (
 )
 from ergolab.sde import (
     BlowUpError,
+    CheckpointedFlow,
     ContractionFit,
     DriftShift,
     Ensemble,
@@ -109,6 +110,7 @@ __all__ = [
     "BlowUpError",
     "BsdeSolution",
     "Constants",
+    "CheckpointedFlow",
     "ContractionFit",
     "ControlConfigurationError",
     "ControlPolicy",

@@ -31,8 +31,8 @@ from typing import Callable
 import numpy as np
 
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
-from ergolab.sde import (INIT_DRAW_STEP, CheckpointedPaths, gaussian_increments,
-                         simulate_decoupled, _steps_for)
+from ergolab.sde import (INIT_DRAW_STEP, CheckpointedPaths, checkpoint_every,
+                         gaussian_increments, simulate_decoupled, _steps_for)
 
 __all__ = [
     "BasisDegeneracyError",
@@ -171,12 +171,6 @@ class RegressionFunction:
             grad[:, j] = _design(u, lowered) @ (factor * self.coeffs[k, :, 0])
         return grad
 
-    def with_offset(self, offset: float) -> "RegressionFunction":
-        return RegressionFunction(times=self.times, coeffs=self.coeffs,
-                                  exponents=self.exponents,
-                                  centers=self.centers, scales=self.scales,
-                                  offset=offset)
-
     def to_csv(self, path) -> None:
         m, nb, od = self.coeffs.shape
         with open(path, "w", encoding="utf-8") as fh:
@@ -258,7 +252,7 @@ def _spread_cloud(x0: np.ndarray, flow: MeasureFlow, T: float,
     """Regression starts: x0 plus a Gaussian cloud at the scale of the
     flow's terminal spread (pointwise starts make node-0 regressions
     singular)."""
-    ref = flow.at_time(T).points
+    ref = flow.peek(T).points
     sd = np.maximum(ref.std(axis=0), 0.1)
     xi = gaussian_increments(seed, INIT_DRAW_STEP, n_particles, x0.shape[0])
     return x0 + sd * xi
@@ -270,13 +264,13 @@ def _checkpointed_cloud(spec, x0: np.ndarray, flow: MeasureFlow, T: float,
     """The forward regression cloud from x0's spread law on [0, T], run
     once and kept as checkpoints every S = ceil(sqrt(M)) of its M steps."""
     n_steps = _steps_for(T, dt)
-    every = math.isqrt(n_steps - 1) + 1
+    every = checkpoint_every(n_steps)
     cloud = _spread_cloud(x0, flow, T, n_particles, seed)
     bundle = simulate_decoupled(spec, cloud, flow, dt=dt, T=T,
                                 n_particles=n_particles, seed=seed,
                                 record_every=every)
-    return CheckpointedPaths(spec, flow, dt, seed, n_steps, every,
-                             bundle.states)
+    return CheckpointedPaths(spec, dt, seed, n_steps, every, bundle.states,
+                             flow=flow)
 
 
 def backward_lsmc(spec, bundle_states: np.ndarray | CheckpointedPaths,
@@ -314,7 +308,7 @@ def backward_lsmc(spec, bundle_states: np.ndarray | CheckpointedPaths,
     times = np.arange(m_plus_1) * dt
 
     g = terminal if terminal is not None else spec.terminal
-    mu_T = flow.at_time(times[-1])
+    mu_T = flow.peek(times[-1])
     y = np.asarray(g(x_T, mu_T), dtype=float)
 
     nb = exponents.shape[0]

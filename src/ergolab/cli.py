@@ -10,9 +10,9 @@ Exit codes: 0 all checks passed, 1 usage or scenario errors, 2 a check
 failed, 3 numeric blow-up inside a solver.
 
 Reports are flat key=value text, data files flat CSV, floats %.17g in
-both. Threads only ever parallelize a list of independent experiments
-(each with its own derived seed), so results do not depend on the
-thread count.
+both; only the manifest's wall_seconds is fixed-width %016.6f. Threads
+only ever parallelize a list of independent experiments (each with its
+own derived seed), so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -42,9 +42,10 @@ from ergolab.ebsde import (HorizonBudgetError, extract_ergodic,
 from ergolab.ltb import ltb1_experiment, ltb2_experiment, ltb3_experiment
 from ergolab.measure import (EmpiricalMeasure, MeasureFlow, invariant_measure,
                              moment)
-from ergolab.model import (Scenario, ScenarioError, audit, load_scenario,
-                           _parse_value)
-from ergolab.sde import BlowUpError, contraction_rate, derive_seed, simulate_mv
+from ergolab.model import (RUN_DEFAULTS, Scenario, ScenarioError, audit,
+                           load_scenario, _parse_value)
+from ergolab.sde import (BlowUpError, CheckpointedFlow, contraction_rate,
+                         derive_seed, simulate_mv)
 
 __all__ = ["RunManifest", "run", "main", "rerun_from_manifest",
            "SUBCOMMANDS", "OUT_ENV_VAR"]
@@ -122,7 +123,9 @@ class RunManifest:
         entries = {"subcommand": self.subcommand, "scenario": self.scenario,
                    "seed": self.seed, "out": self.outdir,
                    "version": self.version,
-                   "wall_seconds": self.wall_seconds}
+                   # fixed width, so the manifest's size does not vary
+                   # with the run's timing
+                   "wall_seconds": "%016.6f" % self.wall_seconds}
         for key in sorted(self.params):
             entries[f"param.{key}"] = self.params[key]
         for name in sorted(self.rng_streams):
@@ -318,12 +321,10 @@ def _cmd_coupling(scenario, params, outdir):
     x0 = np.full(spec.dim, float(params["x0"]))
     x0p = x0 + float(params["gap"])
     T = params["horizon"]
-    flow = simulate_mv(spec, EmpiricalMeasure.dirac(x0), dt=params["dt"],
-                       T=T, n_particles=int(params["particles"]),
-                       seed=derive_seed(seed, 7)).flow
-    flow_p = simulate_mv(spec, EmpiricalMeasure.dirac(x0p), dt=params["dt"],
-                         T=T, n_particles=int(params["particles"]),
-                         seed=derive_seed(seed, 8)).flow
+    flow, flow_p = (CheckpointedFlow.build(
+        spec, EmpiricalMeasure.dirac(start), dt=params["dt"], T=T,
+        n_particles=int(params["particles"]), seed=derive_seed(seed, tag))
+        for start, tag in ((x0, 7), (x0p, 8)))
     run_ = simulate_reflection_coupling(
         spec, flow, flow_p, x0, x0p, dt=params["dt"], T=T,
         n_paths=int(params["paths"]), seed=derive_seed(seed, 9),
@@ -344,9 +345,10 @@ def _cmd_coupling(scenario, params, outdir):
 
 def _make_flow(spec, params, t_max, seed):
     """Decoupled background: the point-start interacting flow."""
-    return simulate_mv(spec, _dirac(spec, params["x0"]), dt=params["dt"],
-                       T=t_max, n_particles=int(params["particles"]),
-                       seed=derive_seed(seed, 7)).flow
+    return CheckpointedFlow.build(spec, _dirac(spec, params["x0"]),
+                                  dt=params["dt"], T=t_max,
+                                  n_particles=int(params["particles"]),
+                                  seed=derive_seed(seed, 7))
 
 
 def _cmd_bsde(scenario, params, outdir):
@@ -599,31 +601,6 @@ def _cmd_report(scenario, params, outdir):
     return ok, ["summary.csv", "report.report"], {}
 
 
-_DEFAULTS = {
-    "audit": {"particles": 2000, "r_max": None, "grid_nodes": 1000},
-    "simulate": {"dt": 0.01, "horizon": 2.0, "particles": 2000, "x0": 0.0,
-                 "x0_prime": None, "flow_every": 10, "p": 2},
-    "invariant": {"dt": 0.02, "t_burn": None, "particles": 2000},
-    "coupling": {"dt": 0.005, "horizon": 10.0, "particles": 1000,
-                 "paths": 1000, "x0": 0.0, "gap": 4.0, "delta": None},
-    "bsde": {"dt": 0.01, "horizon": 1.0, "particles": 5000, "x0": 0.0,
-             "degree": None, "picard": 3},
-    "ebsde": {"dt": 0.02, "particles": 3000, "degree": None,
-              "alphas": (0.4, 0.2, 0.1, 0.05), "t_burn": None,
-              "t_long": None},
-    "ltb1": {"dt": 0.01, "particles": 5000, "t_grid": (5.0, 10.0, 20.0),
-             "x0": 0.0, "degree": None, "t_long": 100.0, "lam": None},
-    "ltb2": {"dt": 0.02, "particles": 5000, "t_grid": (2.0, 4.0, 6.0, 8.0),
-             "x0": 3.0, "degree": None, "alphas": (0.4, 0.2, 0.1, 0.05),
-             "lam": None},
-    "ltb3": {"dt": 0.02, "particles": 5000, "t_grid": (1.0, 2.0, 3.0, 4.0),
-             "x0": 1.0, "degree": None, "alphas": (0.4, 0.2, 0.1, 0.05)},
-    "control": {"dt": 0.02, "horizon": 2.0, "particles": 3000, "x0": 1.0,
-                "degree": None, "alphas": (0.4, 0.2, 0.1, 0.05),
-                "t_long": 40.0, "n_controls": 4, "t_grid": None, "ell": 0.0},
-    "report": {"run_dir": None},
-}
-
 _DISPATCH = {
     "audit": _cmd_audit, "simulate": _cmd_simulate,
     "invariant": _cmd_invariant, "coupling": _cmd_coupling,
@@ -672,7 +649,7 @@ def run(argv=None) -> int:
         scenario = None
         if getattr(args, "scenario", None):
             scenario = load_scenario(args.scenario)
-        defaults = dict(_DEFAULTS[args.subcommand])
+        defaults = dict(RUN_DEFAULTS[args.subcommand])
         if args.subcommand == "report" and getattr(args, "run_dir", None):
             defaults["run_dir"] = args.run_dir
         params = _resolve(scenario, args, defaults)

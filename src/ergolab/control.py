@@ -20,8 +20,8 @@ from ergolab.ebsde import ErgodicSolution
 from ergolab.ltb import DecayFit, _fit_exponential
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
 from ergolab.model import ControlSpec
-from ergolab.sde import (DriftShift, derive_seed, iter_decoupled,
-                         simulate_mv, _steps_for)
+from ergolab.sde import (CheckpointedFlow, DriftShift, derive_seed,
+                         iter_decoupled, _steps_for)
 
 __all__ = [
     "ControlConfigurationError",
@@ -227,13 +227,13 @@ def _verdict(gap: float, tol: float) -> str:
 
 
 def _resolve_flow(spec, theta, t_max: float, dt: float, n_particles: int,
-                  seed: int) -> MeasureFlow:
-    if isinstance(theta, MeasureFlow):
+                  seed: int) -> MeasureFlow | CheckpointedFlow:
+    if isinstance(theta, (MeasureFlow, CheckpointedFlow)):
         return theta
     if theta is None:
         theta = EmpiricalMeasure.dirac(np.zeros(spec.dim))
-    return simulate_mv(spec, theta, dt=dt, T=t_max,
-                       n_particles=n_particles, seed=seed).flow
+    return CheckpointedFlow.build(spec, theta, dt=dt, T=t_max,
+                                  n_particles=n_particles, seed=seed)
 
 
 def _policy_shift(spec, policy: ControlPolicy) -> DriftShift:

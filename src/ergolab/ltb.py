@@ -15,6 +15,14 @@ when too few points clear it, or the pass fits poorly, the offset is
 freed and the raw series is refit nonlinearly, with the decay then pinned
 by the points that do carry signal. A fit with no signal anywhere reports
 the rate as indeterminate instead of fitting noise.
+
+A forward law started from theta is one interacting-particle run to the
+largest horizon, held as a ``CheckpointedFlow``: its states every
+S = ceil(sqrt(M)) nodes, not the (M+1, N, d) record. Each horizon solve
+reads it twice, first to last in the forward pass and last to first in
+the backward sweep, and each read replays the segments it needs from
+their checkpoints. That costs about two extra interacting Euler steps per
+node of every horizon, and keeps memory at O(sqrt(M) N d).
 """
 
 from __future__ import annotations
@@ -28,7 +36,7 @@ from scipy import optimize, stats
 from ergolab.bsde import BsdeSolution, solve_finite_bsde, z_from_gradient
 from ergolab.ebsde import ErgodicSolution
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
-from ergolab.sde import derive_seed, simulate_mv
+from ergolab.sde import CheckpointedFlow, derive_seed
 
 __all__ = [
     "DecayFit",
@@ -224,16 +232,17 @@ def _fit_exponential(t: np.ndarray, values: np.ndarray, floor: float,
 
 def _theta_flow(spec, theta: EmpiricalMeasure | None,
                 mu_star: EmpiricalMeasure | None, t_max: float, dt: float,
-                n_particles: int, seed: int) -> MeasureFlow:
+                n_particles: int,
+                seed: int) -> MeasureFlow | CheckpointedFlow:
     """Forward law on [0, t_max]: the interacting-particle flow from
-    theta, or the stationary law held constant when theta is None."""
+    theta, checkpointed, or the stationary law held constant when theta
+    is None."""
     if theta is None:
         if mu_star is None:
             raise ValueError("need either theta or a stationary law")
         return MeasureFlow.constant(mu_star, 0.0, t_max)
-    res = simulate_mv(spec, theta, dt=dt, T=t_max, n_particles=n_particles,
-                      seed=seed)
-    return res.flow
+    return CheckpointedFlow.build(spec, theta, dt=dt, T=t_max,
+                                  n_particles=n_particles, seed=seed)
 
 
 def _horizon_solves(spec, flow: MeasureFlow, x0, t_grid, dt, n_particles,

@@ -82,6 +82,15 @@ class EmpiricalMeasure:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "_weights", w)
 
+    @classmethod
+    def _of_checked(cls, points: np.ndarray) -> "EmpiricalMeasure":
+        """Uniform measure on an (N, d) float array its caller has already
+        checked to be finite: the Euler loops check each state once."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "points", points)
+        object.__setattr__(mu, "_weights", None)
+        return mu
+
     # -- basic accessors ----------------------------------------------------
 
     @property
@@ -114,7 +123,9 @@ class EmpiricalMeasure:
 
     def mean(self) -> np.ndarray:
         if self._weights is None:
-            return self.points.mean(axis=0)
+            # the sum and division that ndarray.mean makes, without its
+            # Python-level overhead
+            return np.add.reduce(self.points, axis=0) / self.n_atoms
         return self._weights @ self.points
 
     def m1(self) -> float:
@@ -137,8 +148,37 @@ class EmpiricalMeasure:
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
+class FlowGrid:
+    """Grid reads shared by the measure flows on the strictly increasing
+    node grid ``times``."""
+
+    times: np.ndarray
+
+    def node_index(self, t: float) -> int:
+        """The node that holds at time t: the last grid point <= t, up to a
+        1e-12 tolerance, clamped to the grid."""
+        idx = int(np.searchsorted(self.times, t + 1e-12, side="right")) - 1
+        return min(max(idx, 0), len(self.times) - 1)
+
+    @property
+    def t0(self) -> float:
+        return float(self.times[0])
+
+    @property
+    def t1(self) -> float:
+        return float(self.times[-1])
+
+    def covers(self, t0: float, t1: float, slack: float = 1e-9) -> bool:
+        return self.times[0] <= t0 + slack and t1 <= self.times[-1] + slack
+
+    def peek(self, t: float) -> "EmpiricalMeasure":
+        """A one-off read: ``at_time(t)``, except that a flow that caches
+        replayed segments serves it without evicting any."""
+        return self.at_time(t)
+
+
 @dataclass(frozen=True)
-class MeasureFlow:
+class MeasureFlow(FlowGrid):
     """Piecewise-constant-in-time sequence of measures on a strictly
     increasing grid: ``at_time(t)`` returns the node measure at the last grid
     point <= t."""
@@ -166,24 +206,11 @@ class MeasureFlow:
         return cls(np.array([t0, t1]), (mu, mu))
 
     @property
-    def t0(self) -> float:
-        return float(self.times[0])
-
-    @property
-    def t1(self) -> float:
-        return float(self.times[-1])
-
-    @property
     def terminal(self) -> EmpiricalMeasure:
         return self.measures[-1]
 
-    def covers(self, t0: float, t1: float, slack: float = 1e-9) -> bool:
-        return self.times[0] <= t0 + slack and t1 <= self.times[-1] + slack
-
     def at_time(self, t: float) -> EmpiricalMeasure:
-        idx = int(np.searchsorted(self.times, t + 1e-12, side="right")) - 1
-        idx = min(max(idx, 0), len(self.measures) - 1)
-        return self.measures[idx]
+        return self.measures[self.node_index(t)]
 
 
 def moment(mu: EmpiricalMeasure, p: float) -> float:

@@ -39,6 +39,7 @@ __all__ = [
     "ScenarioError",
     "preset",
     "PRESET_NAMES",
+    "RUN_DEFAULTS",
     "audit",
     "compile_expression",
     "parse_scenario",
@@ -478,12 +479,35 @@ _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.\-]+)\]\s*$")
 _EXPR_FUNCS = {"sin": np.sin, "tanh": np.tanh}
 _EXPR_NAMES = ("x", "m1", "m2", "z", "a", "t")
 
-_RUN_KEYS = frozenset({
-    "dt", "horizon", "particles", "seed", "threads", "t_burn", "x0",
-    "x0_prime", "degree", "picard", "alpha", "alphas", "t_grid", "delta",
-    "paths", "restart", "p", "t_long", "window", "n_controls", "gap",
-    "r_max", "grid_nodes", "flow_every",
-})
+# Each subcommand's run parameters and their defaults. A scenario's [run]
+# section and the command line's --set accept exactly these keys, plus
+# seed and threads.
+RUN_DEFAULTS = {
+    "audit": {"particles": 2000, "r_max": None, "grid_nodes": 1000},
+    "simulate": {"dt": 0.01, "horizon": 2.0, "particles": 2000, "x0": 0.0,
+                 "x0_prime": None, "flow_every": 10, "p": 2},
+    "invariant": {"dt": 0.02, "t_burn": None, "particles": 2000},
+    "coupling": {"dt": 0.005, "horizon": 10.0, "particles": 1000,
+                 "paths": 1000, "x0": 0.0, "gap": 4.0, "delta": None},
+    "bsde": {"dt": 0.01, "horizon": 1.0, "particles": 5000, "x0": 0.0,
+             "degree": None, "picard": 3},
+    "ebsde": {"dt": 0.02, "particles": 3000, "degree": None,
+              "alphas": (0.4, 0.2, 0.1, 0.05), "t_burn": None,
+              "t_long": None},
+    "ltb1": {"dt": 0.01, "particles": 5000, "t_grid": (5.0, 10.0, 20.0),
+             "x0": 0.0, "degree": None, "t_long": 100.0, "lam": None},
+    "ltb2": {"dt": 0.02, "particles": 5000, "t_grid": (2.0, 4.0, 6.0, 8.0),
+             "x0": 3.0, "degree": None, "alphas": (0.4, 0.2, 0.1, 0.05),
+             "lam": None},
+    "ltb3": {"dt": 0.02, "particles": 5000, "t_grid": (1.0, 2.0, 3.0, 4.0),
+             "x0": 1.0, "degree": None, "alphas": (0.4, 0.2, 0.1, 0.05)},
+    "control": {"dt": 0.02, "horizon": 2.0, "particles": 3000, "x0": 1.0,
+                "degree": None, "alphas": (0.4, 0.2, 0.1, 0.05),
+                "t_long": 40.0, "n_controls": 4, "t_grid": None, "ell": 0.0},
+    "report": {"run_dir": None},
+}
+
+_RUN_KEYS = frozenset({"seed", "threads"}).union(*RUN_DEFAULTS.values())
 
 _MODEL_KEYS = frozenset({
     "preset", "dim", "regime", "drift", "diffusion", "driver", "terminal",

@@ -8,19 +8,32 @@ function of (seed, k) through a counter-based generator, with one row per
 particle. Any consumer can regenerate any step's increments without
 storing them, and results are independent of how particles are scheduled
 across threads.
+
+Stepping is resumable: ``iter_mv`` and ``iter_decoupled`` take the global
+step ``start`` of the state they resume from, and a run resumed from its
+step-g state repeats the unsplit run bit for bit. ``simulate_mv`` and
+``simulate_decoupled`` keep every ``record_every``-th node of a run; at
+``record_every = 1`` that is the whole (M+1, N, d) record.
+``CheckpointedPaths`` and ``CheckpointedFlow`` keep only the states every
+S = ceil(sqrt(M)) nodes and replay one segment at a time from its
+checkpoint when it is read (the checkpoint-and-replay scheme of Griewank
+and Walther, ACM TOMS 2000), so they hold O(sqrt(M) N d) floats and
+hand back the first pass's bits. Each Euler step checks its new states
+for finiteness once and builds its measure from the checked copy.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ergolab.measure import (ASSIGNMENT_LIMIT, EmpiricalMeasure, MeasureFlow,
-                             wasserstein)
+from ergolab.measure import (ASSIGNMENT_LIMIT, EmpiricalMeasure, FlowGrid,
+                             MeasureFlow, wasserstein)
 
 __all__ = [
     "INIT_DRAW_STEP",
@@ -28,6 +41,7 @@ __all__ = [
     "DriftShift",
     "Ensemble",
     "PathBundle",
+    "CheckpointedFlow",
     "MVResult",
     "ContractionFit",
     "gaussian_increments",
@@ -70,6 +84,9 @@ def _philox_key(seed: int, step: int) -> np.ndarray:
     return np.array([seed, step], dtype=np.uint64)
 
 
+_ZEROS4 = (0, 0, 0, 0)
+
+
 # one generator per thread, rekeyed per block: building a fresh Philox and
 # Generator costs more than drawing an N = 3000 block, and a shared one
 # would race when blocks are drawn from a thread pool
@@ -82,12 +99,12 @@ def _keyed_generator(seed: int, step: int) -> np.random.Generator:
     rng = getattr(_thread_rng, "generator", None)
     if rng is None:
         rng = _thread_rng.generator = np.random.Generator(np.random.Philox())
+    # the setter copies each entry into the generator, and reads Python
+    # ints faster than uint64 arrays
     rng.bit_generator.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": _philox_key(seed, step)},
-        "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0}
+        "state": {"counter": _ZEROS4, "key": (seed, step)},
+        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return rng
 
 
@@ -182,28 +199,56 @@ class PathBundle:
                    fmt=["%d", "%.17g", "%d"] + ["%.17g"] * d)
 
 
-@dataclass(frozen=True, eq=False)
-class CheckpointedPaths:
-    """A decoupled forward cloud on nodes 0..M, run from time 0, held as
-    checkpoints: the states at every ``every``-th node and at node M, as
-    ``simulate_decoupled(..., record_every=every)`` records them.
+def checkpoint_every(n_steps: int) -> int:
+    """The checkpoint spacing S = ceil(sqrt(M)) of an M-step run, which
+    keeps checkpoints plus one segment at O(sqrt(M)) states."""
+    return math.isqrt(n_steps - 1) + 1
 
-    ``segments`` hands the cloud back one segment at a time, last first,
-    by replaying the Euler steps from each checkpoint at its global step
-    index. So the replayed states and noise blocks are the first pass's
-    bit for bit, and only the checkpoints plus one segment are ever held.
-    ``shape`` is that of the full (M+1, N, d) state array it stands in for;
-    ``nbytes`` counts what is held while a segment is out: the checkpoints
-    plus one segment's states and noise blocks.
-    """
+
+@dataclass(frozen=True, eq=False)
+class _Checkpointed:
+    """An Euler run on nodes 0..M held as its checkpoints: the states at
+    every ``every``-th node and at node M, as ``_record`` records them. A
+    segment is replayed by resuming the run's iterator from its checkpoint
+    at its global step, so the replayed states and noise blocks are the
+    first pass's bit for bit."""
 
     spec: object
-    flow: MeasureFlow
     dt: float
     seed: int
     n_steps: int
     every: int
     checkpoints: np.ndarray  # (ceil(M / every) + 1, N, d)
+
+    def _steps(self, states: np.ndarray, n_steps: int, start: int):
+        raise NotImplementedError
+
+    def _span(self, i: int) -> tuple[int, int]:
+        """(g0, length) of segment i = [g0, g0 + length), which runs from
+        checkpoint i to checkpoint i + 1."""
+        g0 = i * self.every
+        return g0, min(self.every, self.n_steps - g0)
+
+    def _resume(self, i: int, n_steps: int):
+        """The run's Euler iterator resumed from checkpoint i at its global
+        step, for n_steps steps."""
+        return self._steps(self.checkpoints[i], n_steps, i * self.every)
+
+
+@dataclass(frozen=True, eq=False)
+class CheckpointedPaths(_Checkpointed):
+    """A decoupled forward cloud on nodes 0..M, run from time 0 against
+    ``flow``, as checkpoints: the states that
+    ``simulate_decoupled(..., record_every=every)`` records.
+
+    ``segments`` hands the cloud back one segment at a time, last first,
+    so only the checkpoints plus one segment are ever held. ``shape`` is
+    that of the full (M+1, N, d) state array it stands in for; ``nbytes``
+    counts what is held while a segment is out: the checkpoints plus one
+    segment's states and noise blocks.
+    """
+
+    flow: MeasureFlow | CheckpointedFlow = None
 
     @property
     def shape(self) -> tuple[int, int, int]:
@@ -214,6 +259,10 @@ class CheckpointedPaths:
         segment = self.every * self.checkpoints[0].nbytes
         return self.checkpoints.nbytes + 2 * segment
 
+    def _steps(self, states, n_steps, start):
+        return iter_decoupled(self.spec, states, self.flow, self.dt, n_steps,
+                              self.seed, start=start)
+
     def segments(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
         """(g0, states, dw) per segment [g0, g1), last segment first:
         ``states[j]`` is node g0 + j and ``dw[j]`` the Brownian increment
@@ -221,17 +270,100 @@ class CheckpointedPaths:
         Both arrays are reused for the next segment."""
         n, d = self.checkpoints.shape[1:]
         xs, dws = np.empty((self.every, n, d)), np.empty((self.every, n, d))
-        nodes = list(range(0, self.n_steps, self.every)) + [self.n_steps]
-        for i in range(len(nodes) - 2, -1, -1):
-            g0, length = nodes[i], nodes[i + 1] - nodes[i]
-            for j, _t, x, dw in iter_decoupled(
-                    self.spec, self.checkpoints[i], self.flow, self.dt,
-                    length, self.seed, start=g0):
+        for i in range(len(self.checkpoints) - 2, -1, -1):
+            g0, length = self._span(i)
+            for j, _t, x, dw in self._resume(i, length):
                 if j < length:
                     xs[j] = x
                 if j > 0:
                     dws[j - 1] = dw
             yield g0, xs[:length], dws[:length]
+
+
+@dataclass(frozen=True, eq=False)
+class CheckpointedFlow(_Checkpointed, FlowGrid):
+    """The interacting-particle flow mu_t on nodes 0..M, run from time 0,
+    with ``MeasureFlow``'s reads (``times``, ``t0``, ``t1``, ``terminal``,
+    ``covers``, ``at_time`` with the same node rule) but without its
+    (M+1, N, d) store.
+
+    It holds the states at every S-th node and at node M, as one
+    ``simulate_mv(..., record_every=S)`` pass records them (``build``,
+    S = ceil(sqrt(M))), plus at most two replayed segments. A
+    read at a checkpoint node is served from the checkpoints. A read
+    elsewhere comes from its segment's cache entry, or else replays the
+    segment with ``iter_mv`` from its checkpoint at its global step, which
+    gives the first pass's measures bit for bit; the segment then enters
+    the cache in place of the least recently read one. So a sweep that
+    reads the flow in order, forwards or backwards, replays each segment
+    once and holds about (M / S + 2 S) N d floats. ``peek`` reads one node
+    without caching its segment, for one-off reads between sweeps.
+
+    Each replayed node is its own ``EmpiricalMeasure`` copy and no buffer
+    is reused, so a measure a caller still holds stays valid after its
+    segment leaves the cache. Reads from several threads are serialised.
+    """
+
+    times: np.ndarray = None
+    _nodes: tuple = field(default=(), repr=False)
+    _cache: OrderedDict = field(default_factory=OrderedDict, repr=False)
+    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
+
+    _CACHED_SEGMENTS = 2
+
+    @classmethod
+    def build(cls, spec, theta: EmpiricalMeasure, dt: float, T: float,
+              n_particles: int, seed: int) -> "CheckpointedFlow":
+        """Run ``simulate_mv(spec, theta, dt, T, n_particles, seed)`` once,
+        keeping the checkpoints only."""
+        n_steps = _steps_for(T, dt)
+        every = checkpoint_every(n_steps)
+        res = simulate_mv(spec, theta, dt=dt, T=T, n_particles=n_particles,
+                          seed=seed, record_every=every)
+        # node k + 1 sits at k dt + dt, as iter_mv times it
+        times = np.concatenate([[0.0], np.arange(n_steps) * dt + dt])
+        return cls(spec, dt, seed, n_steps, every, res.bundle.states,
+                   times=times, _nodes=res.flow.measures)
+
+    @property
+    def terminal(self) -> EmpiricalMeasure:
+        return self._nodes[-1]
+
+    def _steps(self, states, n_steps, start):
+        return iter_mv(self.spec, states, self.dt, n_steps, self.seed,
+                       start=start)
+
+    def _read(self, t: float, keep: bool) -> EmpiricalMeasure:
+        k = self.node_index(t)
+        if k == self.n_steps:
+            return self._nodes[-1]
+        i, j = divmod(k, self.every)
+        if j == 0:
+            return self._nodes[i]
+        with self._lock:
+            seg = self._cache.get(i)
+            if seg is not None:
+                if keep:
+                    self._cache.move_to_end(i)
+                return seg[j]
+            if not keep:
+                for *_, mu in self._resume(i, j):
+                    pass
+                return mu
+            # the step into the next checkpoint is never taken
+            seg = [mu for *_, mu in self._resume(i, self._span(i)[1] - 1)]
+            if len(self._cache) == self._CACHED_SEGMENTS:
+                self._cache.popitem(last=False)
+            self._cache[i] = seg
+            return seg[j]
+
+    def at_time(self, t: float) -> EmpiricalMeasure:
+        return self._read(t, keep=True)
+
+    def peek(self, t: float) -> EmpiricalMeasure:
+        """``at_time(t)`` that leaves the cache as it is: a node outside
+        the cached segments is replayed up to itself and not kept."""
+        return self._read(t, keep=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,7 +430,9 @@ def _sigma_dot(sig: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
 
 def _check_finite(x: np.ndarray, step: int, t: float) -> None:
-    if not np.all(np.isfinite(x)):
+    # a finite sum means every entry is finite; only a non-finite sum,
+    # which finite entries can also give by overflow, needs the full scan
+    if not np.isfinite(x.sum()) and not np.all(np.isfinite(x)):
         bad = int(np.sum(~np.isfinite(x).all(axis=1)))
         raise BlowUpError(step, t, f"{bad} particle(s) non-finite")
 
@@ -315,24 +449,34 @@ def draw_initial(theta: EmpiricalMeasure, n_particles: int,
     return theta.points[idx].copy()
 
 
-def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int,
-            seed: int) -> Iterator[tuple[int, float, np.ndarray, EmpiricalMeasure]]:
-    """Advance the interacting-particle system from time 0 in place,
-    yielding (step, time, states, measure) before the first step and after
-    each one; step k consumes the (seed, k) noise block. The yielded array
-    is the live buffer: copy before storing."""
+def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int, seed: int,
+            start: int = 0) -> Iterator[tuple[int, float, np.ndarray,
+                                              EmpiricalMeasure]]:
+    """Advance the interacting-particle system in place from ``states`` at
+    global step ``start`` of a run from time 0: global step g runs at
+    t = g dt and consumes the (seed, g) noise block, so a run resumed from
+    its step-g state at ``start=g`` repeats the unsplit run bit for bit.
+    Yields (j, t, states, measure) before the first step and after each
+    one, j counting the steps taken. The yielded array is the live buffer:
+    copy before storing. Each measure owns a copy of its states."""
     x = np.array(states, dtype=float)
     n, d = x.shape
     mu = EmpiricalMeasure(x.copy())
-    yield 0, 0.0, x, mu
+    yield 0, start * dt, x, mu
+    scale = math.sqrt(dt)
     for k in range(n_steps):
-        t = k * dt
+        g = start + k
+        t = g * dt
         b = spec.drift(t, x, mu)
         sig = np.asarray(spec.diffusion(x, mu), dtype=float)
-        dw = math.sqrt(dt) * gaussian_increments(seed, k, n, d)
-        x += b * dt + _sigma_dot(sig, dw)
-        _check_finite(x, k + 1, t + dt)
-        mu = EmpiricalMeasure(x.copy())
+        dw = gaussian_increments(seed, g, n, d)
+        dw *= scale
+        # _sigma_dot returns a fresh array, never one the spec returned
+        step = _sigma_dot(sig, dw)
+        step += b * dt
+        x += step
+        _check_finite(x, g + 1, t + dt)
+        mu = EmpiricalMeasure._of_checked(x.copy())
         yield k + 1, t + dt, x, mu
 
 
@@ -402,7 +546,8 @@ def _check_flow_alignment(flow: MeasureFlow, dt: float) -> None:
         raise ValueError("flow grid spacing is not a whole multiple of dt")
 
 
-def iter_decoupled(spec, states: np.ndarray, flow: MeasureFlow, dt: float,
+def iter_decoupled(spec, states: np.ndarray,
+                   flow: MeasureFlow | CheckpointedFlow, dt: float,
                    n_steps: int, seed: int, shift: DriftShift | None = None,
                    t0: float = 0.0, start: int = 0) -> Iterator[tuple]:
     """Advance the decoupled system: coefficients read the frozen flow,
@@ -418,6 +563,7 @@ def iter_decoupled(spec, states: np.ndarray, flow: MeasureFlow, dt: float,
     x = np.array(states, dtype=float)
     n, d = x.shape
     k0 = int(round(t0 / dt))
+    scale = math.sqrt(dt)
     yield 0, t0 + start * dt, x, None
     for k in range(n_steps):
         g = start + k
@@ -425,15 +571,19 @@ def iter_decoupled(spec, states: np.ndarray, flow: MeasureFlow, dt: float,
         mu = flow.at_time(t)
         b = spec.drift(t, x, mu)
         sig = np.asarray(spec.diffusion(x, mu), dtype=float)
-        dw = math.sqrt(dt) * gaussian_increments(seed, k0 + g, n, d)
+        dw = gaussian_increments(seed, k0 + g, n, d)
+        dw *= scale
         push = dw if shift is None else dw + shift(t, x, mu) * dt
-        x += b * dt + _sigma_dot(sig, push)
+        # _sigma_dot returns a fresh array, never one the spec returned
+        step = _sigma_dot(sig, push)
+        step += b * dt
+        x += step
         _check_finite(x, g + 1, t + dt)
         yield k + 1, t + dt, x, dw
 
 
-def simulate_decoupled(spec, x0, flow: MeasureFlow, dt: float, T: float,
-                       n_particles: int, seed: int,
+def simulate_decoupled(spec, x0, flow: MeasureFlow | CheckpointedFlow,
+                       dt: float, T: float, n_particles: int, seed: int,
                        shift: DriftShift | None = None, t0: float = 0.0,
                        record_every: int = 1) -> PathBundle:
     """Euler scheme for the decoupled equation on [t0, t0+T] with the

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -276,6 +277,29 @@ def test_checkpointed_sweep_draws_each_block_once_per_pass(ou_spec,
                       n_particles=300, seed=9)
     # the forward pass and the replay; the sweep itself redraws nothing
     assert sorted(drawn) == sorted(list(range(101)) * 2 + [INIT_DRAW_STEP])
+
+
+@pytest.mark.parametrize("m", [101, 150])
+def test_checkpointed_flow_blocks_are_drawn_at_most_three_times(
+        ou_spec, monkeypatch, m):
+    drawn = Counter()
+
+    def counted(seed, step, *args, **kwargs):
+        drawn[seed, step] += 1
+        return gaussian_increments(seed, step, *args, **kwargs)
+
+    monkeypatch.setattr(sde, "gaussian_increments", counted)
+    monkeypatch.setattr(bsde, "gaussian_increments", counted)
+    flow = sde.CheckpointedFlow.build(ou_spec, EmpiricalMeasure.dirac(1.1),
+                                      dt=0.01, T=1.5, n_particles=300, seed=5)
+    # node 101 is no checkpoint of the flow, node 150 is its last
+    solve_finite_bsde(ou_spec, flow, x0=0.4, T=m * 0.01, dt=0.01,
+                      n_particles=300, seed=9)
+    counts = [drawn[5, g] for g in range(150)]
+    # once by the build, once in the forward pass, once in the sweep, and
+    # one segment's blocks once more
+    assert max(counts) <= 4
+    assert sum(counts) <= 150 + 2 * m + flow.every
 
 
 def test_checkpointed_sweep_memory_is_a_fraction_of_the_bundle(ou_spec):

@@ -1,12 +1,15 @@
 """Exit codes, scenario diagnostics, manifests, and rerun determinism."""
 
+import argparse
 import filecmp
 import subprocess
 import sys
 
 import pytest
 
+from ergolab import cli
 from ergolab.cli import RunManifest, rerun_from_manifest, run
+from ergolab.model import RUN_DEFAULTS, parse_scenario
 
 OU_SCN = """\
 [model]
@@ -148,6 +151,29 @@ def test_audit_outputs_and_manifest(scn_dir, tmp_path):
     assert set(manifest.outputs) >= {"audit_checks.csv", "audit.report",
                                      "manifest"}
     assert manifest.wall_seconds >= 0.0
+
+
+def test_manifest_width_does_not_depend_on_wall_time(tmp_path):
+    sizes = set()
+    for wall in (9.999999, 10.0, 123.4):
+        path = tmp_path / f"manifest-{wall}"
+        RunManifest(subcommand="audit", scenario="ou.scn", seed=42,
+                    outdir="out", version="1.0", params={"dt": 0.01},
+                    outputs=["audit.report", "manifest"],
+                    wall_seconds=wall).write(path)
+        sizes.add(path.stat().st_size)
+        assert RunManifest.read(path).wall_seconds == wall
+    assert len(sizes) == 1
+
+
+@pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
+def test_every_set_key_is_accepted_in_the_run_section(subcommand):
+    for key in [*RUN_DEFAULTS[subcommand], "seed", "threads"]:
+        scn = parse_scenario(f"[model]\npreset = ou-attract\n[run]\n"
+                             f"{key} = 1\n", source="run-keys.scn")
+        params = cli._resolve(scn, argparse.Namespace(set=None),
+                              dict(RUN_DEFAULTS[subcommand]))
+        assert params[key] == 1, key
 
 
 def test_bsde_rerun_is_byte_identical(scn_dir, tmp_path):

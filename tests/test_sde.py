@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,10 +14,10 @@ from hypothesis import given, settings, strategies as st
 import oracle_reference as oracle
 from ergolab import model
 from ergolab.measure import EmpiricalMeasure, MeasureFlow, moment, wasserstein
-from ergolab.sde import (INIT_DRAW_STEP, BlowUpError, DriftShift, PathBundle,
-                         _sigma_dot, contraction_rate, derive_seed,
-                         draw_initial, flow_property_check,
-                         gaussian_increments, iter_decoupled,
+from ergolab.sde import (INIT_DRAW_STEP, BlowUpError, CheckpointedFlow,
+                         DriftShift, PathBundle, _sigma_dot, contraction_rate,
+                         derive_seed, draw_initial, flow_property_check,
+                         gaussian_increments, iter_decoupled, iter_mv,
                          simulate_decoupled, simulate_mv)
 
 
@@ -322,3 +323,115 @@ def test_resumed_run_is_the_unsplit_run(ou_spec, mv_flow, data):
     for (x, dw), (x_ref, dw_ref) in zip(resumed[1:], unsplit[k + 1:]):
         np.testing.assert_array_equal(x, x_ref)
         np.testing.assert_array_equal(dw, dw_ref)
+
+
+def _timed_mv_spec():
+    # reads t and the measure, so a resumed run must get both right
+    return _quiet_spec(lambda t, x, mu: np.sin(3.0 * t) - x - 0.5 * mu.mean(),
+                       name="timed-mv")
+
+
+_CLOUD = EmpiricalMeasure(np.linspace(-1.0, 2.0, 20)[:, None])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_resumed_mv_run_is_the_unsplit_run(data):
+    m = data.draw(st.integers(1, 30), label="M")
+    k = data.draw(st.integers(0, m), label="split step")
+    every = data.draw(st.integers(1, 12), label="record_every")
+    spec, dt, seed = _timed_mv_spec(), 0.1, 5
+    unsplit = simulate_mv(spec, _CLOUD, dt=dt, T=m * dt, n_particles=20,
+                          seed=seed)
+    # the recorded checkpoints are the unsplit run's states
+    sparse = simulate_mv(spec, _CLOUD, dt=dt, T=m * dt, n_particles=20,
+                         seed=seed, record_every=every)
+    nodes = list(range(0, m, every)) + [m]
+    np.testing.assert_array_equal(sparse.bundle.states,
+                                  unsplit.bundle.states[nodes])
+    resumed = [(t, x.copy(), mu) for _j, t, x, mu in iter_mv(
+        spec, unsplit.bundle.states[k], dt, m - k, seed, start=k)]
+    assert len(resumed) == m - k + 1
+    for j, (t, x, mu) in enumerate(resumed):
+        if j > 0:
+            assert t == unsplit.bundle.times[k + j]
+        np.testing.assert_array_equal(x, unsplit.bundle.states[k + j])
+        np.testing.assert_array_equal(mu.points,
+                                      unsplit.flow.measures[k + j].points)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_checkpointed_flow_matches_the_stored_flow(data):
+    # S = ceil(sqrt(M)) runs from 1 to 7: segments of every length
+    m = data.draw(st.integers(1, 40), label="M")
+    order = data.draw(st.sampled_from(["forward", "backward", "random"]),
+                      label="order")
+    spec, dt, seed = _timed_mv_spec(), 0.1, 8
+    stored = simulate_mv(spec, _CLOUD, dt=dt, T=m * dt, n_particles=20,
+                         seed=seed).flow
+    flow = CheckpointedFlow.build(spec, _CLOUD, dt=dt, T=m * dt,
+                                  n_particles=20, seed=seed)
+    np.testing.assert_array_equal(flow.times, stored.times)
+    assert (flow.t0, flow.t1) == (stored.t0, stored.t1)
+    np.testing.assert_array_equal(flow.terminal.points,
+                                  stored.terminal.points)
+    for span in ((0.0, m * dt), (-0.1, m * dt), (0.0, m * dt + 0.1),
+                 (0.5 * dt, 0.5 * m * dt)):
+        assert flow.covers(*span) == stored.covers(*span)
+    nodes = list(range(m + 1))
+    if order == "backward":
+        nodes.reverse()
+    elif order == "random":
+        nodes = data.draw(st.permutations(nodes), label="nodes")
+    held = []
+    for k in nodes:
+        t = stored.times[k]
+        for mu in (flow.peek(t), flow.at_time(t)):
+            np.testing.assert_array_equal(mu.points,
+                                          stored.measures[k].points)
+        held.append((k, mu))
+        assert len(flow._cache) <= 2
+    # a measure read earlier stays valid after its segment left the cache
+    for k, mu in held:
+        np.testing.assert_array_equal(mu.points, stored.measures[k].points)
+    # off-node times follow the stored flow's node rule
+    for t in (-1.0, 0.5 * dt, (m - 0.5) * dt, m * dt + 1.0):
+        np.testing.assert_array_equal(flow.at_time(t).points,
+                                      stored.at_time(t).points)
+
+
+def test_checkpointed_flow_memory_is_a_fraction_of_the_record(ou_spec):
+    n, dt, m = 2000, 0.01, 2000
+    record_bytes = (m + 1) * n * 8
+    tracemalloc.start()
+    try:
+        flow = CheckpointedFlow.build(ou_spec, EmpiricalMeasure.dirac(1.0),
+                                      dt=dt, T=m * dt, n_particles=n, seed=4)
+        for t in flow.times[::-1]:
+            flow.at_time(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < record_bytes / 4
+
+
+def test_checkpointed_flow_reads_from_threads_match_the_stored_flow(ou_spec):
+    kw = dict(dt=0.1, T=6.0, n_particles=30, seed=12)
+    stored = simulate_mv(ou_spec, EmpiricalMeasure.dirac(1.0), **kw).flow
+    flow = CheckpointedFlow.build(ou_spec, EmpiricalMeasure.dirac(1.0), **kw)
+
+    def reads(worker):
+        order = np.random.default_rng(worker).permutation(len(stored.times))
+        return all(np.array_equal(flow.at_time(stored.times[k]).points,
+                                  stored.measures[k].points) for k in order)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(reads, w) for w in range(12)]
+            assert all(f.result(timeout=120) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(flow._cache) <= 2
