@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ergolab.bsde import BsdeSolution, RegressionFunction, solve_finite_bsde
-from ergolab.ebsde import ErgodicSolution
+from ergolab.ebsde import ErgodicSolution, _tail_average
 from ergolab.ltb import DecayFit, _fit_exponential
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
 from ergolab.model import ControlSpec
@@ -348,33 +348,23 @@ def evaluate_cost_ergodic(spec, policy: ControlPolicy, x0, mu_star,
         raise ControlConfigurationError(
             f"model {spec.name!r} declares no control set")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    n_steps = _steps_for(t_long, dt)
     if theta is not None or mu_star is None:
         flow = _resolve_flow(spec, theta, t_long, dt, n_particles,
                              derive_seed(seed, 7))
     else:
         flow = MeasureFlow.constant(mu_star, 0.0, t_long)
-    rate = spec.contraction_rate_bound()
-    burn = min(int(round(min(10.0 / rate if rate > 0 else t_long / 3.0,
-                             t_long / 3.0) / dt)), n_steps - 1)
+
+    def cost(t, x, _dw):
+        mu = flow.at_time(t)
+        return float(np.mean(spec.control.running_cost(
+            x, mu, policy.actions(t, x, mu))))
 
     shift = _policy_shift(spec, policy)
     states = np.tile(x0, (n_particles, 1))
-    samples = []
-    for k, t, x, _ in iter_decoupled(spec, states, flow, dt, n_steps, seed,
-                                     shift=shift):
-        if burn <= k < n_steps:
-            mu = flow.at_time(t)
-            a = policy.actions(t, x, mu)
-            samples.append(float(np.mean(
-                spec.control.running_cost(x, mu, a))))
-    samples = np.array(samples)
-    j = float(samples.mean())
-    n_batches = min(20, samples.size)
-    batches = np.array_split(samples, n_batches)
-    means = np.array([b.mean() for b in batches])
-    se = float(means.std(ddof=1) / math.sqrt(n_batches)) \
-        if n_batches > 1 else math.nan
+    j, se, _ = _tail_average(
+        lambda n_steps: iter_decoupled(spec, states, flow, dt, n_steps, seed,
+                                       shift=shift),
+        t_long, dt, spec.contraction_rate_bound(), cost)
     gap = j - lam if math.isfinite(lam) else math.nan
     verdict = _verdict(gap, 3.0 * (se + lam_se)) if math.isfinite(lam) \
         else "consistent"

@@ -56,7 +56,8 @@ def lq_spec():
 
 @pytest.fixture(scope="session")
 def erg_ou(ou_spec):
-    # ~12 s; reused by the ebsde, ltb and acceptance suites
+    # ~12 s on 2 cores (one cloud and one sweep for all four discounts);
+    # reused by the ebsde, ltb and acceptance suites
     return ebsde.extract_ergodic(ou_spec, n_particles=3000, dt=0.02, seed=42)
 
 

@@ -315,3 +315,19 @@ def test_checkpointed_sweep_memory_is_a_fraction_of_the_bundle(ou_spec):
     finally:
         tracemalloc.stop()
     assert peak < bundle_bytes / 4
+
+
+def test_sweep_columns_match_the_one_column_sweep(ou_spec):
+    flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 1.0)
+    states = np.random.default_rng(2).normal(size=(4, 100, 1))
+    kw = dict(flow=flow, dt=0.25, degree=3, picard=2, seed=0)
+    one = backward_lsmc(ou_spec, states, discount=0.5, **kw)
+    both = backward_lsmc(ou_spec, states, discount=(0.5, 0.5),
+                         horizons=(3, 3), **kw)
+    for sol in both:
+        np.testing.assert_allclose(sol.u.coeffs, one.u.coeffs, rtol=0,
+                                   atol=1e-12)
+    for horizons in ((3, -1), (2, 2), (1, 2, 3)):
+        with pytest.raises(ValueError, match="terminal node"):
+            backward_lsmc(ou_spec, states, discount=(0.5, 0.1),
+                          horizons=horizons, **kw)

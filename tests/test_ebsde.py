@@ -1,15 +1,20 @@
 """Discounted solves and the vanishing-discount ergodic extraction."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import oracle_reference as oracle
-from ergolab import model
+from ergolab import bsde, ebsde, model, sde
 from ergolab.ebsde import (HorizonBudgetError, discount_horizon,
                            extract_ergodic, lambda_by_time_average,
                            solve_alpha_bsde)
+from ergolab.sde import INIT_DRAW_STEP, derive_seed
+
+# a small three-discount ladder: horizons of 195, 424 and 917 steps
+LADDER = dict(n_particles=400, dt=0.05, alphas=(0.8, 0.4, 0.2), seed=11)
 
 
 @pytest.mark.parametrize("alpha", [0.4, 0.1])
@@ -134,3 +139,74 @@ def test_horizon_guards(ou_spec):
         discount_horizon(alpha=1e-6, c_hat=1.0, dt=0.01)
     with pytest.raises(ValueError, match="positive"):
         discount_horizon(alpha=0.0, c_hat=1.0, dt=0.01)
+
+
+def test_ladder_columns_equal_their_one_discount_solves(ou_spec):
+    erg = extract_ergodic(ou_spec, **LADDER)
+    for a in erg.trace:
+        one = solve_alpha_bsde(ou_spec, erg.mu_star, a.alpha,
+                               dt=LADDER["dt"],
+                               n_particles=LADDER["n_particles"],
+                               seed=derive_seed(LADDER["seed"], 17))
+        assert one.t_alpha == a.t_alpha
+        assert one.anchor_value == pytest.approx(a.anchor_value, abs=1e-12)
+        assert one.lambda_candidate == pytest.approx(a.lambda_candidate,
+                                                     abs=1e-12)
+        for field in ("u", "zeta"):
+            fa, fo = getattr(a.solution, field), getattr(one.solution, field)
+            # the shared cloud's prefix is the one-discount cloud bit for bit
+            for name in ("times", "centers", "scales"):
+                np.testing.assert_array_equal(getattr(fa, name),
+                                              getattr(fo, name))
+            np.testing.assert_allclose(fa.coeffs, fo.coeffs, rtol=0,
+                                       atol=1e-12)
+
+
+def test_ladder_factors_each_node_and_draws_each_block_once_per_pass(
+        ou_spec, monkeypatch):
+    factored = []
+    drawn = Counter()
+    draw = sde.gaussian_increments
+
+    class CountedRegressor(bsde._NodeRegressor):
+        def __init__(self, states, exponents, node):
+            factored.append(node)
+            super().__init__(states, exponents, node)
+
+    def counted(seed, step, *args, **kwargs):
+        drawn[seed, step] += 1
+        return draw(seed, step, *args, **kwargs)
+
+    monkeypatch.setattr(bsde, "_NodeRegressor", CountedRegressor)
+    monkeypatch.setattr(ebsde, "_NodeRegressor", CountedRegressor)
+    monkeypatch.setattr(bsde, "gaussian_increments", counted)
+    monkeypatch.setattr(sde, "gaussian_increments", counted)
+    erg = extract_ergodic(ou_spec, **LADDER)
+
+    ends = [round(a.t_alpha / LADDER["dt"]) for a in erg.trace]
+    m = max(ends)
+    # one factorisation per sweep node, plus one over mu*'s atoms for the
+    # gradient z-field
+    assert sorted(factored) == sorted([*range(m + 1), 0])
+    assert len(factored) < sum(e + 1 for e in ends)
+
+    cloud = derive_seed(LADDER["seed"], 17)
+    burn = derive_seed(LADDER["seed"], 1)
+    n_burn = round(12.0 / ou_spec.contraction_rate_bound() / LADDER["dt"])
+    # the invariant-measure run, the cloud's start, and two passes over
+    # the cloud: forward, then the sweep's replay
+    want = Counter({(burn, g): 1 for g in range(n_burn)})
+    want[cloud, INIT_DRAW_STEP] = 1
+    want.update({(cloud, g): 2 for g in range(m)})
+    assert drawn == want
+    assert sum(drawn.values()) == 2 * m + 1 + n_burn
+
+
+def test_report_carries_the_ladder_diagnostics(erg_ou):
+    rep = erg_ou.report()
+    for a in erg_ou.trace:
+        tag = f"{a.alpha:g}".replace(".", "p")
+        assert rep[f"max_residual_a{tag}"] == a.solution.residuals.max()
+        assert rep[f"picard_warning_a{tag}"] == int(a.solution.picard_warning)
+    assert rep["mu_star_w2"] == erg_ou.mu_star_w2 >= 0.0
+    assert rep["mu_star_w2_tol"] > 0.0
