@@ -39,7 +39,6 @@ from ergolab.sde import (
     CheckpointedFlow,
     ContractionFit,
     DriftShift,
-    Ensemble,
     MVResult,
     PathBundle,
     contraction_rate,
@@ -121,7 +120,6 @@ __all__ = [
     "DriftShift",
     "EllipticityError",
     "EmpiricalMeasure",
-    "Ensemble",
     "ErgodicSolution",
     "HorizonBudgetError",
     "InvariantMeasureResult",

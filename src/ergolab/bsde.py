@@ -31,12 +31,12 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ergolab.measure import EmpiricalMeasure, MeasureFlow
+from ergolab.measure import MeasureFlow
 from ergolab.sde import (INIT_DRAW_STEP, CheckpointedPaths, checkpoint_every,
                          gaussian_increments, simulate_decoupled, _steps_for)
 
@@ -176,21 +176,6 @@ class RegressionFunction:
             factor = (self.exponents[:, j] / self.scales[k, j])
             grad[:, j] = _design(u, lowered) @ (factor * self.coeffs[k, :, 0])
         return grad
-
-    def to_csv(self, path) -> None:
-        m, nb, od = self.coeffs.shape
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"# degree={self.degree} dim={self.dim} out_dim={od} "
-                     f"offset={self.offset:.17g}\n")
-            fh.write("node,time," + ",".join(
-                f"c{i}_{j}" for i in range(nb) for j in range(od))
-                + "," + ",".join(f"center{j}" for j in range(self.dim))
-                + "," + ",".join(f"scale{j}" for j in range(self.dim)) + "\n")
-            flat = self.coeffs.reshape(m, nb * od)
-            out = np.column_stack([np.arange(m), self.times, flat,
-                                   self.centers, self.scales])
-            np.savetxt(fh, out, delimiter=",",
-                       fmt=["%d"] + ["%.17g"] * (out.shape[1] - 1))
 
 
 @dataclass(frozen=True, eq=False)

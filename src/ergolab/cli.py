@@ -10,7 +10,9 @@ Exit codes: 0 all checks passed, 1 usage or scenario errors, 2 a check
 failed, 3 numeric blow-up inside a solver.
 
 Reports are flat key=value text, data files flat CSV, floats %.17g in
-both; only the manifest's wall_seconds is fixed-width %016.6f. Threads
+both; only the manifest's wall_seconds is fixed-width %016.6f. Every data
+file goes through ``_write_csv``, the only CSV writer in the package, and
+each subcommand builds its columns next to the file name. Threads
 only ever parallelize a list of independent experiments (each with its
 own derived seed), so results do not depend on the thread count.
 """
@@ -95,10 +97,14 @@ def _write_kv(path: Path, entries: dict) -> None:
             fh.write(f"{key}={_fmt(value)}\n")
 
 
-def _write_csv(path: Path, columns: dict) -> None:
+def _write_csv(path: Path, columns: dict, comment: str | None = None) -> None:
+    """One header line of column names, then one row per entry; an
+    optional ``# comment`` line comes first."""
     names = list(columns)
     arrays = [np.atleast_1d(np.asarray(columns[c])) for c in names]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        if comment is not None:
+            fh.write(f"# {comment}\n")
         fh.write(",".join(names) + "\n")
         for row in zip(*arrays):
             fh.write(",".join(_fmt(v) for v in row) + "\n")
@@ -253,7 +259,15 @@ def _cmd_audit(scenario, params, outdir):
             r_max = max(4.0 * constants.r_ball, 8.0)
         table = build_lyapunov(constants, r_max=float(r_max),
                                grid=int(params["grid_nodes"]))
-        table.to_csv(outdir / "audit_lyapunov.csv")
+        c = table.constants
+        # the table is extended precision and _fmt prints a longdouble
+        # through str(), so write its float64 rounding as %.17g
+        _write_csv(outdir / "audit_lyapunov.csv",
+                   {name: np.asarray(getattr(table, name), dtype=float)
+                    for name in ("r", "phi", "dphi", "d2phi")},
+                   comment=f"eta={c.eta:.17g} m_b={c.m_b:.17g} "
+                           f"k_b_x={c.k_b_x:.17g} r_ball={c.r_ball:.17g} "
+                           f"k_s_x={c.k_s_x:.17g} sigma0={c.sigma0:.17g}")
         report["lyapunov_margin"] = table.identity_margin()
         outputs.insert(1, "audit_lyapunov.csv")
     _write_kv(outdir / "audit.report", report)
@@ -364,9 +378,18 @@ def _cmd_bsde(scenario, params, outdir):
                             seed=derive_seed(seed, 3))
     _require_finite("bsde", sol.y0, sol.z0)
     zg = z_from_gradient(sol, spec, flow, 0.0, x0)
-    sol.u.to_csv(outdir / "bsde_surface.csv")
+    u = sol.u
+    m, n_basis, out_dim = u.coeffs.shape
+    surface = {"node": np.arange(m), "time": u.times}
+    surface.update({f"c{i}_{j}": u.coeffs[:, i, j]
+                    for i in range(n_basis) for j in range(out_dim)})
+    surface.update({f"center{j}": u.centers[:, j] for j in range(u.dim)})
+    surface.update({f"scale{j}": u.scales[:, j] for j in range(u.dim)})
+    _write_csv(outdir / "bsde_surface.csv", surface,
+               comment=f"degree={u.degree} dim={u.dim} out_dim={out_dim} "
+                       f"offset={u.offset:.17g}")
     _write_csv(outdir / "bsde_residuals.csv",
-               {"t": sol.u.times, "residual": sol.residuals})
+               {"t": u.times, "residual": sol.residuals})
     rep = sol.report()
     rep["z0_gradient"] = zg[0]
     rep["passed"] = not sol.picard_warning
@@ -412,7 +435,9 @@ def _cmd_ebsde(scenario, params, outdir):
 
 
 def _fit_files(fit, outdir, stem):
-    fit.to_csv(outdir / f"{stem}_residuals.csv")
+    _write_csv(outdir / f"{stem}_residuals.csv",
+               {"T": fit.t_grid, "observed": fit.observed,
+                "fitted": fit.predicted()})
     rep = fit.report()
     rep["passed"] = fit.passes()
     _write_kv(outdir / f"{stem}.report", rep)
@@ -558,7 +583,7 @@ def _cmd_control(scenario, params, outdir):
                            x0=x0, t_grid=_as_floats(params["t_grid"]),
                            dt=dt, n_particles=n, degree=params["degree"],
                            seed=derive_seed(seed, 88))
-        ocp.to_csv(outdir / "control_ocp.csv")
+        _write_csv(outdir / "control_ocp.csv", ocp.table)
         report.update({f"ocp_{k}": v for k, v in ocp.report().items()})
         outputs.insert(1, "control_ocp.csv")
         ok = ok and bool(np.all(ocp.table["a_gap"]

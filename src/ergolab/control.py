@@ -385,13 +385,6 @@ class OcpResult:
     lam: float
     ell_hat: float
 
-    def to_csv(self, path) -> None:
-        cols = list(self.table)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(cols) + "\n")
-            np.savetxt(fh, np.column_stack([self.table[c] for c in cols]),
-                       delimiter=",", fmt="%.17g")
-
     def report(self) -> dict:
         out = {"lambda": self.lam, "ell_hat": self.ell_hat,
                "cost_rate": self.cost_fit.rate,

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ergolab.measure import EmpiricalMeasure, MeasureFlow
-from ergolab.sde import gaussian_increments, _check_finite
+from ergolab.measure import MeasureFlow
+from ergolab.sde import gaussian_increments, _check_finite, _steps_for
 
 __all__ = [
     "EllipticityError",
@@ -153,18 +153,6 @@ class LyapunovTable:
         """max over nodes of 2 sigma0^2 Phi'' + kappa* Phi' + 2 sigma0^2 r,
         evaluated in extended precision; ~0 by construction."""
         return verify_lyapunov_inequality(self, self.kappa_star)
-
-    def to_csv(self, path) -> None:
-        c = self.constants
-        header = (f"# eta={c.eta:.17g} m_b={c.m_b:.17g} k_b_x={c.k_b_x:.17g} "
-                  f"r_ball={c.r_ball:.17g} k_s_x={c.k_s_x:.17g} "
-                  f"sigma0={c.sigma0:.17g}\n")
-        out = np.column_stack([self.r, self.phi, self.dphi,
-                               self.d2phi]).astype(float)
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header)
-            fh.write("r,phi,dphi,d2phi\n")
-            np.savetxt(fh, out, delimiter=",", fmt="%.17g")
 
 
 def build_lyapunov(constants: LyapunovConstants, r_max: float,
@@ -358,15 +346,6 @@ class CouplingRun:
         allow = slack_se * (se[idx[1:]] + se[idx[:-1]])
         return bool(np.all(rises <= allow))
 
-    def to_csv(self, path) -> None:
-        header = (f"# delta={self.delta:.17g} rate={self.rate:.17g} "
-                  f"window_start={self.rate_window_start:.17g}\n")
-        out = np.column_stack([self.times, self.mean_radius, self.se_radius])
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(header)
-            fh.write("time,mean_radius,se_radius\n")
-            np.savetxt(fh, out, delimiter=",", fmt="%.17g")
-
 
 def _sqrt_psd_gap(sig: np.ndarray, sigma0: float, step: int,
                   t: float) -> np.ndarray:
@@ -417,9 +396,7 @@ def simulate_reflection_coupling(spec, flow: MeasureFlow,
         delta = 1e-2 * c.r_ball if c.r_ball > 0 else 2.0 * c.sigma0 * math.sqrt(dt)
     if delta <= 0.0 or (0.0 < c.r_ball <= delta):
         raise ValueError(f"mollifier width {delta} must lie in (0, r_ball)")
-    n_steps = int(round(T / dt))
-    if abs(n_steps * dt - T) > 1e-9 * max(1.0, T) or n_steps < 1:
-        raise ValueError("horizon must be a whole number of steps")
+    n_steps = _steps_for(T, dt)
     for fl, tag in ((flow, "flow"), (flow_prime, "flow_prime")):
         if not fl.covers(0.0, T):
             raise ValueError(f"{tag} does not cover [0, {T}]")

@@ -28,6 +28,7 @@ node of every horizon, and keeps memory at O(sqrt(M) N d).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,13 +82,6 @@ class DecayFit:
             return False
         return True if self.model == "inverse-time" else self.rate > 0.0
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("T,observed,fitted\n")
-            np.savetxt(fh, np.column_stack([self.t_grid, self.observed,
-                                            self.predicted()]),
-                       delimiter=",", fmt="%.17g")
-
     def report(self) -> dict:
         return {"model": self.model, "c": self.c, "ell": self.ell,
                 "rate": self.rate, "c_ci_lo": self.c_ci[0],
@@ -128,16 +122,22 @@ def _refit_free_offset(t: np.ndarray, values: np.ndarray, floor: float,
                        p0: tuple[float, float, float],
                        note: str) -> DecayFit | None:
     """Nonlinear ell + c exp(-rate T) fit on the raw series. Returns None
-    when the optimizer fails or the fitted decay never clears the floor
-    (a rate fitted to pure noise is worthless)."""
+    when the optimizer fails, when it cannot estimate the covariance, or
+    when the fitted decay never clears the floor (a rate fitted to pure
+    noise is worthless)."""
 
     def law(tt, ell_f, c_f, rate_f):
         return ell_f + c_f * np.exp(-rate_f * tt)
 
-    try:
-        popt, pcov = optimize.curve_fit(law, t, values, p0=p0, maxfev=20_000)
-    except (RuntimeError, optimize.OptimizeWarning):
-        return None
+    # curve_fit only warns when it cannot estimate the covariance (as on
+    # three points for three parameters); such a fit has no error bars
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", optimize.OptimizeWarning)
+        try:
+            popt, pcov = optimize.curve_fit(law, t, values, p0=p0,
+                                            maxfev=20_000)
+        except (RuntimeError, optimize.OptimizeWarning):
+            return None
     ell, c, rate = (float(popt[0]), float(popt[1]), float(popt[2]))
     # a noise fit can split a flat level between ell and c with rate ~ 0;
     # demand that the fitted decay itself falls through the noise band
@@ -333,13 +333,11 @@ def ltb3_experiment(spec, erg: ErgodicSolution, t_grid=(1.0, 2.0, 3.0, 4.0),
     grad_bar = erg.u_bar.gradient(0.0, x0v)
     z_bar = np.einsum("nj,njk->nk", grad_bar, sig)[0]
 
-    gap = np.array([np.linalg.norm(
-        z_from_gradient(s, spec, flow, 0.0, x0v)[0] - z_bar) for s in sols])
-
     def z_readout(s):
         return float(np.linalg.norm(
             z_from_gradient(s, spec, flow, 0.0, x0v)[0] - z_bar))
 
+    gap = np.array([z_readout(s) for s in sols])
     floor = _noise_floor(spec, flow, x0v, float(t_grid[-1]), dt, n_particles,
                          degree, seed, readout=z_readout)
     return _fit_exponential(t_grid, gap, floor, ell=0.0)

@@ -142,11 +142,6 @@ class EmpiricalMeasure:
             return float(vals.mean())
         return float(self._weights @ vals)
 
-    def to_csv(self, path) -> None:
-        data = np.column_stack([self.points, self.weights])
-        header = ",".join(f"x{i}" for i in range(self.dim)) + ",weight"
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
-
 
 class FlowGrid:
     """Grid reads shared by the measure flows on the strictly increasing
@@ -277,6 +272,15 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int = 2) -> float
     return float(mean_cost ** (1.0 / p))
 
 
+def _w_capped(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int) -> float:
+    """W_p, with d > 1 clouds cut to their first ASSIGNMENT_LIMIT atoms."""
+    if mu.dim == 1:
+        return wasserstein(mu, nu, p)
+    take = min(mu.n_atoms, nu.n_atoms, ASSIGNMENT_LIMIT)
+    return wasserstein(EmpiricalMeasure(mu.points[:take]),
+                       EmpiricalMeasure(nu.points[:take]), p)
+
+
 @dataclass(frozen=True)
 class InvariantMeasureResult:
     """Terminal ensemble plus the burn-in stationarity diagnostic."""
@@ -316,12 +320,7 @@ def invariant_measure(spec, n_particles: int, dt: float, t_burn: float,
     flow = result.flow
     mu_half = flow.at_time(t_burn / 2.0)
     mu_star = flow.terminal
-    if mu_star.dim == 1:
-        diag = wasserstein(mu_half, mu_star, 2)
-    else:
-        take = min(mu_star.n_atoms, ASSIGNMENT_LIMIT)
-        diag = wasserstein(EmpiricalMeasure(mu_half.points[:take]),
-                           EmpiricalMeasure(mu_star.points[:take]), 2)
+    diag = _w_capped(mu_half, mu_star, 2)
     # two same-law clouds of size N sit ~ sigma/sqrt(N) apart in W2
     scale = max(moment(mu_star, 2), 1e-6)
     tol = 6.0 * scale / np.sqrt(min(mu_star.n_atoms, ASSIGNMENT_LIMIT)

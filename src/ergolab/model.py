@@ -21,7 +21,7 @@ import dataclasses
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -316,13 +316,6 @@ class AuditReport:
     @property
     def passed(self) -> bool:
         return all(c.verdict != "fail" for c in self.checks.values())
-
-    def summary_rows(self) -> list[tuple[str, str, str]]:
-        rows = []
-        for name, c in sorted(self.checks.items()):
-            worst = "" if c.worst is None else f"{c.worst:.6g}"
-            rows.append((name, c.verdict, worst))
-        return rows
 
 
 _CLOUD_SIZE = 64  # big enough for stable W2 quotients, small enough for exact 1D transport

@@ -28,18 +28,17 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
-from ergolab.measure import (ASSIGNMENT_LIMIT, EmpiricalMeasure, FlowGrid,
-                             MeasureFlow, wasserstein)
+from ergolab.measure import (EmpiricalMeasure, FlowGrid, MeasureFlow,
+                             _w_capped)
 
 __all__ = [
     "INIT_DRAW_STEP",
     "BlowUpError",
     "DriftShift",
-    "Ensemble",
     "PathBundle",
     "CheckpointedFlow",
     "MVResult",
@@ -115,35 +114,6 @@ def derive_seed(seed: int, tag: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class Ensemble:
-    """A particle cloud at one instant, with the RNG cursor needed to
-    continue its noise streams."""
-
-    time: float
-    states: np.ndarray
-    rng_cursor: tuple[int, int]  # (seed, next step index)
-
-    def __post_init__(self):
-        s = np.asarray(self.states, dtype=float)
-        if s.ndim != 2 or s.shape[0] < 1:
-            raise ValueError(f"states must be (N, d) with N >= 1, got {s.shape}")
-        if not np.all(np.isfinite(s)):
-            raise ValueError("non-finite states in ensemble")
-        object.__setattr__(self, "states", s)
-
-    @property
-    def n_particles(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
-    def measure(self) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states)
-
-
-@dataclass(frozen=True, eq=False)
 class PathBundle:
     """States of N particles on a recorded time grid. Together with the
     seed this reproduces every Brownian increment, so nothing else about
@@ -175,28 +145,8 @@ class PathBundle:
     def states_at(self, t: float) -> np.ndarray:
         return self.states[self.index_of(t)]
 
-    def ensemble_at(self, t: float) -> Ensemble:
-        i = self.index_of(t)
-        return Ensemble(float(self.times[i]), self.states[i],
-                        (self.seed, i))
-
-    @property
-    def terminal(self) -> Ensemble:
-        return self.ensemble_at(float(self.times[-1]))
-
     def measure_at(self, t: float) -> EmpiricalMeasure:
         return EmpiricalMeasure(self.states_at(t))
-
-    def to_csv(self, path) -> None:
-        m, n, d = self.states.shape
-        step = np.repeat(np.arange(m), n)
-        time = np.repeat(self.times, n)
-        part = np.tile(np.arange(n), m)
-        flat = self.states.reshape(m * n, d)
-        out = np.column_stack([step, time, part, flat])
-        header = "step,time,particle," + ",".join(f"x{j}" for j in range(d))
-        np.savetxt(path, out, delimiter=",", header=header, comments="",
-                   fmt=["%d", "%.17g", "%d"] + ["%.17g"] * d)
 
 
 def checkpoint_every(n_steps: int) -> int:
@@ -522,8 +472,6 @@ def simulate_mv(spec, theta: EmpiricalMeasure, dt: float, T: float,
 
 
 def _as_states(x0, n_particles: int, dim: int) -> np.ndarray:
-    if isinstance(x0, Ensemble):
-        x0 = x0.states
     arr = np.asarray(x0, dtype=float)
     if arr.ndim == 0:
         arr = arr.reshape(1)
@@ -588,8 +536,8 @@ def simulate_decoupled(spec, x0, flow: MeasureFlow | CheckpointedFlow,
                        record_every: int = 1) -> PathBundle:
     """Euler scheme for the decoupled equation on [t0, t0+T] with the
     measure argument frozen to ``flow`` (piecewise constant in time).
-    ``x0`` is a single state (replicated), an (N, d) cloud, or an
-    Ensemble; with ``shift`` present the drift gains sigma*beta."""
+    ``x0`` is a single state (replicated) or an (N, d) cloud; with
+    ``shift`` present the drift gains sigma*beta."""
     n_steps = _steps_for(T, dt)
     states = _as_states(x0, n_particles, spec.dim)
     if not flow.covers(t0, t0 + T):
@@ -601,14 +549,6 @@ def simulate_decoupled(spec, x0, flow: MeasureFlow | CheckpointedFlow,
                                         shift=shift, t0=t0),
                          n_steps, record_every, states.shape)
     return PathBundle(times, rec, seed)
-
-
-def _w_capped(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int) -> float:
-    if mu.dim == 1:
-        return wasserstein(mu, nu, p)
-    take = min(mu.n_atoms, nu.n_atoms, ASSIGNMENT_LIMIT)
-    return wasserstein(EmpiricalMeasure(mu.points[:take]),
-                       EmpiricalMeasure(nu.points[:take]), p)
 
 
 def flow_property_check(spec, theta: EmpiricalMeasure, s: float, T: float,

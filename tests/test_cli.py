@@ -2,14 +2,17 @@
 
 import argparse
 import filecmp
+import math
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from ergolab import cli
 from ergolab.cli import RunManifest, rerun_from_manifest, run
-from ergolab.model import RUN_DEFAULTS, parse_scenario
+from ergolab.coupling import LyapunovConstants, build_lyapunov
+from ergolab.model import RUN_DEFAULTS, parse_scenario, preset
 
 OU_SCN = """\
 [model]
@@ -151,6 +154,38 @@ def test_audit_outputs_and_manifest(scn_dir, tmp_path):
     assert set(manifest.outputs) >= {"audit_checks.csv", "audit.report",
                                      "manifest"}
     assert manifest.wall_seconds >= 0.0
+
+
+def test_write_csv_comment_header_and_exact_floats(tmp_path):
+    values = np.array([0.1, 1.0 / 3.0, -0.0, math.nan, math.inf, -math.inf,
+                       5e-324, 1.7976931348623157e308, -2.5e-300])
+    path = tmp_path / "with.csv"
+    cli._write_csv(path, {"k": np.arange(values.size), "v": values},
+                   comment="a=1 b=2")
+    lines = path.read_text().splitlines()
+    assert lines[:2] == ["# a=1 b=2", "k,v"]
+    rows = [line.split(",") for line in lines[2:]]
+    assert [k for k, _ in rows] == [str(i) for i in range(values.size)]
+    back = np.array([float(v) for _, v in rows])
+    np.testing.assert_array_equal(back.view(np.uint64), values.view(np.uint64))
+    plain = tmp_path / "plain.csv"
+    cli._write_csv(plain, {"x": [2.5]})
+    assert plain.read_text() == "x\n2.5\n"
+
+
+def test_audit_writes_the_lyapunov_table(scn_dir, tmp_path):
+    out = tmp_path / "o"
+    assert run(["audit", "--scenario", str(scn_dir / "sine.scn"),
+                "--out", str(out)]) == 0
+    lines = (out / "audit_lyapunov.csv").read_text().splitlines()
+    assert lines[0].startswith("# eta=0.5 ")
+    assert lines[1] == "r,phi,dphi,d2phi"
+    constants = LyapunovConstants.from_spec(preset("sine-weak"))
+    table = build_lyapunov(constants, r_max=max(4.0 * constants.r_ball, 8.0),
+                           grid=RUN_DEFAULTS["audit"]["grid_nodes"])
+    want = np.column_stack([table.r, table.phi, table.dphi,
+                            table.d2phi]).astype(float)
+    np.testing.assert_array_equal(np.loadtxt(lines[2:], delimiter=","), want)
 
 
 def test_manifest_width_does_not_depend_on_wall_time(tmp_path):

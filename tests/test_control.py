@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle_reference as oracle
-from ergolab import control, sde
+from ergolab import cli, control, sde
 from ergolab.bsde import solve_finite_bsde
 from ergolab.control import (
     AdmissibilityError,
@@ -330,8 +330,10 @@ def test_longtime_control_expansion(lq_spec, erg_lq, tmp_path):
                            "feedback_indeterminate"}
     assert report["lambda"] == pytest.approx(erg_lq.lambda_)
 
-    out = tmp_path / "ocp.csv"
-    res.to_csv(out)
+    out = tmp_path / "control_ocp.csv"
+    cli._write_csv(out, res.table)
     lines = out.read_text().splitlines()
     assert lines[0] == "T,j,residual,a_gap,z_gap,y0"
     assert len(lines) == 5
+    np.testing.assert_array_equal(np.loadtxt(lines[1:], delimiter=","),
+                                  np.column_stack(list(table.values())))

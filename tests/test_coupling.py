@@ -96,16 +96,6 @@ def test_build_guards():
                           k_s_x=0.5, sigma0=1.0)
 
 
-def test_table_csv_round_trip(tmp_path, sine_table):
-    path = tmp_path / "lyap.csv"
-    sine_table.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# eta=0.5")
-    assert lines[1] == "r,phi,dphi,d2phi"
-    data = np.loadtxt(lines[2:], delimiter=",")
-    np.testing.assert_allclose(data[:, 0], sine_table.r.astype(float))
-
-
 def test_mollifier_partition_of_unity():
     delta = 0.06
     r = np.concatenate([np.linspace(0.0, 3.0 * delta, 4001),
@@ -238,12 +228,17 @@ def test_ellipticity_floor_is_checked():
                                      dt=0.01, T=1.0, n_paths=4, seed=0)
 
 
-def test_run_csv_and_se(tmp_path, sine_spec):
+def test_run_csv_and_se(sine_spec):
     flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 0.5)
     run = simulate_reflection_coupling(sine_spec, flow, flow, 0.0, 2.0,
                                        dt=0.01, T=0.5, n_paths=64, seed=9)
     assert run.se_radius.shape == run.mean_radius.shape
     assert np.all(run.se_radius >= 0.0)
-    path = tmp_path / "radius.csv"
-    run.to_csv(path)
-    assert path.read_text().splitlines()[1] == "time,mean_radius,se_radius"
+
+
+@pytest.mark.parametrize("dt, T", [(0.0, 1.0), (0.3, 1.0)])
+def test_horizon_must_be_whole_steps(sine_spec, dt, T):
+    flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        simulate_reflection_coupling(sine_spec, flow, flow, 0.0, 2.0,
+                                     dt=dt, T=T, n_paths=4, seed=0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle_reference as oracle
-from ergolab import ltb
+from ergolab import cli, ltb
 from ergolab.ltb import (DecayFit, _fit_exponential, _fit_inverse_time,
                          ltb1_experiment, ltb2_experiment, ltb3_experiment)
 from ergolab.measure import EmpiricalMeasure
@@ -107,17 +107,30 @@ def test_negative_rate_fails_verdict():
 def test_decay_fit_csv_and_report(tmp_path):
     t = np.array([2.0, 4.0, 8.0])
     fit = _fit_inverse_time(t, 0.5 / t)
-    out = tmp_path / "fit.csv"
-    fit.to_csv(out)
+    assert cli._fit_files(fit, tmp_path, "fit") == ["fit_residuals.csv",
+                                                   "fit.report"]
+    out = tmp_path / "fit_residuals.csv"
     lines = out.read_text().splitlines()
     assert lines[0] == "T,observed,fitted"
     data = np.loadtxt(out, delimiter=",", skiprows=1)
-    assert np.allclose(data[:, 0], t)
-    assert np.allclose(data[:, 1], 0.5 / t)
-    assert np.allclose(data[:, 2], fit.predicted())
+    np.testing.assert_array_equal(data[:, 0], t)
+    np.testing.assert_array_equal(data[:, 1], 0.5 / t)
+    np.testing.assert_array_equal(data[:, 2], fit.predicted())
     rep = fit.report()
     assert {"model", "c", "ell", "rate", "r_squared", "noise_floor",
             "n_usable", "indeterminate"} <= set(rep)
+    keys = {line.partition("=")[0]
+            for line in (tmp_path / "fit.report").read_text().splitlines()}
+    assert keys == set(rep) | {"passed"}
+
+
+def test_refit_without_covariance_returns_none():
+    # three points for three parameters: curve_fit solves the fit exactly
+    # but cannot estimate its covariance, so the rate has no error bars
+    t = np.array([1.0, 2.0, 3.0])
+    values = 0.1 + 2.0 * np.exp(-t)
+    assert ltb._refit_free_offset(t, values, 0.0, p0=(0.0, 1.0, 1.0),
+                                  note="") is None
 
 
 # ---------------------------------------------------------------------------

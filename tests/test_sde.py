@@ -269,16 +269,12 @@ def test_sparse_records_match_the_full_bundle(ou_spec):
     np.testing.assert_array_equal(dec.states, dec_full.states[[0, 4, 8, 10]])
 
 
-def test_bundle_accessors(tmp_path, ou_spec):
+def test_bundle_accessors(ou_spec):
     res = simulate_mv(ou_spec, EmpiricalMeasure.dirac(0.0), dt=0.1, T=1.0,
                       n_particles=5, seed=0, record_every=2)
     b = res.bundle
     assert b.states.shape == (len(b.times), 5, 1)
     assert b.index_of(b.times[-1]) == len(b.times) - 1
-    assert b.terminal.n_particles == 5
-    path = tmp_path / "paths.csv"
-    b.to_csv(path)
-    assert path.read_text().startswith("step,time,particle,x0")
     with pytest.raises(ValueError):
         PathBundle(np.array([0.0, 1.0]), np.zeros((3, 2, 1)), seed=0)
 
