@@ -77,6 +77,7 @@ from ergolab.ebsde import (
     TimeAverageEstimate,
     discount_horizon,
     extract_ergodic,
+    extract_ergodic_vanishing,
     lambda_by_time_average,
     solve_alpha_bsde,
 )
@@ -146,6 +147,7 @@ __all__ = [
     "evaluate_cost_ergodic",
     "evaluate_cost_finite",
     "extract_ergodic",
+    "extract_ergodic_vanishing",
     "flow_property_check",
     "gaussian_increments",
     "girsanov_reweighted_cost",

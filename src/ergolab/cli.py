@@ -40,7 +40,7 @@ from ergolab.control import (AdmissibilityError, ControlConfigurationError,
 from ergolab.coupling import (EllipticityError, LyapunovConstants,
                               build_lyapunov, simulate_reflection_coupling)
 from ergolab.ebsde import (HorizonBudgetError, extract_ergodic,
-                           lambda_by_time_average)
+                           extract_ergodic_vanishing, lambda_by_time_average)
 from ergolab.ltb import ltb1_experiment, ltb2_experiment, ltb3_experiment
 from ergolab.measure import (EmpiricalMeasure, MeasureFlow, invariant_measure,
                              moment)
@@ -278,11 +278,21 @@ def _cmd_simulate(scenario, params, outdir):
     spec = scenario.spec
     seed = params["seed"]
     theta = _dirac(spec, params["x0"])
-    res = simulate_mv(spec, theta, dt=params["dt"], T=params["horizon"],
-                      n_particles=int(params["particles"]), seed=seed,
-                      record_every=int(params["flow_every"]))
-    times = res.bundle.times
-    states = res.bundle.states
+    run_args = dict(dt=params["dt"], T=params["horizon"], seed=seed,
+                    record_every=int(params["flow_every"]))
+    fit = None
+    if params["x0_prime"] is None:
+        bundle = simulate_mv(spec, theta, n_particles=int(params["particles"]),
+                             **run_args).bundle
+    else:
+        # the coupled run steps theta's system once; the moments come
+        # from its record
+        fit = contraction_rate(spec, theta, _dirac(spec, params["x0_prime"]),
+                               n=int(params["particles"]), p=int(params["p"]),
+                               **run_args)
+        bundle = fit.leg_a
+    times = bundle.times
+    states = bundle.states
     _require_finite("simulate", states)
     cols = {"t": times}
     for j in range(spec.dim):
@@ -290,16 +300,12 @@ def _cmd_simulate(scenario, params, outdir):
     cols["m2"] = (states ** 2).sum(axis=2).mean(axis=1)
     cols["m4"] = ((states ** 2).sum(axis=2) ** 2).mean(axis=1)
     _write_csv(outdir / "simulate_moments.csv", cols)
-    final = res.flow.at_time(times[-1])
+    final = EmpiricalMeasure(states[-1])
     report = {"t_final": times[-1], "m1": final.m1(), "m2": final.m2(),
               "m4": moment(final, 4.0)}
     outputs = ["simulate_moments.csv", "simulate.report"]
     ok = True
-    if params["x0_prime"] is not None:
-        fit = contraction_rate(spec, theta, _dirac(spec, params["x0_prime"]),
-                               dt=params["dt"], T=params["horizon"],
-                               n=int(params["particles"]), seed=seed,
-                               p=int(params["p"]))
+    if fit is not None:
         _write_csv(outdir / "simulate_w2.csv",
                    {"t": fit.times, "w": fit.w_values})
         report["contraction_rate"] = fit.rate
@@ -402,10 +408,10 @@ def _cmd_bsde(scenario, params, outdir):
 def _cmd_ebsde(scenario, params, outdir):
     spec = scenario.spec
     seed = params["seed"]
-    erg = extract_ergodic(spec, n_particles=int(params["particles"]),
-                          dt=params["dt"], degree=params["degree"],
-                          alphas=_as_floats(params["alphas"]),
-                          seed=seed, t_burn=params["t_burn"])
+    erg = extract_ergodic_vanishing(
+        spec, n_particles=int(params["particles"]), dt=params["dt"],
+        degree=params["degree"], alphas=_as_floats(params["alphas"]),
+        seed=seed, t_burn=params["t_burn"])
     _require_finite("ebsde", erg.lambda_)
     trace = erg.trace
     _write_csv(outdir / "ebsde_trace.csv", {
@@ -468,7 +474,6 @@ def _cmd_ltb1(scenario, params, outdir):
 def _ergodic_for_ltb(spec, params):
     return extract_ergodic(spec, n_particles=int(params["particles"]),
                            dt=params["dt"], degree=params["degree"],
-                           alphas=_as_floats(params["alphas"]),
                            seed=derive_seed(params["seed"], 33))
 
 
@@ -510,7 +515,6 @@ def _cmd_control(scenario, params, outdir):
 
     erg = extract_ergodic(spec, n_particles=n, dt=dt,
                           degree=params["degree"],
-                          alphas=_as_floats(params["alphas"]),
                           seed=derive_seed(seed, 33))
     flow = MeasureFlow.constant(erg.mu_star, 0.0, max(T, 1.0))
     sol = solve_finite_bsde(spec, flow, x0, T=T, dt=dt, n_particles=n,

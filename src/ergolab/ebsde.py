@@ -1,26 +1,50 @@
-"""Ergodic BSDE solver by vanishing discount.
+"""Ergodic BSDE solvers: the triple (lambda, u_bar, zeta_bar) against the
+frozen stationary law mu*, which both routes simulate the same way.
 
-A family of discounted infinite-horizon problems is truncated to finite
-horizons long enough that the tail contributes less than a fixed
-tolerance, solved together by the finite-horizon equation's backward
-regression pass (one forward cloud over the longest horizon, one sweep
-in which each discount is a column with its own implicit discount
-factor per node), and extrapolated to discount zero. The limit yields
-the long-run average value, a centered stationary value function pinned
-to zero at the anchor, and its z-field.
+``extract_ergodic`` solves the stationary equation as one fixed point
+("regression later"). Under one Euler step, X_1 given X_0 = x is
+Gaussian with mean x + b dt and covariance sigma sigma^T dt, so for a
+value surface that is a polynomial of degree q, both E[u(X_1) | x] and
+E[u(X_1) dW | x] / dt are exact under a tensor Gauss-Hermite rule with
+ceil((q + 2) / 2) points per dimension. On mu*'s atoms they are two
+fixed matrices, built once, and one ridge projection, factored once,
+maps the next node's coefficients to the current node's. Iterating that
+undiscounted, zero-terminal map and recentring at the anchor after each
+step (relative value iteration) converges to u_bar; the anchor's
+increment per step is lambda dt. That lambda is the Euler chain's own
+long-run average, which differs from the continuous-time one by O(dt).
+Coefficients are read at t = 0, so the model is taken to be
+time-homogeneous.
+
+``extract_ergodic_vanishing`` is the paper's construction. A family of
+discounted infinite-horizon problems is truncated to finite horizons
+long enough that the tail contributes less than a fixed tolerance,
+solved together by the finite-horizon equation's backward regression
+pass (one forward cloud over the longest horizon, one sweep in which
+each discount is a column with its own implicit discount factor per
+node), and extrapolated to discount zero. The limit yields the long-run
+average value, a centered stationary value function pinned to zero at
+the anchor, and its z-field.
+
+``lambda_by_time_average`` checks lambda independently, along the
+interacting particle system.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
 from ergolab.bsde import (BsdeSolution, RegressionFunction, _NodeRegressor,
-                          backward_lsmc, _checkpointed_cloud)
+                          _design, backward_lsmc, _checkpointed_cloud,
+                          monomial_exponents)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow, invariant_measure
 from ergolab.sde import derive_seed, iter_mv, _steps_for
 
@@ -33,11 +57,16 @@ __all__ = [
     "discount_horizon",
     "solve_alpha_bsde",
     "extract_ergodic",
+    "extract_ergodic_vanishing",
     "lambda_by_time_average",
 ]
 
 _TRUNCATION_TOL = 1e-3
 _MAX_STEPS = 1e7
+# the fixed point stops once no coefficient moves by more than this in a
+# step, and gives up after the horizon the ladder sizes for this discount
+_FIXED_POINT_TOL = 1e-10
+_CAP_DISCOUNT = 0.05
 
 
 class HorizonBudgetError(RuntimeError):
@@ -71,9 +100,10 @@ class AlphaSolution:
 
 @dataclass(frozen=True, eq=False)
 class ErgodicSolution:
-    """Vanishing-discount limit: long-run average value, centered
-    stationary value function (zero at the anchor by construction), its
-    z-field, the stationary law, and the per-discount trace."""
+    """The ergodic triple: long-run average value, centered stationary
+    value function (zero at the anchor by construction), its z-field, the
+    stationary law, and the per-discount trace (empty for the fixed
+    point)."""
 
     lambda_: float
     u_bar: RegressionFunction
@@ -152,8 +182,7 @@ def _discounted_solves(spec, mu_star: EmpiricalMeasure,
     c = spec.constants
     if degree is None:
         degree = max(int(c.q) + 1, 3)
-    anchor = (np.zeros(spec.dim) if anchor is None
-              else np.asarray(anchor, dtype=float).reshape(-1))
+    anchor = _anchor_point(spec, anchor)
     c_hat = driver_growth_constant(spec, mu_star)
     t_alphas = [discount_horizon(a, c_hat, dt, tol) for a in alphas]
     t_max = max(t_alphas)
@@ -220,11 +249,129 @@ def _gradient_z(spec, u: RegressionFunction,
         scales=reg.scale[None])
 
 
+def _stationary_law(spec, n_particles: int, dt: float, seed: int,
+                    t_burn: float | None):
+    """mu* from the interacting system on child seed 1, after a burn-in of
+    ``t_burn`` (12 / rate by default)."""
+    if t_burn is None:
+        rate = spec.contraction_rate_bound()
+        if rate <= 0.0:
+            raise ValueError("no positive contraction-rate bound; pass t_burn")
+        t_burn = 12.0 / rate
+    return invariant_measure(spec, n_particles=n_particles, dt=dt,
+                             t_burn=t_burn, seed=derive_seed(seed, 1))
+
+
+def _anchor_point(spec, anchor) -> np.ndarray:
+    return (np.zeros(spec.dim) if anchor is None
+            else np.asarray(anchor, dtype=float).reshape(-1))
+
+
+def _expectation_matrices(spec, mu_star: EmpiricalMeasure,
+                          reg: _NodeRegressor, exponents: np.ndarray,
+                          dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """One Euler step's conditional moments of the basis on mu*'s atoms.
+
+    Returns (a, z) with a[i] @ c = E[u_c(X_1) | X_0 = x_i] and
+    z[i] @ c = E[u_c(X_1) dW | X_0 = x_i] / dt, shapes (N, nb) and
+    (N, d, nb), for u_c the polynomial with coefficients c in reg's
+    standardized coordinates. X_1 = x + b dt + sigma dW with dW ~ N(0, dt I)
+    and the coefficients read at t = 0. The tensor Gauss-Hermite rule with
+    ceil((q + 2) / 2) points per dimension integrates every polynomial of
+    degree q + 1 in dW exactly, so both are exact for a degree-q basis.
+    """
+    x = mu_star.points
+    n, d = x.shape
+    degree = int(exponents.sum(axis=1).max())
+    nodes, weights = hermegauss(math.ceil((degree + 2) / 2))
+    weights = weights / weights.sum()
+    dw = math.sqrt(dt) * np.array(list(itertools.product(nodes, repeat=d)))
+    w = np.prod(list(itertools.product(weights, repeat=d)), axis=1)
+    drift = np.broadcast_to(spec.drift(0.0, x, mu_star), x.shape)
+    nxt = (x + dt * drift)[:, None, :] + np.einsum(
+        "njk,gk->ngj", spec.diffusion_at(x, mu_star), dw)
+    basis = _design(((nxt - reg.center) / reg.scale).reshape(-1, d),
+                    exponents).reshape(n, w.size, -1)
+    return (np.einsum("g,ngb->nb", w, basis),
+            np.einsum("gk,ngb->nkb", w[:, None] * dw / dt, basis))
+
+
 def extract_ergodic(spec, n_particles: int, dt: float,
-                    degree: int | None = None,
-                    alphas: tuple[float, ...] = (0.4, 0.2, 0.1, 0.05),
-                    seed: int = 0, t_burn: float | None = None,
+                    degree: int | None = None, seed: int = 0,
+                    t_burn: float | None = None,
                     anchor=None) -> ErgodicSolution:
+    """The ergodic triple as one recentred fixed point.
+
+    The stationary law is simulated as in ``extract_ergodic_vanishing``
+    (bit for bit), and one regression is factored on its atoms. With the
+    one-step expectation matrices A and Z of ``_expectation_matrices``
+    and the projection P, the coefficients iterate
+    c <- P (A c + dt f(x, mu*, Z c)), recentred after each step so the
+    surface is zero at the anchor (origin by default); lambda is the
+    anchor's increment over the last step divided by dt. The iteration
+    stops once no coefficient moves by more than 1e-10 in a step. It is
+    capped at the ladder's longest horizon, discount_horizon(0.05, c_hat,
+    dt); reaching the cap gives ``stable=False`` and a RuntimeWarning.
+
+    u_bar is zero at the anchor exactly (through its offset), zeta_bar is
+    its gradient representation grad u sigma, the trace is empty, and
+    ``fit_rmse`` is the last step's RMS projection residual over the atoms.
+    lambda is the Euler chain's own average: on ou-attract at dt = 0.02 it
+    is 1 / (2 - dt) = 0.50505 rather than the continuous-time 0.5.
+    """
+    if degree is None:
+        degree = max(int(spec.constants.q) + 1, 3)
+    inv = _stationary_law(spec, n_particles, dt, seed, t_burn)
+    mu_star = inv.measure
+    x = mu_star.points
+    anchor = _anchor_point(spec, anchor)
+    exponents = monomial_exponents(spec.dim, degree)
+    reg = _NodeRegressor(x, exponents, 0)
+    a, z = _expectation_matrices(spec, mu_star, reg, exponents, dt)
+    at_anchor = _design(((anchor - reg.center) / reg.scale)[None],
+                        exponents)[0]
+    max_steps = _steps_for(discount_horizon(
+        _CAP_DISCOUNT, driver_growth_constant(spec, mu_star), dt), dt)
+
+    coeffs = np.zeros(exponents.shape[0])
+    for _ in range(max_steps):
+        target = a @ coeffs + dt * np.asarray(
+            spec.driver(x, mu_star, z @ coeffs), dtype=float)
+        fitted = reg.fit(target)[:, 0]
+        level = float(at_anchor @ fitted)
+        rise = level - float(at_anchor @ coeffs)
+        recentred = fitted.copy()
+        recentred[0] -= level  # the constant monomial comes first
+        change = float(np.max(np.abs(recentred - coeffs)))
+        coeffs = recentred
+        if change <= _FIXED_POINT_TOL:
+            break
+    stable = change <= _FIXED_POINT_TOL
+    if not stable:
+        warnings.warn(
+            f"relative value iteration did not settle in {max_steps} steps; "
+            f"last coefficient change {change:.3g}", RuntimeWarning,
+            stacklevel=2)
+    rmse = float(np.linalg.norm(reg.predict(fitted) - target)
+                 / math.sqrt(x.shape[0]))
+
+    u = RegressionFunction(times=np.zeros(1), coeffs=coeffs[None, :, None],
+                           exponents=exponents, centers=reg.center[None],
+                           scales=reg.scale[None])
+    u_bar = dataclasses.replace(u, offset=float(u.eval_node(0, anchor)[0]))
+    return ErgodicSolution(lambda_=rise / dt, u_bar=u_bar,
+                           zeta_bar=_gradient_z(spec, u_bar, mu_star),
+                           mu_star=mu_star, trace=(), fit_rmse=rmse,
+                           stable=stable, mu_star_w2=inv.diagnostic_w2,
+                           mu_star_w2_tol=inv.tolerance)
+
+
+def extract_ergodic_vanishing(spec, n_particles: int, dt: float,
+                              degree: int | None = None,
+                              alphas: tuple[float, ...] = (0.4, 0.2, 0.1,
+                                                           0.05),
+                              seed: int = 0, t_burn: float | None = None,
+                              anchor=None) -> ErgodicSolution:
     """Vanishing-discount extraction of the ergodic triple.
 
     The stationary law is simulated once. All discounts are then solved
@@ -243,13 +390,7 @@ def extract_ergodic(spec, n_particles: int, dt: float,
     if len(alphas) < 2:
         raise ValueError("need at least two discount values to extrapolate")
     alphas = tuple(sorted(alphas, reverse=True))
-    rate = spec.contraction_rate_bound()
-    if t_burn is None:
-        if rate <= 0.0:
-            raise ValueError("no positive contraction-rate bound; pass t_burn")
-        t_burn = 12.0 / rate
-    inv = invariant_measure(spec, n_particles=n_particles, dt=dt,
-                            t_burn=t_burn, seed=derive_seed(seed, 1))
+    inv = _stationary_law(spec, n_particles, dt, seed, t_burn)
     mu_star = inv.measure
     trace = _discounted_solves(spec, mu_star, alphas, dt, n_particles,
                                degree, derive_seed(seed, 17), anchor,

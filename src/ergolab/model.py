@@ -490,13 +490,12 @@ RUN_DEFAULTS = {
     "ltb1": {"dt": 0.01, "particles": 5000, "t_grid": (5.0, 10.0, 20.0),
              "x0": 0.0, "degree": None, "t_long": 100.0, "lam": None},
     "ltb2": {"dt": 0.02, "particles": 5000, "t_grid": (2.0, 4.0, 6.0, 8.0),
-             "x0": 3.0, "degree": None, "alphas": (0.4, 0.2, 0.1, 0.05),
-             "lam": None},
+             "x0": 3.0, "degree": None, "lam": None},
     "ltb3": {"dt": 0.02, "particles": 5000, "t_grid": (1.0, 2.0, 3.0, 4.0),
-             "x0": 1.0, "degree": None, "alphas": (0.4, 0.2, 0.1, 0.05)},
+             "x0": 1.0, "degree": None},
     "control": {"dt": 0.02, "horizon": 2.0, "particles": 3000, "x0": 1.0,
-                "degree": None, "alphas": (0.4, 0.2, 0.1, 0.05),
-                "t_long": 40.0, "n_controls": 4, "t_grid": None, "ell": 0.0},
+                "degree": None, "t_long": 40.0, "n_controls": 4,
+                "t_grid": None, "ell": 0.0},
     "report": {"run_dir": None},
 }
 

@@ -355,6 +355,7 @@ class ContractionFit:
     p: int
     truncated_at: float | None = None
     note: str = ""
+    leg_a: PathBundle | None = None  # theta's system, when recorded
 
 
 def _steps_for(T: float, dt: float) -> int:
@@ -430,21 +431,38 @@ def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int, seed: int,
         yield k + 1, t + dt, x, mu
 
 
+def _tap_record(steps, n_steps: int, record_every: int,
+                shape: tuple[int, int]):
+    """Pass an Euler iterator through while recording the times and states
+    of its every ``record_every``-th node, plus the terminal node, into one
+    preallocated (n_records, N, d) array. Returns (times, states, the
+    pass-through iterator); the arrays are full once it is exhausted."""
+    record_every = max(int(record_every), 1)
+    n_rec = -(-n_steps // record_every) + 1
+    times = np.empty(n_rec)
+    states = np.empty((n_rec, *shape))
+
+    def tapped():
+        i = 0
+        for item in steps:
+            k, t, x = item[:3]
+            if k % record_every == 0 or k == n_steps:
+                times[i] = t
+                states[i] = x
+                i += 1
+            yield item
+
+    return times, states, tapped()
+
+
 def _record(steps, n_steps: int, record_every: int,
             shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """Times and states of every ``record_every``-th node of an Euler
     iterator, plus the terminal node, written into one preallocated
     (n_records, N, d) array."""
-    record_every = max(int(record_every), 1)
-    n_rec = -(-n_steps // record_every) + 1
-    times = np.empty(n_rec)
-    states = np.empty((n_rec, *shape))
-    i = 0
-    for k, t, x, *_ in steps:
-        if k % record_every == 0 or k == n_steps:
-            times[i] = t
-            states[i] = x
-            i += 1
+    times, states, tapped = _tap_record(steps, n_steps, record_every, shape)
+    for _ in tapped:
+        pass
     return times, states
 
 
@@ -570,17 +588,28 @@ def flow_property_check(spec, theta: EmpiricalMeasure, s: float, T: float,
 
 def contraction_rate(spec, theta: EmpiricalMeasure,
                      theta_prime: EmpiricalMeasure, dt: float, T: float,
-                     n: int, seed: int, p: int = 2) -> ContractionFit:
+                     n: int, seed: int, p: int = 2,
+                     record_every: int = 0) -> ContractionFit:
     """Wasserstein contraction between two interacting systems driven by
     the same increments (synchronous coupling), from two initial laws.
     Fits log W_p against time by least squares and returns the decay rate
     as a positive number. Nodes where W_p falls below 1e-8 are dropped
-    and the fit is marked truncated."""
+    and the fit is marked truncated.
+
+    With ``record_every`` > 0 the fit also carries theta's system as
+    ``leg_a``, recorded as ``simulate_mv`` with that ``record_every``
+    records the same run, bit for bit, so a caller that wants both needs
+    to step that system only once."""
+    if n < 1:
+        raise ValueError("need at least one particle")
     n_steps = _steps_for(T, dt)
     xa = draw_initial(theta, n, seed)
     xb = draw_initial(theta_prime, n, seed)
     gen_a = iter_mv(spec, xa, dt, n_steps, seed)
     gen_b = iter_mv(spec, xb, dt, n_steps, seed)
+    record = None
+    if record_every > 0:
+        *record, gen_a = _tap_record(gen_a, n_steps, record_every, xa.shape)
 
     times = np.empty(n_steps + 1)
     w = np.empty(n_steps + 1)
@@ -588,6 +617,7 @@ def contraction_rate(spec, theta: EmpiricalMeasure,
         times[k] = t
         w[k] = _w_capped(mu_a, mu_b, p)
 
+    leg_a = PathBundle(*record, seed) if record else None
     floor = 1e-8
     alive = w >= floor
     truncated_at = None
@@ -601,7 +631,8 @@ def contraction_rate(spec, theta: EmpiricalMeasure,
     if int(alive.sum()) < 2:
         return ContractionFit(rate=math.nan, times=times, w_values=w, p=p,
                               truncated_at=truncated_at,
-                              note=note or "degenerate: too few usable nodes")
+                              note=note or "degenerate: too few usable nodes",
+                              leg_a=leg_a)
     slope = np.polyfit(times[alive], np.log(w[alive]), 1)[0]
     return ContractionFit(rate=float(-slope), times=times, w_values=w, p=p,
-                          truncated_at=truncated_at, note=note)
+                          truncated_at=truncated_at, note=note, leg_a=leg_a)

@@ -56,14 +56,29 @@ def lq_spec():
 
 @pytest.fixture(scope="session")
 def erg_ou(ou_spec):
-    # ~12 s on 2 cores (one cloud and one sweep for all four discounts);
-    # reused by the ebsde, ltb and acceptance suites
+    # the recentred fixed point, ~0.1 s on 2 cores; reused by the ebsde,
+    # ltb and control suites
     return ebsde.extract_ergodic(ou_spec, n_particles=3000, dt=0.02, seed=42)
 
 
 @pytest.fixture(scope="session")
 def erg_lq(lq_spec):
     return ebsde.extract_ergodic(lq_spec, n_particles=3000, dt=0.02, seed=42)
+
+
+@pytest.fixture(scope="session")
+def erg_ou_ladder(ou_spec):
+    # the vanishing-discount ladder on the same mu*, ~9 s on 2 cores (one
+    # cloud and one sweep for all four discounts); for the tests that read
+    # the per-discount trace
+    return ebsde.extract_ergodic_vanishing(ou_spec, n_particles=3000,
+                                           dt=0.02, seed=42)
+
+
+@pytest.fixture(scope="session")
+def erg_lq_ladder(lq_spec):
+    return ebsde.extract_ergodic_vanishing(lq_spec, n_particles=3000,
+                                           dt=0.02, seed=42)
 
 
 @pytest.fixture(scope="session")

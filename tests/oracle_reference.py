@@ -143,6 +143,24 @@ def zeta_bar_quadratic(x: float) -> float:
     return float(x)
 
 
+def lambda_quadratic_euler(dt: float) -> float:
+    """The explicit Euler chain's own long-run average of x^2: its
+    stationary variance 1 / (2 - dt), not the continuous-time 0.5."""
+    return euler_stationary_variance(dt)
+
+
+def u_bar_quadratic_euler(x: float, dt: float) -> float:
+    """The Euler chain's relative value: u(x) + lambda dt = dt x^2 + E u(X_1)
+    with X_1 = (1 - dt) x + sqrt(dt) xi is solved by u = a x^2,
+    a (1 - (1 - dt)^2) = dt, so a = lambda_quadratic_euler(dt)."""
+    return x * x * dt / (1.0 - (1.0 - dt) ** 2)
+
+
+def zeta_bar_quadratic_euler(x: float, dt: float) -> float:
+    """u'(x) * sigma0 for the Euler chain's relative value."""
+    return 2.0 * x * dt / (1.0 - (1.0 - dt) ** 2)
+
+
 def alpha_value_quadratic(alpha: float, x: float, eta: float = ETA,
                           sigma0: float = SIGMA0) -> float:
     """u^alpha(x) = int_0^inf e^{-alpha s} E[X_s^2 | X_0 = x] ds against the

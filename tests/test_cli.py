@@ -5,11 +5,12 @@ import filecmp
 import math
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from ergolab import cli
+from ergolab import cli, sde
 from ergolab.cli import RunManifest, rerun_from_manifest, run
 from ergolab.coupling import LyapunovConstants, build_lyapunov
 from ergolab.model import RUN_DEFAULTS, parse_scenario, preset
@@ -33,7 +34,6 @@ dt = 0.02
 horizon = 1.5
 t_long = 15
 n_controls = 2
-alphas = 0.4 0.2
 """
 
 SINE_SCN = """\
@@ -209,6 +209,27 @@ def test_every_set_key_is_accepted_in_the_run_section(subcommand):
         params = cli._resolve(scn, argparse.Namespace(set=None),
                               dict(RUN_DEFAULTS[subcommand]))
         assert params[key] == 1, key
+
+
+def test_simulate_with_x0_prime_steps_each_system_once(scn_dir, tmp_path,
+                                                     monkeypatch):
+    drawn = Counter()
+    draw = sde.gaussian_increments
+
+    def counted(seed, step, *args, **kwargs):
+        drawn[seed, step] += 1
+        return draw(seed, step, *args, **kwargs)
+
+    monkeypatch.setattr(sde, "gaussian_increments", counted)
+    code = run(["simulate", "--scenario", str(scn_dir / "ou.scn"),
+                "--out", str(tmp_path / "sim"), "--particles", "200",
+                "--horizon", "0.5", "--set", "x0_prime=2.0"])
+    assert code == 0
+    # one block per step for each of the two coupled systems; the moments
+    # come from the first system's record, not from a third run
+    assert drawn == Counter({(42, k): 2 for k in range(25)})
+    moments = (tmp_path / "sim" / "simulate_moments.csv").read_text()
+    assert len(moments.splitlines()) == 1 + 3 + 1  # header, every 10th, end
 
 
 def test_bsde_rerun_is_byte_identical(scn_dir, tmp_path):

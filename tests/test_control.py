@@ -202,7 +202,8 @@ def test_random_policies_never_beat_y0(lq_spec, flow2, sol_t2):
         assert rep.j >= rep.benchmark - 3.0 * (rep.se + rep.benchmark_se)
 
 
-def test_ergodic_feedback_cost_matches_lambda(lq_spec, erg_lq):
+def test_ergodic_feedback_cost_matches_lambda(lq_spec, erg_lq_ladder):
+    erg_lq = erg_lq_ladder
     pol = ControlPolicy.from_ergodic(lq_spec.control, erg_lq)
     # the extracted lambda carries its own bias, so judge against the
     # spread of the per-alpha candidates rather than the Monte Carlo se alone

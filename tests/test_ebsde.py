@@ -1,5 +1,7 @@
-"""Discounted solves and the vanishing-discount ergodic extraction."""
+"""Discounted solves, the vanishing-discount ladder, and the recentred
+fixed point for the ergodic triple."""
 
+import itertools
 import math
 from collections import Counter
 
@@ -9,8 +11,9 @@ import pytest
 import oracle_reference as oracle
 from ergolab import bsde, ebsde, model, sde
 from ergolab.ebsde import (HorizonBudgetError, discount_horizon,
-                           extract_ergodic, lambda_by_time_average,
-                           solve_alpha_bsde)
+                           extract_ergodic, extract_ergodic_vanishing,
+                           lambda_by_time_average, solve_alpha_bsde)
+from ergolab.measure import EmpiricalMeasure
 from ergolab.sde import INIT_DRAW_STEP, derive_seed
 
 # a small three-discount ladder: horizons of 195, 424 and 917 steps
@@ -29,8 +32,8 @@ def test_constant_driver_discounted_value(ou_spec, erg_ou, alpha):
     assert sol.truncation_bound <= 1e-3 * (sol.c_hat / alpha) * 1.01
 
 
-def test_candidate_sequence_squeezes_toward_limit(erg_ou):
-    cand = {a.alpha: a.lambda_candidate for a in erg_ou.trace}
+def test_candidate_sequence_squeezes_toward_limit(erg_ou_ladder):
+    cand = {a.alpha: a.lambda_candidate for a in erg_ou_ladder.trace}
     assert cand[0.1] == pytest.approx(oracle.LAMBDA_QUADRATIC, abs=0.05)
     # successive candidates sit closer to each other than to the limit
     for hi, lo in ((0.4, 0.2), (0.2, 0.1)):
@@ -38,7 +41,9 @@ def test_candidate_sequence_squeezes_toward_limit(erg_ou):
             abs(cand[hi] - oracle.LAMBDA_QUADRATIC)
 
 
-def test_extraction_on_quadratic_example(erg_ou):
+@pytest.mark.parametrize("method", ["erg_ou", "erg_ou_ladder"])
+def test_extraction_on_quadratic_example(request, method):
+    erg_ou = request.getfixturevalue(method)
     assert erg_ou.stable
     assert erg_ou.lambda_ == pytest.approx(oracle.LAMBDA_QUADRATIC, abs=0.05)
     assert float(erg_ou.u_bar.eval_node(0, np.array([0.0]))[0]) == 0.0
@@ -61,7 +66,9 @@ def test_stationary_driver_average_self_consistent(ou_spec, erg_ou, lq_spec,
         assert mean_f == pytest.approx(erg.lambda_, abs=0.05)
 
 
-def test_extraction_on_lq_example(erg_lq):
+@pytest.mark.parametrize("method", ["erg_lq", "erg_lq_ladder"])
+def test_extraction_on_lq_example(request, method):
+    erg_lq = request.getfixturevalue(method)
     assert erg_lq.stable
     assert erg_lq.lambda_ == pytest.approx(oracle.LAMBDA_LQ, abs=0.05)
     for x in (1.0, 2.0):
@@ -71,25 +78,25 @@ def test_extraction_on_lq_example(erg_lq):
             pytest.approx(oracle.zeta_bar_lq(x), abs=0.15 * (1 + abs(x)))
 
 
-def test_growth_constant_stable_across_discounts(ou_spec, erg_ou):
+def test_growth_constant_stable_across_discounts(ou_spec, erg_ou_ladder):
     # fitted C in |u^alpha| <= (C/alpha)(1 + |x|^(q+1) + ||theta||^(q+1))
     q = ou_spec.constants.q
-    atoms = erg_ou.mu_star.points
+    atoms = erg_ou_ladder.mu_star.points
     theta_term = float(np.mean(np.abs(atoms) ** (2 * q + 2))) \
         ** ((q + 1) / (2 * q + 2))
     envelope = 1.0 + np.abs(atoms[:, 0]) ** (q + 1) + theta_term
     c_hat = {}
-    for a in erg_ou.trace:
+    for a in erg_ou_ladder.trace:
         vals = np.abs(np.asarray(a.u.eval_node(0, atoms)))
         c_hat[a.alpha] = a.alpha * float(np.max(vals / envelope))
     picked = [c_hat[a] for a in (0.4, 0.2, 0.1)]
     assert max(picked) <= 2.0 * min(picked)
 
 
-def test_centered_surfaces_equicontinuous(erg_ou):
+def test_centered_surfaces_equicontinuous(erg_ou_ladder):
     grid = np.linspace(-2.0, 2.0, 41)
     centered = []
-    for a in erg_ou.trace:  # alphas sorted descending
+    for a in erg_ou_ladder.trace:  # alphas sorted descending
         vals = a.u.eval_node(0, grid) - a.anchor_value
         centered.append(np.asarray(vals))
     gaps = [float(np.max(np.abs(u - v)))
@@ -101,8 +108,10 @@ def test_lambda_agrees_across_anchors(ou_spec):
     # uniqueness proxy: the extracted average must not depend on where the
     # value function is pinned to zero
     kwargs = dict(n_particles=2000, dt=0.02, seed=6, alphas=(0.4, 0.1))
-    at_zero = extract_ergodic(ou_spec, anchor=np.array([0.0]), **kwargs)
-    at_one = extract_ergodic(ou_spec, anchor=np.array([1.0]), **kwargs)
+    at_zero = extract_ergodic_vanishing(ou_spec, anchor=np.array([0.0]),
+                                        **kwargs)
+    at_one = extract_ergodic_vanishing(ou_spec, anchor=np.array([1.0]),
+                                       **kwargs)
     assert abs(at_zero.lambda_ - at_one.lambda_) <= 0.05
     # each surface is zero at its own anchor
     assert float(at_zero.u_bar.eval_node(0, np.array([0.0]))[0]) == 0.0
@@ -142,7 +151,7 @@ def test_horizon_guards(ou_spec):
 
 
 def test_ladder_columns_equal_their_one_discount_solves(ou_spec):
-    erg = extract_ergodic(ou_spec, **LADDER)
+    erg = extract_ergodic_vanishing(ou_spec, **LADDER)
     for a in erg.trace:
         one = solve_alpha_bsde(ou_spec, erg.mu_star, a.alpha,
                                dt=LADDER["dt"],
@@ -181,7 +190,7 @@ def test_ladder_factors_each_node_and_draws_each_block_once_per_pass(
     monkeypatch.setattr(ebsde, "_NodeRegressor", CountedRegressor)
     monkeypatch.setattr(bsde, "gaussian_increments", counted)
     monkeypatch.setattr(sde, "gaussian_increments", counted)
-    erg = extract_ergodic(ou_spec, **LADDER)
+    erg = extract_ergodic_vanishing(ou_spec, **LADDER)
 
     ends = [round(a.t_alpha / LADDER["dt"]) for a in erg.trace]
     m = max(ends)
@@ -202,11 +211,190 @@ def test_ladder_factors_each_node_and_draws_each_block_once_per_pass(
     assert sum(drawn.values()) == 2 * m + 1 + n_burn
 
 
-def test_report_carries_the_ladder_diagnostics(erg_ou):
-    rep = erg_ou.report()
-    for a in erg_ou.trace:
+def test_report_carries_the_ladder_diagnostics(erg_ou_ladder):
+    rep = erg_ou_ladder.report()
+    for a in erg_ou_ladder.trace:
         tag = f"{a.alpha:g}".replace(".", "p")
         assert rep[f"max_residual_a{tag}"] == a.solution.residuals.max()
         assert rep[f"picard_warning_a{tag}"] == int(a.solution.picard_warning)
-    assert rep["mu_star_w2"] == erg_ou.mu_star_w2 >= 0.0
+    assert rep["mu_star_w2"] == erg_ou_ladder.mu_star_w2 >= 0.0
     assert rep["mu_star_w2_tol"] > 0.0
+
+
+# ---------------------------------------------------------------------------
+# The recentred fixed point
+# ---------------------------------------------------------------------------
+
+def test_both_methods_share_mu_star(erg_ou, erg_ou_ladder, erg_lq,
+                                    erg_lq_ladder):
+    for fixed, ladder in ((erg_ou, erg_ou_ladder), (erg_lq, erg_lq_ladder)):
+        np.testing.assert_array_equal(fixed.mu_star.points,
+                                      ladder.mu_star.points)
+        assert fixed.mu_star_w2 == ladder.mu_star_w2
+        assert fixed.trace == () and len(ladder.trace) == 4
+
+
+# Measured over seeds 1-30 at N = 3000, dt = 0.02: |lambda - lambda_dt| is
+# at most 1e-4 (sd 3e-5); u_bar - u_dt is linear in x with slope at most
+# 0.0098 (sd 0.0052) and zeta_bar - zeta_dt at most 0.0098 (sd 0.0052),
+# both from the shift that mu*'s sample mean gives the drift. Each bound is
+# three times the worst seed.
+@pytest.mark.parametrize("seed", [42, 7])
+def test_fixed_point_matches_the_euler_chain(ou_spec, seed):
+    dt = 0.02
+    erg = extract_ergodic(ou_spec, n_particles=3000, dt=dt, seed=seed)
+    assert erg.stable
+    assert erg.lambda_ == pytest.approx(oracle.lambda_quadratic_euler(dt),
+                                        abs=3e-4)
+    for x in (1.0, 2.0, -1.5):
+        pt = np.array([x])
+        assert float(erg.u_bar.eval_node(0, pt)[0]) == pytest.approx(
+            oracle.u_bar_quadratic_euler(x, dt), abs=0.03 * abs(x))
+        assert float(erg.zeta_bar.eval_node(0, pt)[0]) == pytest.approx(
+            oracle.zeta_bar_quadratic_euler(x, dt), abs=0.03)
+    # the chain's quadratic relative value lies in the cubic basis
+    assert erg.fit_rmse < 1e-10
+
+
+def test_fixed_point_lambda_does_not_depend_on_the_anchor(ou_spec):
+    # recentring elsewhere shifts every iterate by a constant, so both runs
+    # settle on one increment and one surface up to that constant
+    kwargs = dict(n_particles=2000, dt=0.02, seed=6)
+    at_zero = extract_ergodic(ou_spec, anchor=np.array([0.0]), **kwargs)
+    at_one = extract_ergodic(ou_spec, anchor=np.array([1.0]), **kwargs)
+    assert at_one.lambda_ == pytest.approx(at_zero.lambda_, abs=1e-7)
+    grid = np.linspace(-2.0, 2.0, 9)
+    shift = at_one.u_bar.eval_node(0, grid) - at_zero.u_bar.eval_node(0, grid)
+    assert np.ptp(shift) < 1e-7
+    assert float(at_zero.u_bar.eval_node(0, np.array([0.0]))[0]) == 0.0
+    assert float(at_one.u_bar.eval_node(0, np.array([1.0]))[0]) == 0.0
+
+
+def test_fixed_point_factors_once_and_draws_only_mu_star(ou_spec,
+                                                         monkeypatch):
+    factored = []
+    drawn = Counter()
+    draw = sde.gaussian_increments
+
+    class CountedRegressor(bsde._NodeRegressor):
+        def __init__(self, states, exponents, node):
+            factored.append(node)
+            super().__init__(states, exponents, node)
+
+    def counted(seed, step, *args, **kwargs):
+        drawn[seed, step] += 1
+        return draw(seed, step, *args, **kwargs)
+
+    monkeypatch.setattr(ebsde, "_NodeRegressor", CountedRegressor)
+    monkeypatch.setattr(bsde, "gaussian_increments", counted)
+    monkeypatch.setattr(sde, "gaussian_increments", counted)
+    extract_ergodic(ou_spec, n_particles=400, dt=0.05, seed=11)
+    # one regression for the iteration, one for the gradient z-field
+    assert factored == [0, 0]
+    # the invariant-measure run is the only noise
+    burn = derive_seed(11, 1)
+    n_burn = round(12.0 / ou_spec.contraction_rate_bound() / 0.05)
+    assert drawn == Counter({(burn, g): 1 for g in range(n_burn)})
+
+
+def test_fixed_point_that_does_not_settle_is_flagged(ou_spec):
+    # without mean reversion the relative values grow without bound, so
+    # the iteration runs into its cap
+    spec = ou_spec.replace(drift=lambda t, x, mu: np.zeros_like(x))
+    with pytest.warns(RuntimeWarning, match="did not settle"):
+        erg = extract_ergodic(spec, n_particles=200, dt=0.05, seed=0,
+                              t_burn=10.0)
+    assert not erg.stable
+
+
+def _gaussian_polynomial(mean, chol, exponents):
+    """prod_j (mean_j + (chol xi)_j)^e_j expanded in xi, as {powers: coeff}."""
+    d = len(mean)
+    poly = {(0,) * d: 1.0}
+    for j, power in enumerate(exponents):
+        for _ in range(power):
+            out = Counter()
+            for key, coef in poly.items():
+                out[key] += coef * mean[j]
+                for k in range(d):
+                    bumped = list(key)
+                    bumped[k] += 1
+                    out[tuple(bumped)] += coef * chol[j, k]
+            poly = out
+    return poly
+
+
+def _normal_expectation(poly, times_xi=None):
+    """E[poly(xi)] (times xi_k if given) for xi ~ N(0, I), from
+    E[xi^p] = (p - 1)!! for even p and 0 for odd p."""
+    total = 0.0
+    for key, coef in poly.items():
+        powers = list(key)
+        if times_xi is not None:
+            powers[times_xi] += 1
+        total += coef * math.prod(
+            0 if p % 2 else math.prod(range(p - 1, 0, -2)) for p in powers)
+    return total
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_expectation_matrices_match_gaussian_moments(ou_spec, dim):
+    dt = 0.1
+    if dim == 1:
+        spec, sigma = ou_spec, np.eye(1)
+        drift = lambda x: -x - 0.5 * x.mean(axis=0)  # noqa: E731
+    else:
+        # a full diffusion and a drift that mixes the coordinates
+        sigma = np.array([[1.0, 0.0], [0.6, 0.8]])
+        mix = np.array([[1.0, 0.3], [-0.2, 0.7]])
+        drift = lambda x: -x @ mix.T  # noqa: E731
+        spec = ou_spec.replace(dim=2, drift=lambda t, x, mu: drift(x),
+                               diffusion=lambda x, mu: sigma, name="mixed-2d")
+    x = np.random.default_rng(3).normal(0.0, 0.7, (40, dim))
+    exponents = bsde.monomial_exponents(dim, 3)
+    reg = bsde._NodeRegressor(x, exponents, 0)
+    a, z = ebsde._expectation_matrices(spec, EmpiricalMeasure(x), reg,
+                                       exponents, dt)
+    assert a.shape == (40, len(exponents))
+    assert z.shape == (40, dim, len(exponents))
+    # standardized X_1 = mean + chol xi with xi ~ N(0, I)
+    chol = sigma * math.sqrt(dt) / reg.scale[:, None]
+    means = (x + dt * drift(x) - reg.center) / reg.scale
+    for i, b in itertools.product(range(len(x)), range(len(exponents))):
+        poly = _gaussian_polynomial(means[i], chol, exponents[b])
+        assert a[i, b] == pytest.approx(_normal_expectation(poly),
+                                        rel=1e-12, abs=1e-12)
+        for k in range(dim):
+            # E[u(X_1) dW_k] / dt with dW = sqrt(dt) xi
+            assert z[i, k, b] == pytest.approx(
+                _normal_expectation(poly, k) / math.sqrt(dt),
+                rel=1e-12, abs=1e-12)
+
+
+# Measured over seeds 1-15, 42 and 7: |lambda - 2 lambda_dt| at most 2.9e-4,
+# |u_bar - u_dt| at most 0.019 at the points below, |zeta_bar - zeta_dt| at
+# most 0.017; the bounds are about three times those.
+def test_separable_2d_ou_doubles_the_euler_lambda(ou_spec):
+    dt = 0.02
+    spec = ou_spec.replace(dim=2, diffusion=lambda x, mu: np.eye(2),
+                           name="ou-2d")
+    erg = extract_ergodic(spec, n_particles=3000, dt=dt, seed=42)
+    assert erg.stable
+    assert erg.lambda_ == pytest.approx(2.0 * oracle.lambda_quadratic_euler(dt),
+                                        abs=1e-3)
+    pts = np.array([[1.0, 1.0], [2.0, -1.0], [-1.5, 0.5]])
+    want = [oracle.u_bar_quadratic_euler(p, dt)
+            + oracle.u_bar_quadratic_euler(q, dt) for p, q in pts]
+    np.testing.assert_allclose(erg.u_bar.eval_node(0, pts), want, rtol=0,
+                               atol=0.06)
+    want_z = [[oracle.zeta_bar_quadratic_euler(v, dt) for v in p] for p in pts]
+    np.testing.assert_allclose(erg.zeta_bar.eval_node(0, pts), want_z,
+                               rtol=0, atol=0.05)
+
+
+def test_fixed_point_on_sine_weak_agrees_with_time_average(sine_spec):
+    erg = extract_ergodic(sine_spec, n_particles=3000, dt=0.02, seed=42)
+    assert erg.stable
+    est = lambda_by_time_average(sine_spec, t_long=80.0, dt=0.02,
+                                 n_particles=4000, seed=3)
+    assert abs(erg.lambda_ - est.value) <= 0.05

@@ -36,11 +36,21 @@ def offset_fits(ou_spec, erg_ou):
 
 
 @pytest.fixture(scope="module")
-def ubar_terminal_spec(ou_spec, erg_ou):
+def offset_fits_ladder(ou_spec, erg_ou_ladder):
+    # the ladder's surfaces, whose trace sizes the surface-error term
+    return {x0: ltb2_experiment(ou_spec, erg_ou_ladder, lam=LAM_DT,
+                                t_grid=(0.5, 1.0, 1.5, 2.0, 3.0), x0=x0,
+                                dt=0.02, n_particles=10_000, seed=21)
+            for x0 in (0.0, 1.0)}
+
+
+@pytest.fixture(scope="module")
+def ubar_terminal_spec(ou_spec, erg_ou_ladder):
     # terminal = the fitted stationary value itself; the finite-horizon
     # solution then reduces to that surface plus a linear-in-time ramp
     return ou_spec.replace(
-        terminal=lambda x, mu: np.asarray(erg_ou.u_bar.eval_node(0, x)),
+        terminal=lambda x, mu: np.asarray(
+            erg_ou_ladder.u_bar.eval_node(0, x)),
         name="ou-stationary-terminal")
 
 
@@ -195,9 +205,9 @@ def test_offset_rate_matches_relaxation(offset_fits):
     assert fit.n_usable >= 3
 
 
-def test_offset_limit_start_independent(offset_fits, erg_ou):
-    a, b = offset_fits[0.0], offset_fits[1.0]
-    surface = _surface_gap(erg_ou, np.array([[0.0], [1.0]]), "value")
+def test_offset_limit_start_independent(offset_fits_ladder, erg_ou_ladder):
+    a, b = offset_fits_ladder[0.0], offset_fits_ladder[1.0]
+    surface = _surface_gap(erg_ou_ladder, np.array([[0.0], [1.0]]), "value")
     combined = a.noise_floor + b.noise_floor + surface
     assert abs(a.ell - b.ell) <= 2.0 * combined
 
@@ -214,14 +224,15 @@ def test_offset_limit_initial_law_independent(ou_spec, erg_ou):
     assert abs(from_stationary.ell - from_point.ell) <= 2.0 * combined
 
 
-def test_offset_vanishes_for_stationary_terminal(ubar_terminal_spec, erg_ou):
+def test_offset_vanishes_for_stationary_terminal(ubar_terminal_spec,
+                                                 erg_ou_ladder):
     # with the stationary surface as terminal, Y_t = u_bar(X_t) + lam (T-t)
     # solves the system exactly; the offset can only show solver noise plus
     # the surface's own fit error
-    fit = ltb2_experiment(ubar_terminal_spec, erg_ou,
+    fit = ltb2_experiment(ubar_terminal_spec, erg_ou_ladder,
                           t_grid=(0.5, 1.0, 2.0, 3.0), x0=1.0, dt=0.02,
                           n_particles=10_000, seed=0)
-    surface = _surface_gap(erg_ou, np.array([[1.0]]), "value")
+    surface = _surface_gap(erg_ou_ladder, np.array([[1.0]]), "value")
     assert np.max(np.abs(fit.observed)) <= 2.0 * (fit.noise_floor + surface)
     if fit.indeterminate:
         assert not fit.passes()
@@ -233,11 +244,11 @@ def test_offset_vanishes_for_stationary_terminal(ubar_terminal_spec, erg_ou):
 # ---------------------------------------------------------------------------
 
 def test_gradient_gap_vanishes_for_stationary_terminal(ubar_terminal_spec,
-                                                       erg_ou):
-    fit = ltb3_experiment(ubar_terminal_spec, erg_ou,
+                                                       erg_ou_ladder):
+    fit = ltb3_experiment(ubar_terminal_spec, erg_ou_ladder,
                           t_grid=(0.5, 1.0, 2.0, 3.0), x0=1.0, dt=0.02,
                           n_particles=10_000, seed=0)
-    surface = _surface_gap(erg_ou, np.array([[1.0]]), "gradient")
+    surface = _surface_gap(erg_ou_ladder, np.array([[1.0]]), "gradient")
     assert np.max(fit.observed) <= 2.0 * (fit.noise_floor + surface)
 
 

@@ -47,6 +47,35 @@ def test_euler_chain_closed_forms():
         1.0 / (2.0 - dt), rel=1e-12)
 
 
+def test_euler_chain_ergodic_pair():
+    # (lambda_dt, u_dt) solves the chain's one-step relative value equation
+    # u(x) + lambda dt = dt x^2 + E u((1 - dt) x + sqrt(dt) xi), with
+    # E[((1 - dt) x + sqrt(dt) xi)^2] = (1 - dt)^2 x^2 + dt
+    for dt in (0.05, 0.02, 0.01):
+        lam = oracle.lambda_quadratic_euler(dt)
+        a = oracle.u_bar_quadratic_euler(1.0, dt)
+        for x in (-1.5, 0.0, 1.0, 2.0):
+            lhs = oracle.u_bar_quadratic_euler(x, dt) + lam * dt
+            rhs = dt * x * x + a * ((1.0 - dt) ** 2 * x * x + dt)
+            assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-15)
+            fd = (oracle.u_bar_quadratic_euler(x + 1e-6, dt)
+                  - oracle.u_bar_quadratic_euler(x - 1e-6, dt)) / 2e-6
+            assert fd == pytest.approx(
+                oracle.zeta_bar_quadratic_euler(x, dt), abs=1e-7)
+    # and tends to the continuous-time pair as the step shrinks
+    gaps = []
+    for dt in (0.1, 0.02, 1e-3, 1e-5):
+        gap = abs(oracle.lambda_quadratic_euler(dt) - oracle.LAMBDA_QUADRATIC)
+        for x in (1.0, 2.0, -1.5):
+            gap = max(gap, abs(oracle.u_bar_quadratic_euler(x, dt)
+                               - oracle.u_bar_quadratic(x)) / (x * x))
+        gaps.append(gap)
+    assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+    assert gaps[-1] < 1e-5
+    assert oracle.lambda_quadratic_euler(0.02) == pytest.approx(
+        1.0 / 1.98, rel=1e-12)
+
+
 def test_bruteforce_wasserstein_values():
     assert oracle.wp_bruteforce([0.0, 2.0], [1.0, 3.0], 2) == pytest.approx(1.0)
     assert oracle.wp_bruteforce([0.0, 2.0], [1.0, 3.0], 1) == pytest.approx(1.0)
