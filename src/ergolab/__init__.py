@@ -79,7 +79,6 @@ from ergolab.ebsde import (
     extract_ergodic,
     extract_ergodic_vanishing,
     lambda_by_time_average,
-    solve_alpha_bsde,
 )
 from ergolab.ltb import (
     DecayFit,
@@ -169,7 +168,6 @@ __all__ = [
     "simulate_decoupled",
     "simulate_mv",
     "simulate_reflection_coupling",
-    "solve_alpha_bsde",
     "solve_finite_bsde",
     "verify_lyapunov_inequality",
     "wasserstein",

@@ -12,12 +12,6 @@ one segment's states, its noise), never the (M+1) N d bundle, no node
 redraws its block, and the result is bit-identical to a sweep over the
 stored bundle.
 
-One sweep can carry several equations that share the cloud, such as a
-ladder of discounts against one frozen law: y is then an (N, columns)
-block, each column joins at its own terminal node and applies its own
-discount factor, and every node is still factored once, so the columns'
-fits are single products P Y rather than one solve per equation.
-
 Each node is factored once. Its centred, standardized design B gets one
 R-only QR; the condition estimate that guards against a degenerate basis
 is read off that raw R, and Q is never formed. The same R gives the
@@ -32,7 +26,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
 
@@ -283,27 +276,14 @@ def _backward_nodes(bundle_states: np.ndarray | CheckpointedPaths, seed: int,
 
 def backward_lsmc(spec, bundle_states: np.ndarray | CheckpointedPaths,
                   flow: MeasureFlow, dt: float, degree: int, picard: int,
-                  seed: int, terminal: Callable | None = None,
-                  discount: float | Sequence[float] = 0.0,
-                  horizons: Sequence[int] | None = None
-                  ) -> BsdeSolution | tuple[BsdeSolution, ...]:
+                  seed: int) -> BsdeSolution:
     """Backward induction over a simulated forward cloud.
 
-    Per node k: project Y_{k+1} onto the basis; estimate Z by regressing
-    the control-variate increment (Y_{k+1} - Y_k-candidate) dW / dt;
-    update Y_k = (proj + dt f(X_k, mu_k, Z_k)) / (1 + discount dt),
-    iterating the Z/Y pair ``picard`` times. Measure arguments always
-    come from the frozen flow.
-
-    A scalar ``discount`` gives one BsdeSolution on nodes 0..M. A
-    sequence of discounts gives one solution per discount, in its order,
-    from a single sweep: the equations share the cloud, each node is
-    factored once, and y is an (N, columns) block in which column a ends
-    at node ``horizons[a]`` (default M for every column) with the terminal
-    value there, carries its own factor (1 + discount[a] dt)^-1, and keeps
-    its own residuals and Picard gaps. Its surfaces cover nodes
-    0..horizons[a]; the longest column must end at node M. A one-element
-    sequence gives the scalar result bit for bit.
+    Y_M is the terminal value at node M. Per node k < M: project Y_{k+1}
+    onto the basis; estimate Z by regressing the control-variate
+    increment (Y_{k+1} - Y_k-candidate) dW / dt; update
+    Y_k = proj + dt f(X_k, mu_k, Z_k), iterating the Z/Y pair ``picard``
+    times. Measure arguments always come from the frozen flow.
 
     ``bundle_states`` is either the stored (M+1, N, d) cloud, whose node-k
     increments are redrawn from (seed, k), or a CheckpointedPaths. The
@@ -318,90 +298,54 @@ def backward_lsmc(spec, bundle_states: np.ndarray | CheckpointedPaths,
     m = m_plus_1 - 1
     if picard < 1:
         raise ValueError("picard must be >= 1")
-    rates = np.atleast_1d(np.asarray(discount, dtype=float))
-    ends = (np.full(rates.shape, m) if horizons is None
-            else np.asarray(horizons, dtype=int).reshape(-1))
-    if ends.shape != rates.shape or ends.min() < 0 or ends.max() != m:
-        raise ValueError(
-            f"need one terminal node in [0, {m}] per discount, the longest "
-            f"at node {m}; got {ends.tolist()}")
-    # longest column first, so the columns alive at any node are a prefix
-    order = np.argsort(-ends, kind="stable")
-    rates, ends = rates[order], ends[order]
-    n_cols = rates.size
     exponents = monomial_exponents(d, degree)
     times = np.arange(m_plus_1) * dt
-    g = terminal if terminal is not None else spec.terminal
 
     nb = exponents.shape[0]
-    u_coeffs = np.zeros((n_cols, m_plus_1, nb, 1))
-    z_coeffs = np.zeros((n_cols, m_plus_1, nb, d))
+    u_coeffs = np.zeros((m_plus_1, nb, 1))
+    z_coeffs = np.zeros((m_plus_1, nb, d))
     centers = np.zeros((m_plus_1, d))
     scales = np.ones((m_plus_1, d))
-    residuals = np.zeros((n_cols, m_plus_1))
-    gaps = np.zeros((n_cols, max(m, 1), max(picard - 1, 0)))
-    shrink = 1.0 + rates * dt
+    residuals = np.zeros(m_plus_1)
+    gaps = np.zeros((max(m, 1), max(picard - 1, 0)))
     sqrt_n = math.sqrt(n)
-    # the live columns, kept contiguous: a strided slice of a wider block
-    # makes every elementwise pass over it several times slower
-    y = np.empty((n, 0))
 
     for k, x_k, dw in _backward_nodes(bundle_states, seed, dt):
-        live = y.shape[1]
-        active = int(np.count_nonzero(ends >= k))
-        # the last node is read without caching its flow segment
-        mu_k = flow.at_time(times[k]) if live else flow.peek(times[k])
         reg = _NodeRegressor(x_k, exponents, k)
         centers[k], scales[k] = reg.center, reg.scale
-
-        if live:
+        if dw is None:
+            # the last node is read without caching its flow segment
+            y = np.asarray(spec.terminal(x_k, flow.peek(times[k])),
+                           dtype=float)[:, None]
+        else:
+            mu_k = flow.at_time(times[k])
             e_val = reg.predict(reg.fit(y))
-            diff = y - e_val
-            for a in range(live):
-                residuals[a, k] = np.linalg.norm(diff[:, a]) / sqrt_n
-
+            residuals[k] = np.linalg.norm(y - e_val) / sqrt_n
             y_cand = e_val
             for j in range(picard):
-                zc = reg.fit(((y - y_cand)[:, :, None] * dw[:, None, :]
-                              / dt).reshape(n, live * d))
-                z_val = reg.predict(zc)
-                f_val = np.empty((n, live))
-                for a in range(live):
-                    f_val[:, a] = spec.driver(x_k, mu_k, np.ascontiguousarray(
-                        z_val[:, a * d:(a + 1) * d]))
-                y_new = (e_val + dt * f_val) / shrink[:live]
+                zc = reg.fit((y - y_cand) * dw / dt)
+                f_val = np.empty((n, 1))
+                f_val[:, 0] = spec.driver(x_k, mu_k, reg.predict(zc))
+                y_new = e_val + dt * f_val
                 if j > 0:
-                    diff = y_new - y_cand
-                    for a in range(live):
-                        gaps[a, k, j - 1] = \
-                            np.linalg.norm(diff[:, a]) / sqrt_n
+                    gaps[k, j - 1] = np.linalg.norm(y_new - y_cand) / sqrt_n
                 y_cand = y_new
             y = y_cand
-            z_coeffs[:live, k] = zc.reshape(nb, live, d).transpose(1, 0, 2)
-        if active > live:
-            g_val = np.asarray(g(x_k, mu_k), dtype=float)[:, None]
-            y = np.hstack([y] + [g_val] * (active - live))
-        u_coeffs[:active, k, :, 0] = reg.fit(y).T
+            z_coeffs[k] = zc
+        u_coeffs[k] = reg.fit(y)
 
-    sols = [None] * n_cols
-    for i, (a, end) in enumerate(zip(order, ends)):
-        nodes = slice(0, end + 1)
-        u = RegressionFunction(times=times[nodes], coeffs=u_coeffs[i, nodes],
-                               exponents=exponents, centers=centers[nodes],
-                               scales=scales[nodes])
-        zeta = RegressionFunction(times=times[nodes],
-                                  coeffs=z_coeffs[i, nodes],
-                                  exponents=exponents, centers=centers[nodes],
-                                  scales=scales[nodes])
-        col_gaps = gaps[i, :max(end, 1)]
-        # a Picard gap that grows from one iterate to the next
-        diverges = picard > 2 and bool(
-            np.any(col_gaps[:, 1:] > 1.1 * col_gaps[:, :-1] + 1e-14))
-        sols[a] = BsdeSolution(
-            y0=math.nan, z0=np.full(d, math.nan), u=u, zeta=zeta,
-            x0=np.zeros(d), dt=dt, seed=seed, residuals=residuals[i, nodes],
-            picard_gaps=col_gaps, picard_warning=diverges)
-    return sols[0] if np.ndim(discount) == 0 else tuple(sols)
+    u = RegressionFunction(times=times, coeffs=u_coeffs, exponents=exponents,
+                           centers=centers, scales=scales)
+    zeta = RegressionFunction(times=times, coeffs=z_coeffs,
+                              exponents=exponents, centers=centers,
+                              scales=scales)
+    # a Picard gap that grows from one iterate to the next
+    diverges = picard > 2 and bool(
+        np.any(gaps[:, 1:] > 1.1 * gaps[:, :-1] + 1e-14))
+    return BsdeSolution(
+        y0=math.nan, z0=np.full(d, math.nan), u=u, zeta=zeta,
+        x0=np.zeros(d), dt=dt, seed=seed, residuals=residuals,
+        picard_gaps=gaps, picard_warning=diverges)
 
 
 def _with_readout(sol: BsdeSolution, x0: np.ndarray) -> BsdeSolution:

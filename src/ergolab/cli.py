@@ -191,7 +191,9 @@ def _coerce_like(default, value):
 
 
 def _resolve(scenario: Scenario | None, args, defaults: dict) -> dict:
-    """defaults < scenario [run] < --flag/--set overrides."""
+    """defaults < scenario [run] < --flag/--set overrides. A --particles,
+    --dt or --horizon flag that the subcommand does not take is a usage
+    error."""
     params = dict(defaults)
     if scenario is not None:
         for key, value in scenario.run.items():
@@ -206,9 +208,12 @@ def _resolve(scenario: Scenario | None, args, defaults: dict) -> dict:
                         scenario.source, line, col) from None
     for key in ("dt", "horizon", "particles", "seed", "threads"):
         value = getattr(args, key, None)
-        if value is not None and (key in params
-                                  or key in ("seed", "threads")):
-            params[key] = value
+        if value is None:
+            continue
+        if key not in params and key not in ("seed", "threads"):
+            raise _UsageError(
+                f"--{key} does not apply to {args.subcommand}")
+        params[key] = value
     for item in args.set or []:
         key, eq, value = item.partition("=")
         if not eq:

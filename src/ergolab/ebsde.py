@@ -19,12 +19,10 @@ time-homogeneous.
 ``extract_ergodic_vanishing`` is the paper's construction. A family of
 discounted infinite-horizon problems is truncated to finite horizons
 long enough that the tail contributes less than a fixed tolerance,
-solved together by the finite-horizon equation's backward regression
-pass (one forward cloud over the longest horizon, one sweep in which
-each discount is a column with its own implicit discount factor per
-node), and extrapolated to discount zero. The limit yields the long-run
-average value, a centered stationary value function pinned to zero at
-the anchor, and its z-field.
+solved by the same one-step operator with the implicit discount factor
+(1 + alpha dt)^-1 per step, and extrapolated to discount zero. The limit
+yields the long-run average value, a centered stationary value function
+pinned to zero at the anchor, and its z-field.
 
 ``lambda_by_time_average`` checks lambda independently, along the
 interacting particle system.
@@ -42,10 +40,9 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
 
-from ergolab.bsde import (BsdeSolution, RegressionFunction, _NodeRegressor,
-                          _design, backward_lsmc, _checkpointed_cloud,
+from ergolab.bsde import (RegressionFunction, _NodeRegressor, _design,
                           monomial_exponents)
-from ergolab.measure import EmpiricalMeasure, MeasureFlow, invariant_measure
+from ergolab.measure import EmpiricalMeasure, invariant_measure
 from ergolab.sde import derive_seed, iter_mv, _steps_for
 
 __all__ = [
@@ -55,7 +52,6 @@ __all__ = [
     "TimeAverageEstimate",
     "driver_growth_constant",
     "discount_horizon",
-    "solve_alpha_bsde",
     "extract_ergodic",
     "extract_ergodic_vanishing",
     "lambda_by_time_average",
@@ -80,22 +76,20 @@ class HorizonBudgetError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class AlphaSolution:
-    """One discounted solve: the value surface, its readouts at the
-    anchor, and the truncation bookkeeping."""
+    """One discounted solve: the single-node value surface, its readouts
+    at the anchor, the truncation bookkeeping, and the last step's RMS
+    projection residual over mu*'s atoms."""
 
     alpha: float
     t_alpha: float
-    solution: BsdeSolution
+    u: RegressionFunction
     anchor: np.ndarray
     anchor_value: float
     lambda_candidate: float
     truncation_bound: float
     c_hat: float
     growth_estimate: float
-
-    @property
-    def u(self) -> RegressionFunction:
-        return self.solution.u
+    fit_rmse: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +119,7 @@ class ErgodicSolution:
             tag = f"{a.alpha:g}".replace(".", "p")
             out[f"candidate_a{tag}"] = a.lambda_candidate
             out[f"t_alpha_a{tag}"] = a.t_alpha
-            out[f"max_residual_a{tag}"] = float(
-                a.solution.residuals.max(initial=0.0))
-            out[f"picard_warning_a{tag}"] = int(a.solution.picard_warning)
+            out[f"fit_rmse_a{tag}"] = a.fit_rmse
         return out
 
 
@@ -168,70 +160,41 @@ def discount_horizon(alpha: float, c_hat: float, dt: float,
 
 
 def _discounted_solves(spec, mu_star: EmpiricalMeasure,
-                       alphas: Sequence[float], dt: float, n_particles: int,
-                       degree: int | None, seed: int, anchor,
-                       tol: float) -> tuple[AlphaSolution, ...]:
+                       alphas: Sequence[float], dt: float,
+                       degree: int | None,
+                       anchor) -> tuple[AlphaSolution, ...]:
     """Solve the discounted equation for every alpha against the frozen
-    law, from one forward cloud and one backward sweep.
+    law on the one-step operator over mu*'s atoms.
 
-    The cloud runs over the longest truncation horizon. With a constant
-    flow its node k is the same state for every discount (block (seed, k)
-    does not depend on the horizon), so each discount's solve is the
-    sweep's column that starts from zero at its own horizon's node.
+    Each discount iterates c <- P(A c + dt f(x, mu*, Z c)) / (1 + alpha dt)
+    from zero for the steps of its own truncation horizon; with a
+    constant flow that is the zero-terminal backward solve read at
+    time 0.
     """
-    c = spec.constants
-    if degree is None:
-        degree = max(int(c.q) + 1, 3)
     anchor = _anchor_point(spec, anchor)
     c_hat = driver_growth_constant(spec, mu_star)
-    t_alphas = [discount_horizon(a, c_hat, dt, tol) for a in alphas]
-    t_max = max(t_alphas)
-    flow = MeasureFlow.constant(mu_star, 0.0, t_max)
-
-    paths = _checkpointed_cloud(spec, anchor, flow, t_max, dt, n_particles,
-                                seed)
-    zero_terminal = lambda x, mu: np.zeros(x.shape[0])
-    sols = backward_lsmc(spec, paths, flow, dt, degree, picard=3,
-                         seed=seed, terminal=zero_terminal, discount=alphas,
-                         horizons=[_steps_for(t, dt) for t in t_alphas])
-
+    x = mu_star.points
+    exponents, reg, a, z = _one_step_operator(spec, mu_star, degree, dt)
     out = []
-    for alpha, t_alpha, sol in zip(alphas, t_alphas, sols):
-        anchor_value = float(sol.u.eval_node(0, anchor)[0])
-        probe = sol.u.eval_node(0, mu_star.points)
-        growth = alpha * float(np.max(np.abs(probe)))
+    for alpha in alphas:
+        t_alpha = discount_horizon(alpha, c_hat, dt)
+        coeffs = np.zeros(exponents.shape[0])
+        for _ in range(_steps_for(t_alpha, dt)):
+            target = a @ coeffs + dt * np.asarray(
+                spec.driver(x, mu_star, z @ coeffs), dtype=float)
+            fitted = reg.fit(target)[:, 0]
+            coeffs = fitted / (1.0 + alpha * dt)
+        u = _surface(coeffs, exponents, reg)
+        anchor_value = float(u.eval_node(0, anchor)[0])
+        growth = alpha * float(np.max(np.abs(u.eval_node(0, x))))
         out.append(AlphaSolution(
-            alpha=alpha, t_alpha=t_alpha, solution=sol, anchor=anchor,
+            alpha=alpha, t_alpha=t_alpha, u=u, anchor=anchor,
             anchor_value=anchor_value,
             lambda_candidate=alpha * anchor_value,
             truncation_bound=(c_hat / alpha) * math.exp(-alpha * t_alpha),
-            c_hat=c_hat, growth_estimate=growth))
+            c_hat=c_hat, growth_estimate=growth,
+            fit_rmse=_projection_rmse(reg, fitted, target)))
     return tuple(out)
-
-
-def solve_alpha_bsde(spec, mu_star: EmpiricalMeasure, alpha: float,
-                     dt: float, n_particles: int, degree: int | None = None,
-                     seed: int = 0, anchor=None,
-                     tol: float = _TRUNCATION_TOL) -> AlphaSolution:
-    """Solve the discounted equation against the frozen stationary law.
-
-    The horizon is chosen so the zero-terminal truncation error is below
-    ``tol``; each backward node applies the implicit discount
-    (1 + alpha dt)^-1. Readouts are taken at the anchor point (origin by
-    default).
-    """
-    return _discounted_solves(spec, mu_star, (alpha,), dt, n_particles,
-                              degree, seed, anchor, tol)[0]
-
-
-def _single_node(surface: RegressionFunction,
-                 offset: float = 0.0) -> RegressionFunction:
-    """Freeze a surface to its first node (stationary objects carry no
-    time dependence)."""
-    return RegressionFunction(
-        times=surface.times[:1].copy(), coeffs=surface.coeffs[:1].copy(),
-        exponents=surface.exponents, centers=surface.centers[:1].copy(),
-        scales=surface.scales[:1].copy(), offset=offset)
 
 
 def _gradient_z(spec, u: RegressionFunction,
@@ -296,6 +259,34 @@ def _expectation_matrices(spec, mu_star: EmpiricalMeasure,
             np.einsum("gk,ngb->nkb", w[:, None] * dw / dt, basis))
 
 
+def _one_step_operator(spec, mu_star: EmpiricalMeasure,
+                       degree: int | None, dt: float):
+    """The basis on mu*'s atoms (degree max(q + 1, 3) by default), its one
+    factored regression, and the one-step matrices A and Z of
+    ``_expectation_matrices``: (exponents, regressor, A, Z)."""
+    if degree is None:
+        degree = max(int(spec.constants.q) + 1, 3)
+    exponents = monomial_exponents(spec.dim, degree)
+    reg = _NodeRegressor(mu_star.points, exponents, 0)
+    a, z = _expectation_matrices(spec, mu_star, reg, exponents, dt)
+    return exponents, reg, a, z
+
+
+def _surface(coeffs: np.ndarray, exponents: np.ndarray,
+             reg: _NodeRegressor) -> RegressionFunction:
+    """The single-node surface with coefficients c in reg's coordinates."""
+    return RegressionFunction(times=np.zeros(1), coeffs=coeffs[None, :, None],
+                              exponents=exponents, centers=reg.center[None],
+                              scales=reg.scale[None])
+
+
+def _projection_rmse(reg: _NodeRegressor, fitted: np.ndarray,
+                     target: np.ndarray) -> float:
+    """RMS over the atoms of a target around its projection."""
+    return float(np.linalg.norm(reg.predict(fitted) - target)
+                 / math.sqrt(target.shape[0]))
+
+
 def extract_ergodic(spec, n_particles: int, dt: float,
                     degree: int | None = None, seed: int = 0,
                     t_burn: float | None = None,
@@ -319,15 +310,11 @@ def extract_ergodic(spec, n_particles: int, dt: float,
     lambda is the Euler chain's own average: on ou-attract at dt = 0.02 it
     is 1 / (2 - dt) = 0.50505 rather than the continuous-time 0.5.
     """
-    if degree is None:
-        degree = max(int(spec.constants.q) + 1, 3)
     inv = _stationary_law(spec, n_particles, dt, seed, t_burn)
     mu_star = inv.measure
     x = mu_star.points
     anchor = _anchor_point(spec, anchor)
-    exponents = monomial_exponents(spec.dim, degree)
-    reg = _NodeRegressor(x, exponents, 0)
-    a, z = _expectation_matrices(spec, mu_star, reg, exponents, dt)
+    exponents, reg, a, z = _one_step_operator(spec, mu_star, degree, dt)
     at_anchor = _design(((anchor - reg.center) / reg.scale)[None],
                         exponents)[0]
     max_steps = _steps_for(discount_horizon(
@@ -352,16 +339,13 @@ def extract_ergodic(spec, n_particles: int, dt: float,
             f"relative value iteration did not settle in {max_steps} steps; "
             f"last coefficient change {change:.3g}", RuntimeWarning,
             stacklevel=2)
-    rmse = float(np.linalg.norm(reg.predict(fitted) - target)
-                 / math.sqrt(x.shape[0]))
 
-    u = RegressionFunction(times=np.zeros(1), coeffs=coeffs[None, :, None],
-                           exponents=exponents, centers=reg.center[None],
-                           scales=reg.scale[None])
+    u = _surface(coeffs, exponents, reg)
     u_bar = dataclasses.replace(u, offset=float(u.eval_node(0, anchor)[0]))
     return ErgodicSolution(lambda_=rise / dt, u_bar=u_bar,
                            zeta_bar=_gradient_z(spec, u_bar, mu_star),
-                           mu_star=mu_star, trace=(), fit_rmse=rmse,
+                           mu_star=mu_star, trace=(),
+                           fit_rmse=_projection_rmse(reg, fitted, target),
                            stable=stable, mu_star_w2=inv.diagnostic_w2,
                            mu_star_w2_tol=inv.tolerance)
 
@@ -374,27 +358,25 @@ def extract_ergodic_vanishing(spec, n_particles: int, dt: float,
                               anchor=None) -> ErgodicSolution:
     """Vanishing-discount extraction of the ergodic triple.
 
-    The stationary law is simulated once. All discounts are then solved
-    against it on one shared forward cloud (common random numbers, child
-    seed 17) in one backward sweep, each discount one column of the sweep
-    ending at its own truncation horizon. The average value is the
-    zero-discount intercept of a weighted linear fit (the two smallest
-    discounts carry double weight); the centered value function comes
-    from the smallest discount, shifted so the anchor value is exactly
-    zero. Its z-field is that surface's gradient representation
-    grad u sigma, not the node-0 z-regression: on ou-attract at N = 3000
-    (seeds 1, 2, 3, 7, 42) the regression missed zeta_bar(2) = 2 by up to
-    0.81 and the gradient by at most 0.09, and the shared cloud gives
-    every discount the same regression error.
+    The stationary law is simulated once, as in ``extract_ergodic``
+    (bit for bit), and the fixed point's one-step operator is built once
+    on its atoms. Each discount alpha iterates
+    c <- P(A c + dt f(x, mu*, Z c)) / (1 + alpha dt) from zero over its
+    own truncation horizon, discount_horizon(alpha, c_hat, dt). The
+    average value is the zero-discount intercept of a weighted linear fit
+    (the two smallest discounts carry double weight); the centered value
+    function comes from the smallest discount, shifted so the anchor value
+    is exactly zero, and its z-field is that surface's gradient
+    representation grad u sigma. Each candidate alpha u_alpha(anchor) is
+    the discounted Euler chain's: on ou-attract it is 1 / (2 + alpha - dt)
+    at the origin.
     """
     if len(alphas) < 2:
         raise ValueError("need at least two discount values to extrapolate")
     alphas = tuple(sorted(alphas, reverse=True))
     inv = _stationary_law(spec, n_particles, dt, seed, t_burn)
     mu_star = inv.measure
-    trace = _discounted_solves(spec, mu_star, alphas, dt, n_particles,
-                               degree, derive_seed(seed, 17), anchor,
-                               _TRUNCATION_TOL)
+    trace = _discounted_solves(spec, mu_star, alphas, dt, degree, anchor)
 
     cand = np.array([t.lambda_candidate for t in trace])
     avec = np.array([t.alpha for t in trace])
@@ -419,7 +401,7 @@ def extract_ergodic_vanishing(spec, n_particles: int, dt: float,
             RuntimeWarning, stacklevel=2)
 
     best = trace[-1]
-    u_bar = _single_node(best.u, offset=best.anchor_value)
+    u_bar = dataclasses.replace(best.u, offset=best.anchor_value)
     zeta_bar = _gradient_z(spec, best.u, mu_star)
     return ErgodicSolution(lambda_=lam, u_bar=u_bar, zeta_bar=zeta_bar,
                            mu_star=mu_star, trace=trace,

@@ -22,7 +22,9 @@ def trace_surface_gap(erg, points, kind):
 
     The stationary value and gradient carry the regression's own fit
     error; tolerances that compare against them must include this term
-    on top of the Monte Carlo floor.
+    on top of the Monte Carlo floor. On ``erg_ou_ladder`` (seed 42) it
+    reads 0.0121 for the value at x = 0 and 1, and 0.0240 for the
+    gradient at x = 1.
     """
     lo, hi = sorted(erg.trace, key=lambda a: a.alpha)[:2]
     if kind == "value":
@@ -68,9 +70,9 @@ def erg_lq(lq_spec):
 
 @pytest.fixture(scope="session")
 def erg_ou_ladder(ou_spec):
-    # the vanishing-discount ladder on the same mu*, ~9 s on 2 cores (one
-    # cloud and one sweep for all four discounts); for the tests that read
-    # the per-discount trace
+    # the vanishing-discount ladder on the same mu*, ~2 s on 2 cores (all
+    # four discounts on the fixed point's one-step operator); for the tests
+    # that read the per-discount trace
     return ebsde.extract_ergodic_vanishing(ou_spec, n_particles=3000,
                                            dt=0.02, seed=42)
 

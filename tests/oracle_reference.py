@@ -174,6 +174,14 @@ def alpha_lambda_candidate(alpha: float) -> float:
     return alpha * alpha_value_quadratic(alpha, 0.0)
 
 
+def alpha_candidate_quadratic_euler(alpha: float, dt: float) -> float:
+    """alpha u_alpha(0) for the discounted Euler chain with driver x^2:
+    u(x) (1 + alpha dt) = dt x^2 + E u(X_1), X_1 = (1 - dt) x + sqrt(dt) xi,
+    is solved by u = A x^2 + A / alpha with A (1 + alpha dt) =
+    A (1 - dt)^2 + dt, so A = 1 / (2 + alpha - dt)."""
+    return 1.0 / (2.0 + alpha - dt)
+
+
 # ---------------------------------------------------------------------------
 # Long-time behaviour on the worked example (driver x^2, centered flow)
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import oracle_reference as oracle
-from ergolab import bsde, ebsde, model, sde
+from ergolab import bsde, model, sde
 from ergolab.bsde import (_RIDGE, BasisDegeneracyError, OffGridWarning,
                           _NodeRegressor, backward_lsmc, monomial_exponents,
                           solve_finite_bsde, z_from_gradient)
@@ -243,25 +243,6 @@ def test_checkpointed_sweep_equals_the_stored_one(ou_spec, monkeypatch, m):
     _assert_same_solution(checkpointed, stored)
 
 
-@pytest.mark.parametrize("m", [1, 2, 9, 10, 101])
-def test_checkpointed_discounted_sweep_equals_the_stored_one(
-        ou_spec, monkeypatch, m):
-    alpha, dt = 0.3, 0.02
-    mu_star = EmpiricalMeasure(
-        np.random.default_rng(4).normal(0.0, 0.7, size=(300, 1)))
-    c_hat = ebsde.driver_growth_constant(ou_spec, mu_star)
-    # the truncation tolerance whose horizon is exactly m steps
-    tol = (c_hat / alpha) * math.exp(-alpha * (m - 0.5) * dt)
-    kw = dict(dt=dt, n_particles=300, seed=6, tol=tol)
-    checkpointed = ebsde.solve_alpha_bsde(ou_spec, mu_star, alpha, **kw)
-    assert round(checkpointed.t_alpha / dt) == m
-    monkeypatch.setattr(ebsde, "_checkpointed_cloud", _stored_cloud)
-    stored = ebsde.solve_alpha_bsde(ou_spec, mu_star, alpha, **kw)
-    assert checkpointed.anchor_value == stored.anchor_value
-    assert checkpointed.lambda_candidate == stored.lambda_candidate
-    _assert_same_solution(checkpointed.solution, stored.solution)
-
-
 def test_checkpointed_sweep_draws_each_block_once_per_pass(ou_spec,
                                                           monkeypatch):
     flow = _flow_for(ou_spec, 1.1, n=300, seed=5)
@@ -315,19 +296,3 @@ def test_checkpointed_sweep_memory_is_a_fraction_of_the_bundle(ou_spec):
     finally:
         tracemalloc.stop()
     assert peak < bundle_bytes / 4
-
-
-def test_sweep_columns_match_the_one_column_sweep(ou_spec):
-    flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 1.0)
-    states = np.random.default_rng(2).normal(size=(4, 100, 1))
-    kw = dict(flow=flow, dt=0.25, degree=3, picard=2, seed=0)
-    one = backward_lsmc(ou_spec, states, discount=0.5, **kw)
-    both = backward_lsmc(ou_spec, states, discount=(0.5, 0.5),
-                         horizons=(3, 3), **kw)
-    for sol in both:
-        np.testing.assert_allclose(sol.u.coeffs, one.u.coeffs, rtol=0,
-                                   atol=1e-12)
-    for horizons in ((3, -1), (2, 2), (1, 2, 3)):
-        with pytest.raises(ValueError, match="terminal node"):
-            backward_lsmc(ou_spec, states, discount=(0.5, 0.1),
-                          horizons=horizons, **kw)

@@ -105,6 +105,11 @@ def test_usage_errors_exit_one(scn_dir, tmp_path, capsys):
                 "--set", "bogus=1", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "bogus" in err
+    # a flag that the subcommand does not take is refused, not ignored
+    assert run(["ltb2", "--scenario", str(scn_dir / "ou.scn"),
+                "--horizon", "5", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "--horizon" in err and "ltb2" in err
 
 
 def test_help_exits_zero(capsys):

@@ -4,6 +4,7 @@ These tests exercise only numpy/scipy, never the package: they certify that
 the frozen oracle numbers are right before any library test consumes them.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -96,6 +97,27 @@ def test_alpha_value_matches_quadrature():
     gaps = [abs(oracle.alpha_lambda_candidate(a) - oracle.LAMBDA_QUADRATIC)
             for a in (0.4, 0.2, 0.1, 0.05)]
     assert all(g2 < g1 for g1, g2 in zip(gaps, gaps[1:]))
+
+
+def test_discounted_euler_chain_candidate():
+    # u = A x^2 + A / alpha with A the candidate solves the discounted
+    # one-step equation u(x) (1 + alpha dt) = dt x^2 + E u(X_1)
+    for alpha, dt in itertools.product((0.4, 0.2, 0.1, 0.05), (0.05, 0.02)):
+        big_a = oracle.alpha_candidate_quadratic_euler(alpha, dt)
+        for x in (-1.5, 0.0, 1.0, 2.0):
+            lhs = (big_a * x * x + big_a / alpha) * (1.0 + alpha * dt)
+            rhs = dt * x * x + big_a * ((1.0 - dt) ** 2 * x * x + dt) \
+                + big_a / alpha
+            assert lhs == pytest.approx(rhs, rel=1e-13)
+    # it tends to the chain's lambda as the discount vanishes, and to the
+    # continuous-time candidate as the step shrinks
+    for dt in (0.05, 0.02):
+        assert oracle.alpha_candidate_quadratic_euler(1e-9, dt) == \
+            pytest.approx(oracle.lambda_quadratic_euler(dt), rel=1e-8)
+    for alpha in (0.4, 0.05):
+        assert oracle.alpha_candidate_quadratic_euler(alpha, 1e-9) == \
+            pytest.approx(alpha * oracle.alpha_value_quadratic(alpha, 0.0),
+                          rel=1e-8)
 
 
 def test_ltb_closed_forms_match_quadrature():
