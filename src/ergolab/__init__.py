@@ -5,8 +5,8 @@ Modules:
     measure: empirical measures, Wasserstein distances, measure flows.
     sde: interacting-particle and decoupled Euler simulation.
     coupling: Lyapunov construction and reflection coupling for weak models.
-    bsde: least-squares Monte Carlo solver for finite-horizon BSDEs.
-    ebsde: discounted approximation and ergodic triple extraction.
+    bsde: one-step regression solver for finite-horizon BSDEs.
+    ebsde: ergodic triple by fixed point and by vanishing discount.
     ltb: long-time behaviour experiments on the finite-horizon value.
     control: Hamiltonians, policy evaluation, long-run control limits.
     cli: scripted entry points over scenario files.

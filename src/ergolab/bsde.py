@@ -1,37 +1,64 @@
-"""Finite-horizon BSDE solver: backward least-squares Monte Carlo on a
-cloud of decoupled forward paths, with the driver's z-argument handled by
-control-variate regression and Picard iteration at each node.
+"""Finite-horizon BSDE solver: a backward sweep of the exact one-step
+operator ("regression later", Glasserman & Yu, Ann. Appl. Probab. 2004)
+on one fixed regression cloud.
 
-The conditional expectations are projected onto monomials in standardized
-coordinates, refreshed node by node. The forward cloud of M Euler steps is
-run once and kept only as checkpoints every S = ceil(sqrt(M)) steps; the
-sweep then replays one segment at a time from its checkpoint, at its global
-step index, holding that segment's states and the (seed, step) noise blocks
-its Euler steps drew. So about 3 sqrt(M) N d floats are held (checkpoints,
-one segment's states, its noise), never the (M+1) N d bundle, no node
-redraws its block, and the result is bit-identical to a sweep over the
-stored bundle.
+Under one Euler step from node k, X_{k+1} given X_k = x is Gaussian with
+mean x + b(t_k, x, mu_k) dt and covariance sigma sigma^T dt. For a value
+surface u_{k+1} that is a polynomial of degree q, both
+E[u_{k+1}(X_{k+1}) | x] and E[u_{k+1}(X_{k+1}) dW | x] / dt are exact
+under a tensor Gauss-Hermite rule with ceil((q + 2) / 2) points per
+dimension. So the regression design need not follow each path: one
+cloud is drawn once, one ridge projection P is factored on it, and the
+sweep runs
 
-Each node is factored once. Its centred, standardized design B gets one
+    c_k = P (E[u_{k+1}(X_{k+1}) | x] + dt f(x, mu_k, zm_k)),
+    zm_k = E[u_{k+1}(X_{k+1}) dW | x] / dt,
+
+from c_M = P g, with zeta_k = P zm_k fitted in the same product as c_k.
+No forward paths are simulated, no noise is drawn after the cloud, and
+each node is one product P [y | zm]. The measure arguments come from the
+frozen flow, read once per node from last to first. The fixed point and
+the discount ladder of ``ergolab.ebsde`` build their operator from the
+same one-step rule.
+
+The cloud is a draw from the flow's law at T, not a spread around x0.
+Where the basis cannot hold the value surface, the projection's weights
+decide which error is made, and the growth of Y0 in T follows the law
+the cloud is drawn from. A cloud drawn from where the process spends its
+time keeps that growth near the long-run average. On sine-weak at degree
+3 against the frozen mu* (3000 atoms, dt = 0.02), (Y0(40) - Y0(20)) / 20
+was 1.65 on a Gaussian spread around x0 at the law's scale and 2.13 to
+2.15 on draws from the law (two cloud seeds), against the fixed point's
+lambda = 2.12. When the flow starts at x0's law, its law at T is X_T's
+law; for a constant stationary flow it is the law the ergodic fixed
+point projects on.
+
+Trade-off: every node's surface is fitted on that one cloud, not on the
+law of X_k. A read-out outside the cloud (an early node of a solve that
+starts far from the flow's law at T, or x0 itself there) extrapolates
+the polynomial.
+
+The cloud is factored once. Its centred, standardized design B gets one
 R-only QR; the condition estimate that guards against a degenerate basis
-is read off that raw R, and Q is never formed. The same R gives the
-node's ridge least-squares map P = (R^T R + ridge I)^{-1} B^T, formed once,
-so every fit at the node (the value projection, each Picard z-regression
-and the final value fit) is the single product P y. The ridge of 1e-10
-keeps the smallest eigenvalue of R^T R + ridge I at or above 1e-10.
+is read off that raw R, and Q is never formed. The same R gives the ridge
+least-squares map P = (R^T R + ridge I)^{-1} B^T, formed once, so every
+fit is the single product P y. The ridge of 1e-10 keeps the smallest
+eigenvalue of R^T R + ridge I at or above 1e-10.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.hermite_e import hermegauss
 
 from ergolab.measure import MeasureFlow
-from ergolab.sde import (INIT_DRAW_STEP, CheckpointedPaths, checkpoint_every,
-                         gaussian_increments, simulate_decoupled, _steps_for)
+from ergolab.sde import (INIT_DRAW_STEP, draw_initial, gaussian_increments,
+                         _check_flow_alignment, _steps_for)
 
 __all__ = [
     "BasisDegeneracyError",
@@ -46,6 +73,7 @@ __all__ = [
 
 _RIDGE = 1e-10
 _COND_LIMIT = 1e12
+_MIN_SPREAD = 0.1
 
 
 class BasisDegeneracyError(RuntimeError):
@@ -173,8 +201,8 @@ class RegressionFunction:
 
 @dataclass(frozen=True, eq=False)
 class BsdeSolution:
-    """LSMC solution: scalar readouts at the queried start point plus the
-    full regression surfaces and per-node diagnostics."""
+    """Backward-sweep solution: scalar readouts at the queried start point
+    plus the full regression surfaces and per-node diagnostics."""
 
     y0: float
     z0: np.ndarray
@@ -183,13 +211,10 @@ class BsdeSolution:
     x0: np.ndarray
     dt: float
     seed: int
-    residuals: np.ndarray        # per-node RMS of Y_{k+1} around its projection
-    picard_gaps: np.ndarray      # (M, picard-1) successive iterate distances
-    picard_warning: bool
+    residuals: np.ndarray        # per-node RMS projection residual of Y_k
 
     def report(self) -> dict:
         out = {"y0": self.y0, "dt": self.dt, "seed": self.seed,
-               "picard_warning": int(self.picard_warning),
                "max_residual": float(self.residuals.max(initial=0.0))}
         for j, v in enumerate(np.atleast_1d(self.z0)):
             out[f"z0_{j}"] = float(v)
@@ -197,20 +222,21 @@ class BsdeSolution:
 
 
 class _NodeRegressor:
-    """One node's ridge least-squares map, factored once and reused by
-    every fit at the node.
+    """A cloud's ridge least-squares map, factored once and reused by
+    every fit on that cloud.
 
     The design B (N x nb) is factored by a single R-only QR, B = QR, and
     Q is never formed. The condition estimate max|R_ii| / min|R_ii| is
     read off that raw R, before any ridge: the ridge would mask a
     degenerate basis by flooring every pivot at sqrt(_RIDGE). Since
     B^T B = R^T R, the ridge solution of min |B c - y|^2 + _RIDGE |c|^2 is
-    c = P y with P = (R^T R + _RIDGE I)^{-1} B^T, which is formed once per
-    node (nb x N). The smallest eigenvalue of R^T R + _RIDGE I is at least
+    c = P y with P = (R^T R + _RIDGE I)^{-1} B^T, which is formed once
+    (nb x N). The smallest eigenvalue of R^T R + _RIDGE I is at least
     _RIDGE = 1e-10, so the nb x nb inverse always exists.
     """
 
     def __init__(self, states: np.ndarray, exponents: np.ndarray, node: int):
+        self.exponents = exponents
         self.center = states.mean(axis=0)
         self.scale = np.maximum(states.std(axis=0), 1e-8)
         u = (states - self.center) / self.scale
@@ -231,139 +257,137 @@ class _NodeRegressor:
         return self.basis @ coeffs
 
 
-def _spread_cloud(x0: np.ndarray, flow: MeasureFlow, T: float,
-                  n_particles: int, seed: int) -> np.ndarray:
-    """Regression starts: x0 plus a Gaussian cloud at the scale of the
-    flow's terminal spread (pointwise starts make node-0 regressions
-    singular)."""
-    ref = flow.peek(T).points
-    sd = np.maximum(ref.std(axis=0), 0.1)
-    xi = gaussian_increments(seed, INIT_DRAW_STEP, n_particles, x0.shape[0])
-    return x0 + sd * xi
+def _projection_rmse(reg: _NodeRegressor, fitted: np.ndarray,
+                     target: np.ndarray) -> float:
+    """RMS over the cloud of a target around its projection."""
+    return float(np.linalg.norm(reg.predict(fitted) - target)
+                 / math.sqrt(target.shape[0]))
 
 
-def _checkpointed_cloud(spec, x0: np.ndarray, flow: MeasureFlow, T: float,
-                        dt: float, n_particles: int,
-                        seed: int) -> CheckpointedPaths:
-    """The forward regression cloud from x0's spread law on [0, T], run
-    once and kept as checkpoints every S = ceil(sqrt(M)) of its M steps."""
-    n_steps = _steps_for(T, dt)
-    every = checkpoint_every(n_steps)
-    cloud = _spread_cloud(x0, flow, T, n_particles, seed)
-    bundle = simulate_decoupled(spec, cloud, flow, dt=dt, T=T,
-                                n_particles=n_particles, seed=seed,
-                                record_every=every)
-    return CheckpointedPaths(spec, dt, seed, n_steps, every, bundle.states,
-                             flow=flow)
+class _OneStep:
+    """One Euler step's conditional moments of a degree-q polynomial
+    surface, exact by a Gauss-Hermite rule.
 
-
-def _backward_nodes(bundle_states: np.ndarray | CheckpointedPaths, seed: int,
-                    dt: float):
-    """(k, x_k, dw_k) for k = M, M-1, ..., 0, where dw_k is the Brownian
-    increment that carries node k to node k + 1 (None at k = M)."""
-    if isinstance(bundle_states, CheckpointedPaths):
-        yield bundle_states.n_steps, bundle_states.checkpoints[-1], None
-        for k0, xs, dws in bundle_states.segments():
-            for j in range(len(xs) - 1, -1, -1):
-                yield k0 + j, xs[j], dws[j]
-        return
-    m_plus_1, n, d = bundle_states.shape
-    yield m_plus_1 - 1, bundle_states[-1], None
-    for k in range(m_plus_1 - 2, -1, -1):
-        yield k, bundle_states[k], \
-            gaussian_increments(seed, k, n, d) * math.sqrt(dt)
-
-
-def backward_lsmc(spec, bundle_states: np.ndarray | CheckpointedPaths,
-                  flow: MeasureFlow, dt: float, degree: int, picard: int,
-                  seed: int) -> BsdeSolution:
-    """Backward induction over a simulated forward cloud.
-
-    Y_M is the terminal value at node M. Per node k < M: project Y_{k+1}
-    onto the basis; estimate Z by regressing the control-variate
-    increment (Y_{k+1} - Y_k-candidate) dW / dt; update
-    Y_k = proj + dt f(X_k, mu_k, Z_k), iterating the Z/Y pair ``picard``
-    times. Measure arguments always come from the frozen flow.
-
-    ``bundle_states`` is either the stored (M+1, N, d) cloud, whose node-k
-    increments are redrawn from (seed, k), or a CheckpointedPaths. The
-    latter is swept segment by segment, last first: each segment of
-    S = ceil(sqrt(M)) nodes is replayed from its checkpoint together with
-    the noise blocks its Euler steps drew, so no node redraws its block and
-    about 3 sqrt(M) N d floats are held instead of (M+1) N d: the
-    checkpoints, one segment's states and that segment's noise. Both
-    forms give bit-identical solutions.
+    X_1 = x + b dt + sigma dW with dW ~ N(0, dt I). The tensor rule with
+    ceil((q + 2) / 2) points per dimension integrates every polynomial of
+    degree q + 1 in dW exactly, so for a degree-q surface u both
+    E[u(X_1) | x] and E[u(X_1) dW | x] / dt are exact. The rule depends
+    only on (dim, q, dt) and is built once per solve.
     """
-    m_plus_1, n, d = bundle_states.shape
-    m = m_plus_1 - 1
-    if picard < 1:
-        raise ValueError("picard must be >= 1")
+
+    def __init__(self, dim: int, degree: int, dt: float):
+        nodes, weights = hermegauss(math.ceil((degree + 2) / 2))
+        weights = weights / weights.sum()
+        self.dt = dt
+        self.dw = math.sqrt(dt) * np.array(
+            list(itertools.product(nodes, repeat=dim)))
+        self.w = np.prod(list(itertools.product(weights, repeat=dim)), axis=1)
+        self.wz = self.w[:, None] * self.dw / self.dt
+
+    def design(self, spec, t: float, x: np.ndarray, mu,
+               reg: _NodeRegressor) -> np.ndarray:
+        """reg's basis, in reg's standardized coordinates, at the rule's
+        next states from each x under the coefficients at (t, mu): shape
+        (N * rule points, nb), the rule's points of x_i in rows
+        i * points to (i + 1) * points."""
+        d = x.shape[1]
+        drift = np.broadcast_to(spec.drift(t, x, mu), x.shape)
+        nxt = (x + self.dt * drift)[:, None, :] + np.einsum(
+            "njk,gk->ngj", spec.diffusion_at(x, mu), self.dw)
+        return _design(((nxt - reg.center) / reg.scale).reshape(-1, d),
+                       reg.exponents)
+
+    def moments(self, basis: np.ndarray,
+                coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """E[u_c(X_1) | x] and E[u_c(X_1) dW | x] / dt for the ``design``
+        at x: shapes (N,) and (N, d) for coefficients c of shape (nb,),
+        (N, m) and (N, d, m) for c of shape (nb, m). At c = I these are
+        the matrices A and Z with A[i] @ c = E[u_c(X_1) | x_i] and
+        Z[i] @ c = E[u_c(X_1) dW | x_i] / dt."""
+        values = (basis @ coeffs).reshape(-1, self.w.size, *coeffs.shape[1:])
+        return (np.einsum("g,ng...->n...", self.w, values),
+                np.einsum("gk,ng...->nk...", self.wz, values))
+
+
+def _law_cloud(x0: np.ndarray, flow: MeasureFlow, T: float,
+               n_particles: int, seed: int) -> np.ndarray:
+    """The regression cloud, from the (seed, INIT_DRAW_STEP) block:
+    n_particles draws from the flow's law at T. A law with a spread under
+    0.1 in some coordinate (a point mass, as when the coefficients ignore
+    the measure) would make the design singular; its cloud is x0 plus a
+    Gaussian spread at the law's scale, floored at 0.1."""
+    law = flow.at_time(T)
+    sd = law.points.std(axis=0)
+    if np.all(sd >= _MIN_SPREAD):
+        return draw_initial(law, n_particles, seed)
+    xi = gaussian_increments(seed, INIT_DRAW_STEP, n_particles, x0.shape[0])
+    return x0 + np.maximum(sd, _MIN_SPREAD) * xi
+
+
+def backward_lsmc(spec, cloud: np.ndarray, flow: MeasureFlow, T: float,
+                  dt: float, degree: int):
+    """Backward sweep of the one-step operator on [0, T] over a fixed
+    (N, d) cloud: returns the value surface u, the z-field zeta and the
+    per-node residuals.
+
+    One regression is factored on the cloud and one Gauss-Hermite rule
+    is built. c_M = P g(x, mu_M); per node k < M, with the Euler step's
+    exact moments at (t_k, mu_k) of the surface c_{k+1},
+    y = E[u_{k+1}(X_{k+1}) | x] + dt f(x, mu_k, zm) and
+    zm = E[u_{k+1}(X_{k+1}) dW | x] / dt, and [c_k | zeta_k] = P [y | zm]
+    is one product. ``residuals[k]`` is the RMS over the cloud of node
+    k's value target around its projection. A non-finite surface raises
+    FloatingPointError with its node.
+    """
+    n_steps = _steps_for(T, dt)
+    d = cloud.shape[1]
     exponents = monomial_exponents(d, degree)
-    times = np.arange(m_plus_1) * dt
-
+    reg = _NodeRegressor(cloud, exponents, 0)
+    step = _OneStep(d, degree, dt)
+    times = np.arange(n_steps + 1) * dt
     nb = exponents.shape[0]
-    u_coeffs = np.zeros((m_plus_1, nb, 1))
-    z_coeffs = np.zeros((m_plus_1, nb, d))
-    centers = np.zeros((m_plus_1, d))
-    scales = np.ones((m_plus_1, d))
-    residuals = np.zeros(m_plus_1)
-    gaps = np.zeros((max(m, 1), max(picard - 1, 0)))
-    sqrt_n = math.sqrt(n)
+    coeffs = np.zeros((n_steps + 1, nb, 1 + d))
+    residuals = np.zeros(n_steps + 1)
 
-    for k, x_k, dw in _backward_nodes(bundle_states, seed, dt):
-        reg = _NodeRegressor(x_k, exponents, k)
-        centers[k], scales[k] = reg.center, reg.scale
-        if dw is None:
-            # the last node is read without caching its flow segment
-            y = np.asarray(spec.terminal(x_k, flow.peek(times[k])),
-                           dtype=float)[:, None]
+    for k in range(n_steps, -1, -1):
+        mu = flow.at_time(times[k])
+        if k == n_steps:
+            target = np.asarray(spec.terminal(cloud, mu), dtype=float)[:, None]
         else:
-            mu_k = flow.at_time(times[k])
-            e_val = reg.predict(reg.fit(y))
-            residuals[k] = np.linalg.norm(y - e_val) / sqrt_n
-            y_cand = e_val
-            for j in range(picard):
-                zc = reg.fit((y - y_cand) * dw / dt)
-                f_val = np.empty((n, 1))
-                f_val[:, 0] = spec.driver(x_k, mu_k, reg.predict(zc))
-                y_new = e_val + dt * f_val
-                if j > 0:
-                    gaps[k, j - 1] = np.linalg.norm(y_new - y_cand) / sqrt_n
-                y_cand = y_new
-            y = y_cand
-            z_coeffs[k] = zc
-        u_coeffs[k] = reg.fit(y)
+            e_val, z_val = step.moments(
+                step.design(spec, times[k], cloud, mu, reg),
+                coeffs[k + 1, :, 0])
+            y = e_val + dt * np.asarray(spec.driver(cloud, mu, z_val),
+                                        dtype=float)
+            target = np.column_stack([y, z_val])
+        fitted = reg.fit(target)
+        if not np.isfinite(fitted.sum()):
+            raise FloatingPointError(
+                f"backward sweep: non-finite surface at node {k} "
+                f"(t = {times[k]:.6g})")
+        coeffs[k, :, :fitted.shape[1]] = fitted
+        residuals[k] = _projection_rmse(reg, fitted[:, 0], target[:, 0])
 
-    u = RegressionFunction(times=times, coeffs=u_coeffs, exponents=exponents,
-                           centers=centers, scales=scales)
-    zeta = RegressionFunction(times=times, coeffs=z_coeffs,
+    centers = np.tile(reg.center, (n_steps + 1, 1))
+    scales = np.tile(reg.scale, (n_steps + 1, 1))
+    u = RegressionFunction(times=times, coeffs=coeffs[:, :, :1],
+                           exponents=exponents, centers=centers,
+                           scales=scales)
+    zeta = RegressionFunction(times=times, coeffs=coeffs[:, :, 1:],
                               exponents=exponents, centers=centers,
                               scales=scales)
-    # a Picard gap that grows from one iterate to the next
-    diverges = picard > 2 and bool(
-        np.any(gaps[:, 1:] > 1.1 * gaps[:, :-1] + 1e-14))
-    return BsdeSolution(
-        y0=math.nan, z0=np.full(d, math.nan), u=u, zeta=zeta,
-        x0=np.zeros(d), dt=dt, seed=seed, residuals=residuals,
-        picard_gaps=gaps, picard_warning=diverges)
-
-
-def _with_readout(sol: BsdeSolution, x0: np.ndarray) -> BsdeSolution:
-    y0 = float(sol.u.eval_node(0, x0)[0])
-    z0 = np.atleast_2d(sol.zeta.eval_node(0, x0))[0]
-    return BsdeSolution(y0=y0, z0=z0, u=sol.u, zeta=sol.zeta, x0=x0,
-                        dt=sol.dt, seed=sol.seed, residuals=sol.residuals,
-                        picard_gaps=sol.picard_gaps,
-                        picard_warning=sol.picard_warning)
+    return u, zeta, residuals
 
 
 def solve_finite_bsde(spec, flow: MeasureFlow, x0, T: float, dt: float,
                       n_particles: int, degree: int | None = None,
-                      picard: int = 3, seed: int = 0) -> BsdeSolution:
+                      seed: int = 0) -> BsdeSolution:
     """Solve the decoupled BSDE on [0, T] and read (Y0, Z0) at x0.
 
-    The forward regression cloud starts from a spread law centered at x0;
-    Y0 and Z0 come from the node-0 regressions evaluated at x0 itself.
+    The regression cloud is ``_law_cloud``'s draw from the flow's law at
+    T, from the (seed, INIT_DRAW_STEP) block, and ``backward_lsmc``
+    sweeps it; Y0 and Z0 are node 0's surfaces evaluated at x0 itself.
+    The flow must cover [0, T] on a grid of whole steps.
     """
     c = spec.constants
     if degree is None:
@@ -375,9 +399,17 @@ def solve_finite_bsde(spec, flow: MeasureFlow, x0, T: float, dt: float,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != spec.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, model wants {spec.dim}")
-    paths = _checkpointed_cloud(spec, x0, flow, T, dt, n_particles, seed)
-    sol = backward_lsmc(spec, paths, flow, dt, degree, picard, seed)
-    return _with_readout(sol, x0)
+    if not flow.covers(0.0, T):
+        raise ValueError(
+            f"flow covers [{flow.t0:.6g}, {flow.t1:.6g}] but the solve needs "
+            f"[0, {T:.6g}]")
+    _check_flow_alignment(flow, dt)
+    cloud = _law_cloud(x0, flow, T, n_particles, seed)
+    u, zeta, residuals = backward_lsmc(spec, cloud, flow, T, dt, degree)
+    return BsdeSolution(y0=float(u.eval_node(0, x0)[0]),
+                        z0=np.atleast_2d(zeta.eval_node(0, x0))[0], u=u,
+                        zeta=zeta, x0=x0, dt=dt, seed=seed,
+                        residuals=residuals)
 
 
 def z_from_gradient(sol: BsdeSolution, spec, flow: MeasureFlow, t: float,

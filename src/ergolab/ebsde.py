@@ -6,9 +6,11 @@ frozen stationary law mu*, which both routes simulate the same way.
 Gaussian with mean x + b dt and covariance sigma sigma^T dt, so for a
 value surface that is a polynomial of degree q, both E[u(X_1) | x] and
 E[u(X_1) dW | x] / dt are exact under a tensor Gauss-Hermite rule with
-ceil((q + 2) / 2) points per dimension. On mu*'s atoms they are two
-fixed matrices, built once, and one ridge projection, factored once,
-maps the next node's coefficients to the current node's. Iterating that
+ceil((q + 2) / 2) points per dimension (``bsde._OneStep``, the rule the
+finite-horizon sweep also uses). On mu*'s atoms they are two fixed
+matrices, built once, and one ridge projection, factored once, maps the
+next node's coefficients to the current node's; the gradient z-field is
+projected by the same regression. Iterating that
 undiscounted, zero-terminal map and recentring at the anchor after each
 step (relative value iteration) converges to u_bar; the anchor's
 increment per step is lambda dt. That lambda is the Euler chain's own
@@ -31,17 +33,15 @@ interacting particle system.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-from numpy.polynomial.hermite_e import hermegauss
 
-from ergolab.bsde import (RegressionFunction, _NodeRegressor, _design,
-                          monomial_exponents)
+from ergolab.bsde import (RegressionFunction, _NodeRegressor, _OneStep,
+                          _design, _projection_rmse, monomial_exponents)
 from ergolab.measure import EmpiricalMeasure, invariant_measure
 from ergolab.sde import derive_seed, iter_mv, _steps_for
 
@@ -160,11 +160,11 @@ def discount_horizon(alpha: float, c_hat: float, dt: float,
 
 
 def _discounted_solves(spec, mu_star: EmpiricalMeasure,
-                       alphas: Sequence[float], dt: float,
-                       degree: int | None,
+                       alphas: Sequence[float], dt: float, operator,
                        anchor) -> tuple[AlphaSolution, ...]:
     """Solve the discounted equation for every alpha against the frozen
-    law on the one-step operator over mu*'s atoms.
+    law on ``operator``, the one-step operator over mu*'s atoms that
+    ``_one_step_operator`` builds.
 
     Each discount iterates c <- P(A c + dt f(x, mu*, Z c)) / (1 + alpha dt)
     from zero for the steps of its own truncation horizon; with a
@@ -174,17 +174,17 @@ def _discounted_solves(spec, mu_star: EmpiricalMeasure,
     anchor = _anchor_point(spec, anchor)
     c_hat = driver_growth_constant(spec, mu_star)
     x = mu_star.points
-    exponents, reg, a, z = _one_step_operator(spec, mu_star, degree, dt)
+    reg, a, z = operator
     out = []
     for alpha in alphas:
         t_alpha = discount_horizon(alpha, c_hat, dt)
-        coeffs = np.zeros(exponents.shape[0])
+        coeffs = np.zeros(a.shape[1])
         for _ in range(_steps_for(t_alpha, dt)):
             target = a @ coeffs + dt * np.asarray(
                 spec.driver(x, mu_star, z @ coeffs), dtype=float)
             fitted = reg.fit(target)[:, 0]
             coeffs = fitted / (1.0 + alpha * dt)
-        u = _surface(coeffs, exponents, reg)
+        u = _surface(coeffs, reg)
         anchor_value = float(u.eval_node(0, anchor)[0])
         growth = alpha * float(np.max(np.abs(u.eval_node(0, x))))
         out.append(AlphaSolution(
@@ -197,19 +197,16 @@ def _discounted_solves(spec, mu_star: EmpiricalMeasure,
     return tuple(out)
 
 
-def _gradient_z(spec, u: RegressionFunction,
-                mu_star: EmpiricalMeasure) -> RegressionFunction:
-    """The z-field grad u(x) sigma(x, mu*) of u's first node, projected on
-    u's basis over mu*'s atoms. With a constant diffusion grad u lies in
-    the basis, so the projection reproduces it up to the ridge."""
+def _gradient_z(spec, u: RegressionFunction, mu_star: EmpiricalMeasure,
+                reg: _NodeRegressor) -> RegressionFunction:
+    """The z-field grad u(x) sigma(x, mu*) of u's first node, projected by
+    the operator's regression ``reg`` on mu*'s atoms. With a constant
+    diffusion grad u lies in the basis, so the projection reproduces it up
+    to the ridge."""
     x = mu_star.points
     z = np.einsum("nj,njk->nk", u.gradient(u.times[0], x),
                   spec.diffusion_at(x, mu_star))
-    reg = _NodeRegressor(x, u.exponents, 0)
-    return RegressionFunction(
-        times=u.times[:1].copy(), coeffs=reg.fit(z)[None],
-        exponents=u.exponents, centers=reg.center[None],
-        scales=reg.scale[None])
+    return _surface(reg.fit(z), reg)
 
 
 def _stationary_law(spec, n_particles: int, dt: float, seed: int,
@@ -230,61 +227,31 @@ def _anchor_point(spec, anchor) -> np.ndarray:
             else np.asarray(anchor, dtype=float).reshape(-1))
 
 
-def _expectation_matrices(spec, mu_star: EmpiricalMeasure,
-                          reg: _NodeRegressor, exponents: np.ndarray,
-                          dt: float) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler step's conditional moments of the basis on mu*'s atoms.
-
-    Returns (a, z) with a[i] @ c = E[u_c(X_1) | X_0 = x_i] and
-    z[i] @ c = E[u_c(X_1) dW | X_0 = x_i] / dt, shapes (N, nb) and
-    (N, d, nb), for u_c the polynomial with coefficients c in reg's
-    standardized coordinates. X_1 = x + b dt + sigma dW with dW ~ N(0, dt I)
-    and the coefficients read at t = 0. The tensor Gauss-Hermite rule with
-    ceil((q + 2) / 2) points per dimension integrates every polynomial of
-    degree q + 1 in dW exactly, so both are exact for a degree-q basis.
-    """
-    x = mu_star.points
-    n, d = x.shape
-    degree = int(exponents.sum(axis=1).max())
-    nodes, weights = hermegauss(math.ceil((degree + 2) / 2))
-    weights = weights / weights.sum()
-    dw = math.sqrt(dt) * np.array(list(itertools.product(nodes, repeat=d)))
-    w = np.prod(list(itertools.product(weights, repeat=d)), axis=1)
-    drift = np.broadcast_to(spec.drift(0.0, x, mu_star), x.shape)
-    nxt = (x + dt * drift)[:, None, :] + np.einsum(
-        "njk,gk->ngj", spec.diffusion_at(x, mu_star), dw)
-    basis = _design(((nxt - reg.center) / reg.scale).reshape(-1, d),
-                    exponents).reshape(n, w.size, -1)
-    return (np.einsum("g,ngb->nb", w, basis),
-            np.einsum("gk,ngb->nkb", w[:, None] * dw / dt, basis))
-
-
 def _one_step_operator(spec, mu_star: EmpiricalMeasure,
                        degree: int | None, dt: float):
     """The basis on mu*'s atoms (degree max(q + 1, 3) by default), its one
-    factored regression, and the one-step matrices A and Z of
-    ``_expectation_matrices``: (exponents, regressor, A, Z)."""
+    factored regression, and the one-step matrices A (N, nb) and Z
+    (N, d, nb) with A[i] @ c = E[u_c(X_1) | x_i] and
+    Z[i] @ c = E[u_c(X_1) dW | x_i] / dt, the coefficients read at t = 0:
+    (regressor, A, Z)."""
     if degree is None:
         degree = max(int(spec.constants.q) + 1, 3)
-    exponents = monomial_exponents(spec.dim, degree)
-    reg = _NodeRegressor(mu_star.points, exponents, 0)
-    a, z = _expectation_matrices(spec, mu_star, reg, exponents, dt)
-    return exponents, reg, a, z
+    reg = _NodeRegressor(mu_star.points,
+                         monomial_exponents(spec.dim, degree), 0)
+    step = _OneStep(spec.dim, degree, dt)
+    a, z = step.moments(step.design(spec, 0.0, mu_star.points, mu_star, reg),
+                        np.eye(reg.exponents.shape[0]))
+    return reg, a, z
 
 
-def _surface(coeffs: np.ndarray, exponents: np.ndarray,
-             reg: _NodeRegressor) -> RegressionFunction:
-    """The single-node surface with coefficients c in reg's coordinates."""
-    return RegressionFunction(times=np.zeros(1), coeffs=coeffs[None, :, None],
-                              exponents=exponents, centers=reg.center[None],
+def _surface(coeffs: np.ndarray, reg: _NodeRegressor) -> RegressionFunction:
+    """The single-node surface with coefficients ``coeffs`` in reg's
+    coordinates: shape (nb,) for a value, (nb, m) for an m-vector field."""
+    block = coeffs.reshape(coeffs.shape[0], -1)
+    return RegressionFunction(times=np.zeros(1), coeffs=block[None],
+                              exponents=reg.exponents,
+                              centers=reg.center[None],
                               scales=reg.scale[None])
-
-
-def _projection_rmse(reg: _NodeRegressor, fitted: np.ndarray,
-                     target: np.ndarray) -> float:
-    """RMS over the atoms of a target around its projection."""
-    return float(np.linalg.norm(reg.predict(fitted) - target)
-                 / math.sqrt(target.shape[0]))
 
 
 def extract_ergodic(spec, n_particles: int, dt: float,
@@ -295,7 +262,7 @@ def extract_ergodic(spec, n_particles: int, dt: float,
 
     The stationary law is simulated as in ``extract_ergodic_vanishing``
     (bit for bit), and one regression is factored on its atoms. With the
-    one-step expectation matrices A and Z of ``_expectation_matrices``
+    one-step expectation matrices A and Z of ``_one_step_operator``
     and the projection P, the coefficients iterate
     c <- P (A c + dt f(x, mu*, Z c)), recentred after each step so the
     surface is zero at the anchor (origin by default); lambda is the
@@ -314,13 +281,13 @@ def extract_ergodic(spec, n_particles: int, dt: float,
     mu_star = inv.measure
     x = mu_star.points
     anchor = _anchor_point(spec, anchor)
-    exponents, reg, a, z = _one_step_operator(spec, mu_star, degree, dt)
+    reg, a, z = _one_step_operator(spec, mu_star, degree, dt)
     at_anchor = _design(((anchor - reg.center) / reg.scale)[None],
-                        exponents)[0]
+                        reg.exponents)[0]
     max_steps = _steps_for(discount_horizon(
         _CAP_DISCOUNT, driver_growth_constant(spec, mu_star), dt), dt)
 
-    coeffs = np.zeros(exponents.shape[0])
+    coeffs = np.zeros(a.shape[1])
     for _ in range(max_steps):
         target = a @ coeffs + dt * np.asarray(
             spec.driver(x, mu_star, z @ coeffs), dtype=float)
@@ -340,10 +307,10 @@ def extract_ergodic(spec, n_particles: int, dt: float,
             f"last coefficient change {change:.3g}", RuntimeWarning,
             stacklevel=2)
 
-    u = _surface(coeffs, exponents, reg)
+    u = _surface(coeffs, reg)
     u_bar = dataclasses.replace(u, offset=float(u.eval_node(0, anchor)[0]))
     return ErgodicSolution(lambda_=rise / dt, u_bar=u_bar,
-                           zeta_bar=_gradient_z(spec, u_bar, mu_star),
+                           zeta_bar=_gradient_z(spec, u_bar, mu_star, reg),
                            mu_star=mu_star, trace=(),
                            fit_rmse=_projection_rmse(reg, fitted, target),
                            stable=stable, mu_star_w2=inv.diagnostic_w2,
@@ -376,7 +343,8 @@ def extract_ergodic_vanishing(spec, n_particles: int, dt: float,
     alphas = tuple(sorted(alphas, reverse=True))
     inv = _stationary_law(spec, n_particles, dt, seed, t_burn)
     mu_star = inv.measure
-    trace = _discounted_solves(spec, mu_star, alphas, dt, degree, anchor)
+    operator = _one_step_operator(spec, mu_star, degree, dt)
+    trace = _discounted_solves(spec, mu_star, alphas, dt, operator, anchor)
 
     cand = np.array([t.lambda_candidate for t in trace])
     avec = np.array([t.alpha for t in trace])
@@ -402,7 +370,7 @@ def extract_ergodic_vanishing(spec, n_particles: int, dt: float,
 
     best = trace[-1]
     u_bar = dataclasses.replace(best.u, offset=best.anchor_value)
-    zeta_bar = _gradient_z(spec, best.u, mu_star)
+    zeta_bar = _gradient_z(spec, best.u, mu_star, operator[0])
     return ErgodicSolution(lambda_=lam, u_bar=u_bar, zeta_bar=zeta_bar,
                            mu_star=mu_star, trace=trace,
                            fit_rmse=rmse, stable=stable,

@@ -6,23 +6,35 @@ average (inverse-time residual), the centered value against the
 stationary value function (exponential residual with an offset), and the
 z-readout against the stationary z-field (exponential decay to zero).
 
-All horizon solves share one seed, so Monte Carlo noise is common random
-numbers across the grid; orderings between horizons are then far more
-stable than under independent runs. Each exponential fit carries a noise
-floor from re-solving the largest horizon under three fresh seeds.
-Residuals below twice that floor are not trusted by the log-linear pass;
-when too few points clear it, or the pass fits poorly, the offset is
-freed and the raw series is refit nonlinearly, with the decay then pinned
-by the points that do carry signal. A fit with no signal anywhere reports
-the rate as indeterminate instead of fitting noise.
+An experiment draws two things: the forward law, an interacting-particle
+run from theta on child seed 7 (none when the stationary law is held
+constant), and the regression cloud of every horizon solve, on child
+seed 3, a draw from the forward law at that horizon. Each solve sweeps
+the exact one-step operator backwards over its fixed cloud
+(``ergolab.bsde``), so all Monte Carlo noise enters through these draws,
+and it is common across the grid; orderings between horizons are then
+far more stable than under independent runs.
+
+Each exponential fit carries a noise floor: the spread of the largest
+horizon's readout over three re-runs of everything the experiment draws,
+at fresh seeds. The sweep is exact where the basis holds the value
+surface, so on OU that floor sits at round-off (1e-14 to 1e-12). Where
+it does not, the truncation error depends on the cloud the projection is
+weighted by, and re-drawing the cloud carries it into the floor: on
+sine-weak at degree 3 the ``ltb2`` floor reads 0.07 to 0.20 and the
+``ltb3`` floor 0.02 to 0.04 (seeds 7 and 42, 5000 particles). Residuals
+below twice the floor are not trusted by the log-linear pass; when too
+few points clear it, or the pass fits poorly, the offset is freed and
+the raw series is refit nonlinearly, with the decay then pinned by the
+points that do carry signal. A fit with no signal anywhere reports the
+rate as indeterminate instead of fitting noise.
 
 A forward law started from theta is one interacting-particle run to the
 largest horizon, held as a ``CheckpointedFlow``: its states every
 S = ceil(sqrt(M)) nodes, not the (M+1, N, d) record. Each horizon solve
-reads it twice, first to last in the forward pass and last to first in
-the backward sweep, and each read replays the segments it needs from
-their checkpoints. That costs about two extra interacting Euler steps per
-node of every horizon, and keeps memory at O(sqrt(M) N d).
+reads it once, last node to first, and that read replays each segment it
+needs once from its checkpoint. That costs about one extra interacting
+Euler step per node of every horizon, and keeps memory at O(sqrt(M) N d).
 """
 
 from __future__ import annotations
@@ -122,9 +134,12 @@ def _refit_free_offset(t: np.ndarray, values: np.ndarray, floor: float,
                        p0: tuple[float, float, float],
                        note: str) -> DecayFit | None:
     """Nonlinear ell + c exp(-rate T) fit on the raw series. Returns None
-    when the optimizer fails, when it cannot estimate the covariance, or
-    when the fitted decay never clears the floor (a rate fitted to pure
-    noise is worthless)."""
+    on fewer than three points (three parameters), when the optimizer
+    fails, when it cannot estimate the covariance, or when the fitted
+    decay never clears the floor (a rate fitted to pure noise is
+    worthless)."""
+    if len(t) < 3:
+        return None
 
     def law(tt, ell_f, c_f, rate_f):
         return ell_f + c_f * np.exp(-rate_f * tt)
@@ -245,21 +260,34 @@ def _theta_flow(spec, theta: EmpiricalMeasure | None,
                                   n_particles=n_particles, seed=seed)
 
 
-def _horizon_solves(spec, flow: MeasureFlow, x0, t_grid, dt, n_particles,
-                    degree, solve_seed) -> list[BsdeSolution]:
-    return [solve_finite_bsde(spec, flow, x0, T=float(T), dt=dt,
-                              n_particles=n_particles, degree=degree,
-                              seed=solve_seed)
-            for T in t_grid]
+def _horizon_run(spec, theta: EmpiricalMeasure | None,
+                 mu_star: EmpiricalMeasure | None, x0, t_grid, dt,
+                 n_particles, degree,
+                 seed) -> tuple[MeasureFlow | CheckpointedFlow,
+                                list[BsdeSolution]]:
+    """Everything an experiment draws at ``seed``: the forward law on
+    child seed 7 and one solve per horizon, each on the cloud of child
+    seed 3."""
+    flow = _theta_flow(spec, theta, mu_star, float(t_grid[-1]), dt,
+                       n_particles, derive_seed(seed, 7))
+    return flow, [solve_finite_bsde(spec, flow, x0, T=float(T), dt=dt,
+                                    n_particles=n_particles, degree=degree,
+                                    seed=derive_seed(seed, 3))
+                  for T in t_grid]
 
 
-def _noise_floor(spec, flow, x0, t_max, dt, n_particles, degree, seed,
-                 readout) -> float:
-    """Spread of the largest-horizon readout under three fresh seeds."""
-    vals = [readout(solve_finite_bsde(spec, flow, x0, T=t_max, dt=dt,
-                                      n_particles=n_particles, degree=degree,
-                                      seed=derive_seed(seed, 900 + j)))
-            for j in range(3)]
+def _noise_floor(spec, theta, mu_star, x0, t_max, dt, n_particles, degree,
+                 seed, readout) -> float:
+    """Spread of the largest-horizon readout(solution, flow) over three
+    re-runs of ``_horizon_run`` at fresh seeds: a fresh cloud, and a
+    fresh flow when it starts from theta. It holds the cloud's share of
+    the truncation error as well as the sampling noise."""
+    vals = []
+    for j in range(3):
+        flow, (sol,) = _horizon_run(spec, theta, mu_star, x0, [t_max], dt,
+                                    n_particles, degree,
+                                    derive_seed(seed, 900 + j))
+        vals.append(readout(sol, flow))
     return float(np.std(vals, ddof=1))
 
 
@@ -276,10 +304,8 @@ def ltb1_experiment(spec, lam: float, t_grid=(5.0, 10.0, 20.0), x0=0.0,
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if theta is None:
         theta = EmpiricalMeasure.dirac(np.zeros(spec.dim))
-    flow = _theta_flow(spec, theta, None, float(t_grid[-1]), dt, n_particles,
-                       derive_seed(seed, 7))
-    sols = _horizon_solves(spec, flow, x0, t_grid, dt, n_particles, degree,
-                           derive_seed(seed, 3))
+    _, sols = _horizon_run(spec, theta, None, x0, t_grid, dt, n_particles,
+                           degree, seed)
     y0 = np.array([s.y0 for s in sols])
     resid = np.abs(y0 / t_grid - lam)
     return _fit_inverse_time(t_grid, resid)
@@ -301,15 +327,14 @@ def ltb2_experiment(spec, erg: ErgodicSolution, lam: float | None = None,
         lam = erg.lambda_
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     x0v = np.asarray(x0, dtype=float).reshape(-1)
-    flow = _theta_flow(spec, theta, erg.mu_star, float(t_grid[-1]), dt,
-                       n_particles, derive_seed(seed, 7))
-    sols = _horizon_solves(spec, flow, x0v, t_grid, dt, n_particles, degree,
-                           derive_seed(seed, 3))
+    _, sols = _horizon_run(spec, theta, erg.mu_star, x0v, t_grid, dt,
+                           n_particles, degree, seed)
     ubar_x0 = float(erg.u_bar(0.0, x0v)[0])
     y0 = np.array([s.y0 for s in sols])
     v = y0 - lam * t_grid - ubar_x0
-    floor = _noise_floor(spec, flow, x0v, float(t_grid[-1]), dt, n_particles,
-                         degree, seed, readout=lambda s: s.y0)
+    floor = _noise_floor(spec, theta, erg.mu_star, x0v, float(t_grid[-1]),
+                         dt, n_particles, degree, seed,
+                         readout=lambda s, _flow: s.y0)
     return _fit_exponential(t_grid, v, floor, ell=float(v[-1]),
                             anchored=v[:-1] - v[-1], anchored_t=t_grid[:-1])
 
@@ -323,21 +348,19 @@ def ltb3_experiment(spec, erg: ErgodicSolution, t_grid=(1.0, 2.0, 3.0, 4.0),
     c exp(-rate T)."""
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     x0v = np.asarray(x0, dtype=float).reshape(-1)
-    flow = _theta_flow(spec, theta, erg.mu_star, float(t_grid[-1]), dt,
-                       n_particles, derive_seed(seed, 7))
-    sols = _horizon_solves(spec, flow, x0v, t_grid, dt, n_particles, degree,
-                           derive_seed(seed, 3))
+    flow, sols = _horizon_run(spec, theta, erg.mu_star, x0v, t_grid, dt,
+                              n_particles, degree, seed)
 
     mu0 = flow.at_time(0.0)
     sig = spec.diffusion_at(x0v[None, :], mu0)
     grad_bar = erg.u_bar.gradient(0.0, x0v)
     z_bar = np.einsum("nj,njk->nk", grad_bar, sig)[0]
 
-    def z_readout(s):
+    def z_readout(s, s_flow):
         return float(np.linalg.norm(
-            z_from_gradient(s, spec, flow, 0.0, x0v)[0] - z_bar))
+            z_from_gradient(s, spec, s_flow, 0.0, x0v)[0] - z_bar))
 
-    gap = np.array([z_readout(s) for s in sols])
-    floor = _noise_floor(spec, flow, x0v, float(t_grid[-1]), dt, n_particles,
-                         degree, seed, readout=z_readout)
+    gap = np.array([z_readout(s, flow) for s in sols])
+    floor = _noise_floor(spec, theta, erg.mu_star, x0v, float(t_grid[-1]),
+                         dt, n_particles, degree, seed, readout=z_readout)
     return _fit_exponential(t_grid, gap, floor, ell=0.0)

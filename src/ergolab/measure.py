@@ -166,11 +166,6 @@ class FlowGrid:
     def covers(self, t0: float, t1: float, slack: float = 1e-9) -> bool:
         return self.times[0] <= t0 + slack and t1 <= self.times[-1] + slack
 
-    def peek(self, t: float) -> "EmpiricalMeasure":
-        """A one-off read: ``at_time(t)``, except that a flow that caches
-        replayed segments serves it without evicting any."""
-        return self.at_time(t)
-
 
 @dataclass(frozen=True)
 class MeasureFlow(FlowGrid):

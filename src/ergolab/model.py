@@ -483,7 +483,7 @@ RUN_DEFAULTS = {
     "coupling": {"dt": 0.005, "horizon": 10.0, "particles": 1000,
                  "paths": 1000, "x0": 0.0, "gap": 4.0, "delta": None},
     "bsde": {"dt": 0.01, "horizon": 1.0, "particles": 5000, "x0": 0.0,
-             "degree": None, "picard": 3},
+             "degree": None},
     "ebsde": {"dt": 0.02, "particles": 3000, "degree": None,
               "alphas": (0.4, 0.2, 0.1, 0.05), "t_burn": None,
               "t_long": None},

@@ -9,17 +9,17 @@ particle. Any consumer can regenerate any step's increments without
 storing them, and results are independent of how particles are scheduled
 across threads.
 
-Stepping is resumable: ``iter_mv`` and ``iter_decoupled`` take the global
-step ``start`` of the state they resume from, and a run resumed from its
-step-g state repeats the unsplit run bit for bit. ``simulate_mv`` and
+The interacting system is resumable: ``iter_mv`` takes the global step
+``start`` of the state it resumes from, and a run resumed from its step-g
+state repeats the unsplit run bit for bit. ``simulate_mv`` and
 ``simulate_decoupled`` keep every ``record_every``-th node of a run; at
 ``record_every = 1`` that is the whole (M+1, N, d) record.
-``CheckpointedPaths`` and ``CheckpointedFlow`` keep only the states every
-S = ceil(sqrt(M)) nodes and replay one segment at a time from its
+``CheckpointedFlow`` keeps only the interacting flow's states every
+S = ceil(sqrt(M)) nodes and replays one segment at a time from its
 checkpoint when it is read (the checkpoint-and-replay scheme of Griewank
-and Walther, ACM TOMS 2000), so they hold O(sqrt(M) N d) floats and
-hand back the first pass's bits. Each Euler step checks its new states
-for finiteness once and builds its measure from the checked copy.
+and Walther, ACM TOMS 2000), so it holds O(sqrt(M) N d) floats and hands
+back the first pass's bits. Each Euler step checks its new states for
+finiteness once and builds its measure from the checked copy.
 """
 
 from __future__ import annotations
@@ -149,89 +149,8 @@ class PathBundle:
         return EmpiricalMeasure(self.states_at(t))
 
 
-def checkpoint_every(n_steps: int) -> int:
-    """The checkpoint spacing S = ceil(sqrt(M)) of an M-step run, which
-    keeps checkpoints plus one segment at O(sqrt(M)) states."""
-    return math.isqrt(n_steps - 1) + 1
-
-
 @dataclass(frozen=True, eq=False)
-class _Checkpointed:
-    """An Euler run on nodes 0..M held as its checkpoints: the states at
-    every ``every``-th node and at node M, as ``_record`` records them. A
-    segment is replayed by resuming the run's iterator from its checkpoint
-    at its global step, so the replayed states and noise blocks are the
-    first pass's bit for bit."""
-
-    spec: object
-    dt: float
-    seed: int
-    n_steps: int
-    every: int
-    checkpoints: np.ndarray  # (ceil(M / every) + 1, N, d)
-
-    def _steps(self, states: np.ndarray, n_steps: int, start: int):
-        raise NotImplementedError
-
-    def _span(self, i: int) -> tuple[int, int]:
-        """(g0, length) of segment i = [g0, g0 + length), which runs from
-        checkpoint i to checkpoint i + 1."""
-        g0 = i * self.every
-        return g0, min(self.every, self.n_steps - g0)
-
-    def _resume(self, i: int, n_steps: int):
-        """The run's Euler iterator resumed from checkpoint i at its global
-        step, for n_steps steps."""
-        return self._steps(self.checkpoints[i], n_steps, i * self.every)
-
-
-@dataclass(frozen=True, eq=False)
-class CheckpointedPaths(_Checkpointed):
-    """A decoupled forward cloud on nodes 0..M, run from time 0 against
-    ``flow``, as checkpoints: the states that
-    ``simulate_decoupled(..., record_every=every)`` records.
-
-    ``segments`` hands the cloud back one segment at a time, last first,
-    so only the checkpoints plus one segment are ever held. ``shape`` is
-    that of the full (M+1, N, d) state array it stands in for; ``nbytes``
-    counts what is held while a segment is out: the checkpoints plus one
-    segment's states and noise blocks.
-    """
-
-    flow: MeasureFlow | CheckpointedFlow = None
-
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.n_steps + 1, *self.checkpoints.shape[1:])
-
-    @property
-    def nbytes(self) -> int:
-        segment = self.every * self.checkpoints[0].nbytes
-        return self.checkpoints.nbytes + 2 * segment
-
-    def _steps(self, states, n_steps, start):
-        return iter_decoupled(self.spec, states, self.flow, self.dt, n_steps,
-                              self.seed, start=start)
-
-    def segments(self) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """(g0, states, dw) per segment [g0, g1), last segment first:
-        ``states[j]`` is node g0 + j and ``dw[j]`` the Brownian increment
-        sqrt(dt) * (seed, g0 + j) block that carries it to the next node.
-        Both arrays are reused for the next segment."""
-        n, d = self.checkpoints.shape[1:]
-        xs, dws = np.empty((self.every, n, d)), np.empty((self.every, n, d))
-        for i in range(len(self.checkpoints) - 2, -1, -1):
-            g0, length = self._span(i)
-            for j, _t, x, dw in self._resume(i, length):
-                if j < length:
-                    xs[j] = x
-                if j > 0:
-                    dws[j - 1] = dw
-            yield g0, xs[:length], dws[:length]
-
-
-@dataclass(frozen=True, eq=False)
-class CheckpointedFlow(_Checkpointed, FlowGrid):
+class CheckpointedFlow(FlowGrid):
     """The interacting-particle flow mu_t on nodes 0..M, run from time 0,
     with ``MeasureFlow``'s reads (``times``, ``t0``, ``t1``, ``terminal``,
     ``covers``, ``at_time`` with the same node rule) but without its
@@ -246,15 +165,20 @@ class CheckpointedFlow(_Checkpointed, FlowGrid):
     gives the first pass's measures bit for bit; the segment then enters
     the cache in place of the least recently read one. So a sweep that
     reads the flow in order, forwards or backwards, replays each segment
-    once and holds about (M / S + 2 S) N d floats. ``peek`` reads one node
-    without caching its segment, for one-off reads between sweeps.
+    once and holds about (M / S + 2 S) N d floats.
 
     Each replayed node is its own ``EmpiricalMeasure`` copy and no buffer
     is reused, so a measure a caller still holds stays valid after its
     segment leaves the cache. Reads from several threads are serialised.
     """
 
-    times: np.ndarray = None
+    spec: object
+    dt: float
+    seed: int
+    n_steps: int
+    every: int
+    checkpoints: np.ndarray  # (ceil(M / every) + 1, N, d)
+    times: np.ndarray
     _nodes: tuple = field(default=(), repr=False)
     _cache: OrderedDict = field(default_factory=OrderedDict, repr=False)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
@@ -267,23 +191,19 @@ class CheckpointedFlow(_Checkpointed, FlowGrid):
         """Run ``simulate_mv(spec, theta, dt, T, n_particles, seed)`` once,
         keeping the checkpoints only."""
         n_steps = _steps_for(T, dt)
-        every = checkpoint_every(n_steps)
+        every = math.isqrt(n_steps - 1) + 1  # ceil(sqrt(M))
         res = simulate_mv(spec, theta, dt=dt, T=T, n_particles=n_particles,
                           seed=seed, record_every=every)
         # node k + 1 sits at k dt + dt, as iter_mv times it
         times = np.concatenate([[0.0], np.arange(n_steps) * dt + dt])
-        return cls(spec, dt, seed, n_steps, every, res.bundle.states,
-                   times=times, _nodes=res.flow.measures)
+        return cls(spec, dt, seed, n_steps, every, res.bundle.states, times,
+                   _nodes=res.flow.measures)
 
     @property
     def terminal(self) -> EmpiricalMeasure:
         return self._nodes[-1]
 
-    def _steps(self, states, n_steps, start):
-        return iter_mv(self.spec, states, self.dt, n_steps, self.seed,
-                       start=start)
-
-    def _read(self, t: float, keep: bool) -> EmpiricalMeasure:
+    def at_time(self, t: float) -> EmpiricalMeasure:
         k = self.node_index(t)
         if k == self.n_steps:
             return self._nodes[-1]
@@ -293,27 +213,18 @@ class CheckpointedFlow(_Checkpointed, FlowGrid):
         with self._lock:
             seg = self._cache.get(i)
             if seg is not None:
-                if keep:
-                    self._cache.move_to_end(i)
+                self._cache.move_to_end(i)
                 return seg[j]
-            if not keep:
-                for *_, mu in self._resume(i, j):
-                    pass
-                return mu
-            # the step into the next checkpoint is never taken
-            seg = [mu for *_, mu in self._resume(i, self._span(i)[1] - 1)]
+            # replay segment i from its checkpoint at its global step; the
+            # step into the next checkpoint is never taken
+            g0 = i * self.every
+            seg = [mu for *_, mu in iter_mv(
+                self.spec, self.checkpoints[i], self.dt,
+                min(self.every, self.n_steps - g0) - 1, self.seed, start=g0)]
             if len(self._cache) == self._CACHED_SEGMENTS:
                 self._cache.popitem(last=False)
             self._cache[i] = seg
             return seg[j]
-
-    def at_time(self, t: float) -> EmpiricalMeasure:
-        return self._read(t, keep=True)
-
-    def peek(self, t: float) -> EmpiricalMeasure:
-        """``at_time(t)`` that leaves the cache as it is: a node outside
-        the cached segments is replayed up to itself and not kept."""
-        return self._read(t, keep=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -515,36 +426,34 @@ def _check_flow_alignment(flow: MeasureFlow, dt: float) -> None:
 def iter_decoupled(spec, states: np.ndarray,
                    flow: MeasureFlow | CheckpointedFlow, dt: float,
                    n_steps: int, seed: int, shift: DriftShift | None = None,
-                   t0: float = 0.0, start: int = 0) -> Iterator[tuple]:
-    """Advance the decoupled system: coefficients read the frozen flow,
-    never the simulated cloud. ``states`` sit at global step ``start`` of
-    a run from t0; global step g runs at t = t0 + g dt and consumes the
-    (seed, k0 + g) noise block, where k0 aligns t0 to the global step
-    grid. So restarted segments keep disjoint, reproducible streams, and
-    a run resumed from its step-g state at ``start=g`` repeats the unsplit
-    run bit for bit. Yields (j, t, x, dw) before the first step and after
-    each one, j counting the steps taken; dw is the Brownian increment
-    sqrt(dt) * block that carried the previous state to x (None at j = 0),
-    without any drift shift. x is the live buffer: copy before storing."""
+                   t0: float = 0.0) -> Iterator[tuple]:
+    """Advance the decoupled system from ``states`` at t0: coefficients
+    read the frozen flow, never the simulated cloud. Step k runs at
+    t = t0 + k dt and consumes the (seed, k0 + k) noise block, where k0
+    aligns t0 to the global step grid, so restarted segments keep
+    disjoint, reproducible streams. Yields (j, t, x, dw) before the first
+    step and after each one, j counting the steps taken; dw is the
+    Brownian increment sqrt(dt) * block that carried the previous state to
+    x (None at j = 0), without any drift shift. x is the live buffer: copy
+    before storing."""
     x = np.array(states, dtype=float)
     n, d = x.shape
     k0 = int(round(t0 / dt))
     scale = math.sqrt(dt)
-    yield 0, t0 + start * dt, x, None
+    yield 0, t0, x, None
     for k in range(n_steps):
-        g = start + k
-        t = t0 + g * dt
+        t = t0 + k * dt
         mu = flow.at_time(t)
         b = spec.drift(t, x, mu)
         sig = np.asarray(spec.diffusion(x, mu), dtype=float)
-        dw = gaussian_increments(seed, k0 + g, n, d)
+        dw = gaussian_increments(seed, k0 + k, n, d)
         dw *= scale
         push = dw if shift is None else dw + shift(t, x, mu) * dt
         # _sigma_dot returns a fresh array, never one the spec returned
         step = _sigma_dot(sig, push)
         step += b * dt
         x += step
-        _check_finite(x, g + 1, t + dt)
+        _check_finite(x, k + 1, t + dt)
         yield k + 1, t + dt, x, dw
 
 

@@ -6,6 +6,7 @@ computation. Budgets are deliberately modest; the acceptance tests that
 need tighter numbers request their own runs.
 """
 
+import os
 import sys
 from pathlib import Path
 
@@ -34,6 +35,16 @@ def trace_surface_gap(erg, points, kind):
     ga = np.asarray(lo.u.gradient(0.0, points))
     gb = np.asarray(hi.u.gradient(0.0, points))
     return float(np.max(np.abs(ga - gb)))
+
+
+@pytest.fixture
+def subprocess_env():
+    """The environment for a test that starts Python in a subprocess: the
+    package's source directory leads PYTHONPATH, so the child imports
+    the same ergolab with or without PYTHONPATH set."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,7 @@
-"""Backward LSMC solver: closed-form starts, z readouts, stability flags."""
+"""Finite-horizon backward sweep: closed-form starts, z readouts, exact
+linear-z values, noise and memory budgets."""
 
+import inspect
 import math
 import tracemalloc
 import warnings
@@ -14,8 +16,7 @@ from ergolab.bsde import (_RIDGE, BasisDegeneracyError, OffGridWarning,
                           _NodeRegressor, backward_lsmc, monomial_exponents,
                           solve_finite_bsde, z_from_gradient)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
-from ergolab.sde import (INIT_DRAW_STEP, gaussian_increments,
-                         simulate_decoupled, simulate_mv)
+from ergolab.sde import INIT_DRAW_STEP, gaussian_increments, simulate_mv
 
 
 def _flow_for(spec, T, n=4000, seed=17, dt=0.01):
@@ -43,7 +44,6 @@ def test_quadratic_terminal_start(ou_spec):
         driver=lambda x, mu, z: np.zeros(x.shape[0])),
         flow, x0=0.0, T=1.0, dt=0.01, n_particles=4000, seed=1)
     assert sol.y0 == pytest.approx(oracle.y0_quadratic_terminal(1.0), abs=0.03)
-    assert not sol.picard_warning
 
 
 def test_constant_driver_integrates_exactly(ou_spec):
@@ -124,27 +124,20 @@ def test_step_refinement_tracks_euler_chain(ou_spec):
     assert abs(y0[0.02] - exact) <= abs(y0[0.1] - exact) + 0.02
 
 
-def test_picard_iterates_contract_geometrically():
-    spec = _bm_spec(driver=lambda x, mu, z: 5.0 * z[:, 0],
+@pytest.mark.parametrize("beta,T,n,seed", [
+    pytest.param(5.0, 1.0, 2000, 9, id="beta5"),
+    pytest.param(30.0, 0.5, 1000, 10, id="beta30")])
+def test_linear_z_driver_is_solved_exactly(beta, T, n, seed):
+    # g(x) = x and f = beta z give u(t, x) = x + beta (T - t) and z = 1 on
+    # every node; the one-step moments of a linear surface are exact, so
+    # only the ridge separates the sweep from them, even at K_z dt = 1.5
+    spec = _bm_spec(driver=lambda x, mu, z: beta * z[:, 0],
                     terminal=lambda x, mu: x[:, 0])
-    flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 1.0)
-    sol = solve_finite_bsde(spec, flow, x0=0.0, T=1.0, dt=0.05,
-                            n_particles=2000, picard=5, seed=9)
-    # K_z dt = 0.25: successive sweep gaps shrink at worst like that factor
-    gaps = sol.picard_gaps
-    alive = gaps[:, :-1] > 1e-13
-    ratios = gaps[:, 1:][alive] / gaps[:, :-1][alive]
-    assert np.median(ratios) <= 0.5
-    assert not sol.picard_warning
-
-
-def test_divergent_picard_sets_warning():
-    spec = _bm_spec(driver=lambda x, mu, z: 30.0 * z[:, 0],
-                    terminal=lambda x, mu: x[:, 0])
-    flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 0.5)
-    sol = solve_finite_bsde(spec, flow, x0=0.0, T=0.5, dt=0.05,
-                            n_particles=1000, picard=4, seed=10)
-    assert sol.picard_warning
+    flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, T)
+    sol = solve_finite_bsde(spec, flow, x0=0.0, T=T, dt=0.05,
+                            n_particles=n, seed=seed)
+    assert sol.y0 == pytest.approx(beta * T, abs=1e-6)
+    assert float(sol.z0[0]) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_growth_envelope_constant_is_stable(ou_spec):
@@ -183,10 +176,10 @@ def test_degenerate_basis_is_reported():
                     terminal=lambda x, mu: x[:, 0])
     flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 1.0)
     n = 400
-    states = np.zeros((3, n, 1))
-    states[:, -1, 0] = 1e6  # single outlier swamps the standardized basis
+    cloud = np.zeros((n, 1))
+    cloud[-1, 0] = 1e6  # single outlier swamps the standardized basis
     with pytest.raises(BasisDegeneracyError) as err:
-        backward_lsmc(spec, states, flow, dt=0.5, degree=6, picard=2, seed=0)
+        backward_lsmc(spec, cloud, flow, T=1.0, dt=0.5, degree=6)
     assert err.value.node in (0, 1, 2)
     assert err.value.cond > 1e12
 
@@ -214,50 +207,37 @@ def test_monomial_basis_layout():
                           x0=0.0, T=1.0, dt=0.1, n_particles=100, degree=1)
 
 
-def _stored_cloud(spec, x0, flow, T, dt, n_particles, seed):
-    """The checkpointed cloud's full (M+1, N, d) bundle: same start, same
-    seed, every node stored."""
-    cloud = bsde._spread_cloud(x0, flow, T, n_particles, seed)
-    return simulate_decoupled(spec, cloud, flow, dt=dt, T=T,
-                              n_particles=n_particles, seed=seed).states
-
-
-def _assert_same_solution(a, b):
-    for name in ("y0", "z0", "residuals", "picard_gaps", "x0"):
-        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-    assert a.picard_warning == b.picard_warning
-    for field in ("u", "zeta"):
-        fa, fb = getattr(a, field), getattr(b, field)
-        for name in ("times", "coeffs", "centers", "scales"):
-            np.testing.assert_array_equal(getattr(fa, name),
-                                          getattr(fb, name))
-
-
-@pytest.mark.parametrize("m", [1, 2, 9, 10, 101])
-def test_checkpointed_sweep_equals_the_stored_one(ou_spec, monkeypatch, m):
-    flow = _flow_for(ou_spec, 1.1, n=300, seed=5)  # interacting, not constant
-    kw = dict(x0=0.4, T=m * 0.01, dt=0.01, n_particles=300, seed=9)
-    checkpointed = solve_finite_bsde(ou_spec, flow, **kw)
-    monkeypatch.setattr(bsde, "_checkpointed_cloud", _stored_cloud)
-    stored = solve_finite_bsde(ou_spec, flow, **kw)
-    _assert_same_solution(checkpointed, stored)
-
-
-def test_checkpointed_sweep_draws_each_block_once_per_pass(ou_spec,
-                                                          monkeypatch):
-    flow = _flow_for(ou_spec, 1.1, n=300, seed=5)
+@pytest.mark.parametrize("law", ["interacting", "point-mass"])
+def test_solve_draws_one_block_of_its_own_seed(ou_spec, monkeypatch, law):
+    if law == "interacting":
+        flow = _flow_for(ou_spec, 1.1, n=300, seed=5)  # stored
+    else:
+        flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 1.1)
     drawn = []
 
-    def counted(seed, step, *args, **kwargs):
-        drawn.append(step)
-        return gaussian_increments(seed, step, *args, **kwargs)
+    def counted(draw):
+        def wrapper(*args, **kwargs):
+            sig = inspect.signature(draw).bind(*args, **kwargs)
+            drawn.append((sig.arguments["seed"],
+                          sig.arguments.get("step", INIT_DRAW_STEP)))
+            return draw(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(sde, "gaussian_increments", counted)
-    monkeypatch.setattr(bsde, "gaussian_increments", counted)
-    solve_finite_bsde(ou_spec, flow, x0=0.4, T=1.01, dt=0.01,
-                      n_particles=300, seed=9)
-    # the forward pass and the replay; the sweep itself redraws nothing
-    assert sorted(drawn) == sorted(list(range(101)) * 2 + [INIT_DRAW_STEP])
+    monkeypatch.setattr(sde, "gaussian_increments",
+                        counted(sde.gaussian_increments))
+    monkeypatch.setattr(bsde, "gaussian_increments",
+                        counted(bsde.gaussian_increments))
+    monkeypatch.setattr(bsde, "draw_initial", counted(bsde.draw_initial))
+    sol = solve_finite_bsde(ou_spec, flow, x0=0.4, T=1.01, dt=0.01,
+                            n_particles=300, seed=9)
+    # the regression cloud; the sweep's moments are exact and draw nothing
+    assert drawn == [(9, INIT_DRAW_STEP)]
+    # a law with spread is sampled; a point mass is spread around x0
+    center = sol.u.centers[0, 0]
+    if law == "interacting":
+        assert abs(center - flow.at_time(1.01).mean()[0]) < 0.2
+    else:
+        assert abs(center - 0.4) < 0.05
 
 
 @pytest.mark.parametrize("m", [101, 150])
@@ -277,10 +257,13 @@ def test_checkpointed_flow_blocks_are_drawn_at_most_three_times(
     solve_finite_bsde(ou_spec, flow, x0=0.4, T=m * 0.01, dt=0.01,
                       n_particles=300, seed=9)
     counts = [drawn[5, g] for g in range(150)]
-    # once by the build, once in the forward pass, once in the sweep, and
-    # one segment's blocks once more
-    assert max(counts) <= 4
-    assert sum(counts) <= 150 + 2 * m + flow.every
+    # once by the build; the sweep reads the flow once, last node first,
+    # and replays each segment it reaches once, up to the step into the
+    # next checkpoint, which is never taken
+    replayed = sum(min(flow.every, 150 - g0) - 1
+                   for g0 in range(0, m, flow.every))
+    assert max(counts) == 2
+    assert sum(counts) == 150 + replayed
 
 
 def test_checkpointed_sweep_memory_is_a_fraction_of_the_bundle(ou_spec):

@@ -84,13 +84,28 @@ horizon = 10
 x0 = 2.0
 """
 
+# a near-step terminal value: no cubic holds it
+STEP_SCN = """\
+[model]
+dim = 1
+regime = strong
+drift = -x
+diffusion = 1
+driver = x**2
+terminal = 10 * tanh(20 * x)
+
+[run]
+particles = 1500
+dt = 0.02
+"""
+
 
 @pytest.fixture(scope="module")
 def scn_dir(tmp_path_factory):
     d = tmp_path_factory.mktemp("scenarios")
     for name, text in (("ou.scn", OU_SCN), ("lq.scn", LQ_SCN),
                        ("bad.scn", BAD_SCN), ("expand.scn", EXPANDING_SCN),
-                       ("cubic.scn", CUBIC_SCN),
+                       ("cubic.scn", CUBIC_SCN), ("step.scn", STEP_SCN),
                        ("sine.scn", SINE_SCN)):
         (d / name).write_text(text)
     return d
@@ -248,6 +263,17 @@ def test_bsde_rerun_is_byte_identical(scn_dir, tmp_path):
         assert filecmp.cmp(first / name, again / name, shallow=False), name
 
 
+def test_bsde_fails_when_the_basis_cannot_hold_the_terminal(scn_dir,
+                                                           tmp_path):
+    out = tmp_path / "o"
+    assert run(["bsde", "--scenario", str(scn_dir / "step.scn"),
+                "--out", str(out)]) == 2
+    rep = dict(line.split("=", 1) for line in
+               (out / "bsde.report").read_text().splitlines())
+    assert float(rep["residual_sum"]) > 0.5 * (1.0 + abs(float(rep["y0"])))
+    assert rep["passed"] == "0"
+
+
 def test_coupling_rerun_is_byte_identical(scn_dir, tmp_path):
     first = tmp_path / "first"
     again = tmp_path / "again"
@@ -302,10 +328,10 @@ def test_report_aggregates_run_dir(scn_dir, tmp_path):
     assert (out / "report.report").exists()
 
 
-def test_module_entry_point(scn_dir, tmp_path):
+def test_module_entry_point(scn_dir, tmp_path, subprocess_env):
     r = subprocess.run(
         [sys.executable, "-m", "ergolab.cli", "audit",
          "--scenario", str(scn_dir / "ou.scn"),
          "--out", str(tmp_path / "o")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=subprocess_env)
     assert r.returncode == 0, r.stderr

@@ -24,8 +24,9 @@ LADDER = dict(n_particles=400, dt=0.05, alphas=(0.8, 0.4, 0.2), seed=11)
 def test_constant_driver_discounted_value(ou_spec, erg_ou, alpha):
     c = 0.8
     spec = ou_spec.replace(driver=lambda x, mu, z: np.full(x.shape[0], c))
+    operator = ebsde._one_step_operator(spec, erg_ou.mu_star, None, 0.02)
     sol, = ebsde._discounted_solves(spec, erg_ou.mu_star, (alpha,), dt=0.02,
-                                    degree=None, anchor=None)
+                                    operator=operator, anchor=None)
     want = (c / alpha) * (1.0 - math.exp(-alpha * sol.t_alpha))
     assert sol.anchor_value == pytest.approx(want, abs=1e-3 * c / alpha)
     assert sol.lambda_candidate == pytest.approx(c, abs=2e-3 * c)
@@ -244,8 +245,8 @@ def test_fixed_point_factors_once_and_draws_only_mu_star(ou_spec, monkeypatch,
     monkeypatch.setattr(bsde, "gaussian_increments", counted)
     monkeypatch.setattr(sde, "gaussian_increments", counted)
     extract(ou_spec, n_particles=400, dt=0.05, seed=11, **kwargs)
-    # one regression for the one-step operator, one for the gradient z-field
-    assert factored == [0, 0]
+    # one regression for the one-step operator and the gradient z-field
+    assert factored == [0]
     # the invariant-measure run is the only noise
     burn = derive_seed(11, 1)
     n_burn = round(12.0 / ou_spec.contraction_rate_bound() / 0.05)
@@ -308,8 +309,14 @@ def test_expectation_matrices_match_gaussian_moments(ou_spec, dim):
     x = np.random.default_rng(3).normal(0.0, 0.7, (40, dim))
     exponents = bsde.monomial_exponents(dim, 3)
     reg = bsde._NodeRegressor(x, exponents, 0)
-    a, z = ebsde._expectation_matrices(spec, EmpiricalMeasure(x), reg,
-                                       exponents, dt)
+    step = bsde._OneStep(dim, 3, dt)
+    basis = step.design(spec, 0.0, x, EmpiricalMeasure(x), reg)
+    a, z = step.moments(basis, np.eye(len(exponents)))
+    # the backward sweep's route: one coefficient vector at a time
+    c = np.random.default_rng(4).normal(size=len(exponents))
+    e_val, z_val = step.moments(basis, c)
+    np.testing.assert_allclose(e_val, a @ c, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(z_val, z @ c, rtol=1e-12, atol=1e-12)
     assert a.shape == (40, len(exponents))
     assert z.shape == (40, dim, len(exponents))
     # standardized X_1 = mean + chol xi with xi ~ N(0, I)

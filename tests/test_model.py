@@ -132,6 +132,7 @@ def test_symbolic_scenario_matches_preset(ou_spec):
     ("[run]\ndt = 0.1\n", "missing \\[model\\]"),
     ("[model]\npreset = ou-attract\n[weird]\nx = 1\n", "unknown section"),
     ("[model]\ndim = 2\ndrift = -x\n", "one-dimensional"),
+    ("[model]\npreset = ou-attract\n[run]\npicard = 3\n", "unknown run key"),
 ])
 def test_scenario_rejects_malformed(text, fragment):
     with pytest.raises(ScenarioError, match=fragment):

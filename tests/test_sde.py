@@ -1,7 +1,6 @@
 """Particle simulation: determinism, moment stability, contraction, blow-up."""
 
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -87,7 +86,7 @@ def test_simulation_reproducible(ou_spec):
     assert not np.array_equal(a.bundle.states, c.bundle.states)
 
 
-def test_thread_count_never_changes_bits(tmp_path):
+def test_thread_count_never_changes_bits(tmp_path, subprocess_env):
     script = tmp_path / "hash_run.py"
     script.write_text(
         "import hashlib\n"
@@ -99,7 +98,7 @@ def test_thread_count_never_changes_bits(tmp_path):
         "print(hashlib.sha256(r.bundle.states.tobytes()).hexdigest())\n")
     digests = set()
     for threads in ("1", "4"):
-        env = dict(os.environ,
+        env = dict(subprocess_env,
                    OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
                    OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run([sys.executable, str(script)], env=env,
@@ -313,8 +312,10 @@ def test_resumed_run_is_the_unsplit_run(ou_spec, mv_flow, data):
     nodes = list(range(0, m, every)) + [m]
     np.testing.assert_array_equal(
         rec.states, np.stack([unsplit[g][0] for g in nodes]))
+    # restarted at t0 + k dt, its noise blocks line up with the unsplit
+    # run's; ou_spec's drift does not read t, so the states do too
     resumed = [(x.copy(), dw) for _j, _t, x, dw in iter_decoupled(
-        ou_spec, unsplit[k][0], mv_flow, dt, m - k, seed, t0=t0, start=k)]
+        ou_spec, unsplit[k][0], mv_flow, dt, m - k, seed, t0=t0 + k * dt)]
     assert len(resumed) == m - k + 1
     for (x, dw), (x_ref, dw_ref) in zip(resumed[1:], unsplit[k + 1:]):
         np.testing.assert_array_equal(x, x_ref)
@@ -382,10 +383,8 @@ def test_checkpointed_flow_matches_the_stored_flow(data):
         nodes = data.draw(st.permutations(nodes), label="nodes")
     held = []
     for k in nodes:
-        t = stored.times[k]
-        for mu in (flow.peek(t), flow.at_time(t)):
-            np.testing.assert_array_equal(mu.points,
-                                          stored.measures[k].points)
+        mu = flow.at_time(stored.times[k])
+        np.testing.assert_array_equal(mu.points, stored.measures[k].points)
         held.append((k, mu))
         assert len(flow._cache) <= 2
     # a measure read earlier stays valid after its segment left the cache
