@@ -13,12 +13,13 @@ degrades to ~1e-5 absolute at those scales).
 from __future__ import annotations
 
 import math
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
 
 from ergolab.measure import MeasureFlow
-from ergolab.sde import gaussian_increments, _check_finite, _steps_for
+from ergolab.sde import noise_blocks, _check_finite, _steps_for
 
 __all__ = [
     "EllipticityError",
@@ -416,42 +417,47 @@ def simulate_reflection_coupling(spec, flow: MeasureFlow,
     r = np.linalg.norm(diff, axis=1)
     mean_r[0], se_r[0] = _radius_moments(r)
 
-    for k in range(n_steps):
-        t = k * dt
-        mu1 = flow.at_time(t)
-        mu2 = flow_prime.at_time(t)
-        e = np.where(r[:, None] > 0.0, diff / np.maximum(r, 1e-300)[:, None],
-                     0.0)
-        angle = _mollifier_angle(r, delta)
-        p1 = np.sin(angle)[:, None]
-        p2 = np.cos(angle)[:, None]
+    scale = math.sqrt(dt)
+    with closing(noise_blocks(seed, 0, n_steps, n_paths, d,
+                              channels=3)) as blocks:
+        for k, block in enumerate(blocks):
+            t = k * dt
+            mu1 = flow.at_time(t)
+            mu2 = flow_prime.at_time(t)
+            e = np.where(r[:, None] > 0.0,
+                         diff / np.maximum(r, 1e-300)[:, None], 0.0)
+            angle = _mollifier_angle(r, delta)
+            p1 = np.sin(angle)[:, None]
+            p2 = np.cos(angle)[:, None]
 
-        dw = math.sqrt(dt) * gaussian_increments(seed, k, n_paths, d,
-                                                 channels=3)
-        w_refl, w_extra, w_shared = dw[:, 0], dw[:, 1], dw[:, 2]
+            dw = scale * block
+            w_refl, w_extra, w_shared = dw[:, 0], dw[:, 1], dw[:, 2]
 
-        sig1 = np.asarray(spec.diffusion(x1, mu1), dtype=float)
-        sig2 = np.asarray(spec.diffusion(x2, mu2), dtype=float)
-        bar1 = np.broadcast_to(_sqrt_psd_gap(sig1, s0, k, t), (n_paths, d, d))
-        bar2 = np.broadcast_to(_sqrt_psd_gap(sig2, s0, k, t), (n_paths, d, d))
+            sig1 = np.asarray(spec.diffusion(x1, mu1), dtype=float)
+            sig2 = np.asarray(spec.diffusion(x2, mu2), dtype=float)
+            bar1 = np.broadcast_to(_sqrt_psd_gap(sig1, s0, k, t),
+                                   (n_paths, d, d))
+            bar2 = np.broadcast_to(_sqrt_psd_gap(sig2, s0, k, t),
+                                   (n_paths, d, d))
 
-        b1 = spec.drift(t, x1, mu1)
-        b2 = spec.drift(t, x2, mu2)
-        # both legs split the elliptic floor across the same two channels;
-        # the first channel is reflected on the second leg, so at radius 0
-        # the pair is driven identically and stays glued
-        reflected = w_refl - 2.0 * np.sum(e * w_refl, axis=1)[:, None] * e
-        common = p2 * w_shared
-        x1 += b1 * dt + s0 * (p1 * w_refl + common) \
-            + np.einsum("nij,nj->ni", bar1, w_extra)
-        x2 += b2 * dt + s0 * (p1 * reflected + common) \
-            + np.einsum("nij,nj->ni", bar2, w_extra)
-        _check_finite(x1, k + 1, t + dt)
-        _check_finite(x2, k + 1, t + dt)
-        times[k + 1] = t + dt
-        diff = x1 - x2
-        r = np.linalg.norm(diff, axis=1)
-        mean_r[k + 1], se_r[k + 1] = _radius_moments(r)
+            b1 = spec.drift(t, x1, mu1)
+            b2 = spec.drift(t, x2, mu2)
+            # both legs split the elliptic floor across the same two
+            # channels; the first channel is reflected on the second leg,
+            # so at radius 0 the pair is driven identically and stays glued
+            reflected = w_refl \
+                - 2.0 * np.sum(e * w_refl, axis=1)[:, None] * e
+            common = p2 * w_shared
+            x1 += b1 * dt + s0 * (p1 * w_refl + common) \
+                + np.einsum("nij,nj->ni", bar1, w_extra)
+            x2 += b2 * dt + s0 * (p1 * reflected + common) \
+                + np.einsum("nij,nj->ni", bar2, w_extra)
+            _check_finite(x1, k + 1, t + dt)
+            _check_finite(x2, k + 1, t + dt)
+            times[k + 1] = t + dt
+            diff = x1 - x2
+            r = np.linalg.norm(diff, axis=1)
+            mean_r[k + 1], se_r[k + 1] = _radius_moments(r)
 
     rate, window, note = _fit_radius_decay(times, mean_r, delta)
     radii = RadiusMoments(mean=mean_r, se=se_r, n_paths=n_paths)

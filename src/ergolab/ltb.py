@@ -63,7 +63,9 @@ __all__ = [
 class DecayFit:
     """Fitted residual model over a horizon grid.
 
-    model "inverse-time": residual = c / T (rate and ell unused).
+    model "inverse-time": residual = c / T (rate and ell unused); a pass
+    needs a positive r_squared, c / T explaining the log residuals better
+    than their mean.
     model "exponential": residual = ell + c exp(-rate T); a pass needs a
     positive rate. Confidence intervals are 95% from the fit's own
     spread; ``indeterminate`` means the series carries no signal above
@@ -92,7 +94,9 @@ class DecayFit:
     def passes(self) -> bool:
         if self.indeterminate:
             return False
-        return True if self.model == "inverse-time" else self.rate > 0.0
+        if self.model == "inverse-time":
+            return self.r_squared > 0.0
+        return self.rate > 0.0
 
     def report(self) -> dict:
         return {"model": self.model, "c": self.c, "ell": self.ell,

@@ -9,6 +9,16 @@ particle. Any consumer can regenerate any step's increments without
 storing them, and results are independent of how particles are scheduled
 across threads.
 
+The Euler loops read their blocks from ``noise_blocks``, which draws them
+ahead on a second core: one process-wide helper thread, started on first
+use and never when the CPU affinity mask holds a single CPU, draws each
+open stream's blocks up to four ahead of its caller, and a caller whose
+next block is not ready draws the next unclaimed one itself instead of
+waiting; blocks of fewer than 4096 normals the caller draws alone. Since
+every block is a pure function of (seed, k), results are bit-identical
+whatever the scheduling; the price is at most four blocks per open stream
+held in memory ahead of use.
+
 The interacting system is resumable: ``iter_mv`` takes the global step
 ``start`` of the state it resumes from, and a run resumed from its step-g
 state repeats the unsplit run bit for bit. ``simulate_mv`` and
@@ -24,9 +34,12 @@ finiteness once and builds its measure from the checked copy.
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
 import threading
 from collections import OrderedDict
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
@@ -44,6 +57,7 @@ __all__ = [
     "MVResult",
     "ContractionFit",
     "gaussian_increments",
+    "noise_blocks",
     "derive_seed",
     "simulate_mv",
     "simulate_decoupled",
@@ -72,7 +86,10 @@ def gaussian_increments(seed: int, step: int, n: int, dim: int,
                         channels: int = 1) -> np.ndarray:
     """Standard-normal block for one time step: shape (n, dim), or
     (n, channels, dim) when several independent noise sources are needed
-    per step. Deterministic in (seed, step): row i is particle i's draw."""
+    per step. Deterministic in (seed, step): row i is particle i's draw,
+    whichever thread draws it, so ``noise_blocks`` may draw a run's blocks
+    on its helper thread, up to four blocks ahead of their use, and the
+    run stays bit-identical."""
     if seed < 0 or step < 0:
         raise ValueError("seed and step must be nonnegative")
     block = _keyed_generator(seed, step).standard_normal((n, channels, dim))
@@ -105,6 +122,146 @@ def _keyed_generator(seed: int, step: int) -> np.random.Generator:
         "state": {"counter": _ZEROS4, "key": (seed, step)},
         "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     return rng
+
+
+# blocks a stream may hold drawn ahead of its caller
+_AHEAD = 4
+# a block of fewer normals (about 100 us of Philox on a 2-core x86 VM)
+# draws faster than the two threads can hand it over
+_MIN_SHARED = 4096
+
+
+class _Stream:
+    """One ``noise_blocks`` stream's window: of its blocks [taken, stop),
+    those in [taken, claimed) are drawn or being drawn. Read and written
+    under ``_helper_cv``."""
+
+    def __init__(self, seed: int, start: int, stop: int, shape: tuple):
+        self.key = (seed, shape)
+        self.taken = start
+        self.claimed = start
+        self.stop = stop
+        self.ready = {}  # step -> its block, or the exception its draw raised
+        self.busy = False  # the helper is drawing one of its blocks
+
+    def claim(self) -> int | None:
+        """The window's next unclaimed step, now claimed, or None."""
+        if self.claimed >= min(self.stop, self.taken + _AHEAD):
+            return None
+        self.claimed += 1
+        return self.claimed - 1
+
+    def draw(self, step: int) -> np.ndarray:
+        seed, shape = self.key
+        return gaussian_increments(seed, step, *shape)
+
+
+_helper_cv = threading.Condition()
+_helper_streams: list[_Stream] = []  # open streams, oldest first
+_helper_thread: threading.Thread | None = None
+
+
+def _start_helper() -> bool:
+    """Start the helper thread unless this process may use one CPU only;
+    True when it runs."""
+    global _helper_thread
+    affinity = getattr(os, "sched_getaffinity", None)
+    cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+    if cpus < 2:
+        return False
+    with _helper_cv:
+        if _helper_thread is None or not _helper_thread.is_alive():
+            _helper_thread = threading.Thread(
+                target=_serve, name="ergolab-noise", daemon=True)
+            _helper_thread.start()
+    return True
+
+
+def _helper_task() -> tuple[_Stream, int] | None:
+    for stream in _helper_streams:
+        step = stream.claim()
+        if step is not None:
+            return stream, step
+    return None
+
+
+def _serve() -> None:
+    """The helper thread: draw the next unclaimed block of the oldest open
+    stream that has one in its window, forever."""
+    while True:
+        with _helper_cv:
+            stream, step = _helper_cv.wait_for(_helper_task)
+            stream.busy = True
+        try:
+            item = stream.draw(step)
+        except BaseException as exc:  # re-raised by the caller at this step
+            item = exc
+        with _helper_cv:
+            stream.busy = False
+            stream.ready[step] = item
+            _helper_cv.notify_all()
+
+
+def _take(stream: _Stream, step: int) -> np.ndarray:
+    """The stream's block at ``step``, its caller's next: drawn by the
+    helper, or else by the caller, which draws the next unclaimed block of
+    its window rather than wait while the helper draws this one."""
+    with _helper_cv:
+        while step not in stream.ready:
+            mine = stream.claim()
+            if mine is None:  # the helper is drawing this step's block
+                _helper_cv.wait()
+                continue
+            _helper_cv.release()
+            try:
+                item = stream.draw(mine)
+            except Exception as exc:  # raised when the caller reaches it
+                item = exc
+            finally:
+                _helper_cv.acquire()
+            stream.ready[mine] = item
+        item = stream.ready.pop(step)
+        stream.taken = step + 1
+        _helper_cv.notify_all()
+    if isinstance(item, BaseException):
+        raise item
+    return item
+
+
+def noise_blocks(seed: int, start: int, n_steps: int, n: int, dim: int,
+                 channels: int = 1) -> Iterator[np.ndarray]:
+    """``gaussian_increments(seed, g, n, dim, channels)`` for g = start,
+    ..., start + n_steps - 1, in order: the Euler loops' only source of
+    noise. The helper thread draws up to four blocks ahead of the caller
+    and the caller draws whatever the helper has not claimed, so the two
+    cores share the drawing; the blocks are bit-identical to serial draws
+    whatever the scheduling. The caller draws every block itself when the
+    affinity mask holds one CPU, or a block holds fewer than 4096 normals,
+    or there is a single step. A stream closed early (``close``,
+    garbage collection, an exception in the loop that reads it) stops the
+    helper's work on it before the close returns; an exception raised by
+    a draw reaches the caller at that draw's step."""
+    stop = start + n_steps
+    if n_steps < 2 or n * dim * channels < _MIN_SHARED \
+            or not _start_helper():
+        for step in range(start, stop):
+            yield gaussian_increments(seed, step, n, dim, channels)
+        return
+    stream = _Stream(seed, start, stop, (n, dim, channels))
+    with _helper_cv:
+        _helper_streams.append(stream)
+        _helper_cv.notify_all()
+    try:
+        for step in range(start, stop):
+            yield _take(stream, step)
+    finally:
+        with _helper_cv:
+            _helper_streams.remove(stream)
+            # a close that the garbage collector runs on the helper thread
+            # must not wait for that thread's own draw
+            if threading.current_thread() is not _helper_thread:
+                _helper_cv.wait_for(lambda: not stream.busy)
+            stream.ready.clear()
 
 
 def derive_seed(seed: int, tag: int) -> int:
@@ -312,34 +469,42 @@ def draw_initial(theta: EmpiricalMeasure, n_particles: int,
 
 
 def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int, seed: int,
-            start: int = 0) -> Iterator[tuple[int, float, np.ndarray,
-                                              EmpiricalMeasure]]:
+            start: int = 0, _blocks: Iterator[np.ndarray] | None = None
+            ) -> Iterator[tuple[int, float, np.ndarray, EmpiricalMeasure]]:
     """Advance the interacting-particle system in place from ``states`` at
     global step ``start`` of a run from time 0: global step g runs at
     t = g dt and consumes the (seed, g) noise block, so a run resumed from
     its step-g state at ``start=g`` repeats the unsplit run bit for bit.
     Yields (j, t, states, measure) before the first step and after each
     one, j counting the steps taken. The yielded array is the live buffer:
-    copy before storing. Each measure owns a copy of its states."""
+    copy before storing. Each measure owns a copy of its states.
+
+    ``_blocks`` stands in for the run's own ``noise_blocks`` stream with
+    the same blocks, so that synchronously coupled systems share one draw;
+    they are read, never written."""
     x = np.array(states, dtype=float)
     n, d = x.shape
     mu = EmpiricalMeasure(x.copy())
     yield 0, start * dt, x, mu
     scale = math.sqrt(dt)
-    for k in range(n_steps):
-        g = start + k
-        t = g * dt
-        b = spec.drift(t, x, mu)
-        sig = np.asarray(spec.diffusion(x, mu), dtype=float)
-        dw = gaussian_increments(seed, g, n, d)
-        dw *= scale
-        # _sigma_dot returns a fresh array, never one the spec returned
-        step = _sigma_dot(sig, dw)
-        step += b * dt
-        x += step
-        _check_finite(x, g + 1, t + dt)
-        mu = EmpiricalMeasure._of_checked(x.copy())
-        yield k + 1, t + dt, x, mu
+    blocks = noise_blocks(seed, start, n_steps, n, d) if _blocks is None \
+        else _blocks
+    try:
+        for k, block in enumerate(blocks):
+            g = start + k
+            t = g * dt
+            b = spec.drift(t, x, mu)
+            sig = np.asarray(spec.diffusion(x, mu), dtype=float)
+            # _sigma_dot returns a fresh array, never one the spec returned
+            step = _sigma_dot(sig, block * scale)
+            step += b * dt
+            x += step
+            _check_finite(x, g + 1, t + dt)
+            mu = EmpiricalMeasure._of_checked(x.copy())
+            yield k + 1, t + dt, x, mu
+    finally:
+        if _blocks is None:
+            blocks.close()
 
 
 def _tap_record(steps, n_steps: int, record_every: int,
@@ -441,20 +606,23 @@ def iter_decoupled(spec, states: np.ndarray,
     k0 = int(round(t0 / dt))
     scale = math.sqrt(dt)
     yield 0, t0, x, None
-    for k in range(n_steps):
-        t = t0 + k * dt
-        mu = flow.at_time(t)
-        b = spec.drift(t, x, mu)
-        sig = np.asarray(spec.diffusion(x, mu), dtype=float)
-        dw = gaussian_increments(seed, k0 + k, n, d)
-        dw *= scale
-        push = dw if shift is None else dw + shift(t, x, mu) * dt
-        # _sigma_dot returns a fresh array, never one the spec returned
-        step = _sigma_dot(sig, push)
-        step += b * dt
-        x += step
-        _check_finite(x, k + 1, t + dt)
-        yield k + 1, t + dt, x, dw
+    blocks = noise_blocks(seed, k0, n_steps, n, d)
+    try:
+        for k, dw in enumerate(blocks):
+            t = t0 + k * dt
+            mu = flow.at_time(t)
+            b = spec.drift(t, x, mu)
+            sig = np.asarray(spec.diffusion(x, mu), dtype=float)
+            dw *= scale
+            push = dw if shift is None else dw + shift(t, x, mu) * dt
+            # _sigma_dot returns a fresh array, never one the spec returned
+            step = _sigma_dot(sig, push)
+            step += b * dt
+            x += step
+            _check_finite(x, k + 1, t + dt)
+            yield k + 1, t + dt, x, dw
+    finally:
+        blocks.close()
 
 
 def simulate_decoupled(spec, x0, flow: MeasureFlow | CheckpointedFlow,
@@ -514,17 +682,21 @@ def contraction_rate(spec, theta: EmpiricalMeasure,
     n_steps = _steps_for(T, dt)
     xa = draw_initial(theta, n, seed)
     xb = draw_initial(theta_prime, n, seed)
-    gen_a = iter_mv(spec, xa, dt, n_steps, seed)
-    gen_b = iter_mv(spec, xb, dt, n_steps, seed)
-    record = None
-    if record_every > 0:
-        *record, gen_a = _tap_record(gen_a, n_steps, record_every, xa.shape)
+    # both systems step on each block of one stream
+    with closing(noise_blocks(seed, 0, n_steps, n, spec.dim)) as blocks:
+        blocks_a, blocks_b = itertools.tee(blocks)
+        gen_a = iter_mv(spec, xa, dt, n_steps, seed, _blocks=blocks_a)
+        gen_b = iter_mv(spec, xb, dt, n_steps, seed, _blocks=blocks_b)
+        record = None
+        if record_every > 0:
+            *record, gen_a = _tap_record(gen_a, n_steps, record_every,
+                                         xa.shape)
 
-    times = np.empty(n_steps + 1)
-    w = np.empty(n_steps + 1)
-    for (k, t, _x, mu_a), (_k, _t, _xb, mu_b) in zip(gen_a, gen_b):
-        times[k] = t
-        w[k] = _w_capped(mu_a, mu_b, p)
+        times = np.empty(n_steps + 1)
+        w = np.empty(n_steps + 1)
+        for (k, t, _x, mu_a), (_k, _t, _xb, mu_b) in zip(gen_a, gen_b):
+            times[k] = t
+            w[k] = _w_capped(mu_a, mu_b, p)
 
     leg_a = PathBundle(*record, seed) if record else None
     floor = 1e-8

@@ -245,9 +245,9 @@ def test_simulate_with_x0_prime_steps_each_system_once(scn_dir, tmp_path,
                 "--out", str(tmp_path / "sim"), "--particles", "200",
                 "--horizon", "0.5", "--set", "x0_prime=2.0"])
     assert code == 0
-    # one block per step for each of the two coupled systems; the moments
+    # one block per step, shared by the two coupled systems; the moments
     # come from the first system's record, not from a third run
-    assert drawn == Counter({(42, k): 2 for k in range(25)})
+    assert drawn == Counter({(42, k): 1 for k in range(25)})
     moments = (tmp_path / "sim" / "simulate_moments.csv").read_text()
     assert len(moments.splitlines()) == 1 + 3 + 1  # header, every 10th, end
 

@@ -68,6 +68,15 @@ def test_inverse_time_fit_recovers_constant():
     assert np.allclose(fit.predicted(), 0.3 / t)
 
 
+def test_inverse_time_fit_fails_on_rising_residuals():
+    # the control-lq ltb1 residuals at seed 42 against a z = 0 lambda:
+    # they grow with T, so c / T explains them worse than their mean
+    t = np.array([5.0, 10.0, 20.0])
+    fit = _fit_inverse_time(t, np.array([0.048, 0.067, 0.077]))
+    assert fit.r_squared < 0.0
+    assert not fit.passes()
+
+
 def test_exponential_fit_recovers_rate():
     t = np.array([0.5, 1.0, 2.0, 3.0, 4.0])
     values = 0.25 + 0.8 * np.exp(-1.3 * t)

@@ -1,8 +1,11 @@
 """Particle simulation: determinism, moment stability, contraction, blow-up."""
 
 import math
+import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -11,13 +14,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_reference as oracle
-from ergolab import model
+from ergolab import model, sde
 from ergolab.measure import EmpiricalMeasure, MeasureFlow, moment, wasserstein
 from ergolab.sde import (INIT_DRAW_STEP, BlowUpError, CheckpointedFlow,
                          DriftShift, PathBundle, _sigma_dot, contraction_rate,
                          derive_seed, draw_initial, flow_property_check,
                          gaussian_increments, iter_decoupled, iter_mv,
-                         simulate_decoupled, simulate_mv)
+                         noise_blocks, simulate_decoupled, simulate_mv)
+
+# rows of a one-dimensional block large enough for noise_blocks to share
+# its drawing with the helper thread
+SHARED_ROWS = 4096
 
 
 def _quiet_spec(drift, sigma0=1.0, name="quiet"):
@@ -68,6 +75,173 @@ def test_increments_from_threads_match_fresh_generators():
     gaussian_increments(5, 1, 3, 1, channels=3)
     np.testing.assert_array_equal(gaussian_increments(*keys[0], 257, 2),
                                   serial[0])
+
+
+def _bounded(fn, timeout=60.0):
+    """fn() on a thread of its own, so that a deadlock fails the test
+    instead of hanging the run."""
+    result = {}
+
+    def target():
+        try:
+            result["value"] = fn()
+        except BaseException as exc:  # handed to the test below
+            result["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "a noise stream did not finish"
+    if "error" in result:
+        raise result["error"]
+    return result["value"]
+
+
+def _assert_serial(blocks, seed, start=0, rows=SHARED_ROWS, channels=1):
+    for step, block in enumerate(blocks, start):
+        np.testing.assert_array_equal(
+            block, gaussian_increments(seed, step, rows, 1, channels=channels))
+
+
+@pytest.mark.parametrize("n_steps, rows, channels, start", [
+    (1, SHARED_ROWS, 1, 0), (3, SHARED_ROWS, 1, 0), (9, SHARED_ROWS, 1, 0),
+    (9, SHARED_ROWS, 3, 0), (9, SHARED_ROWS, 1, 17), (9, 50, 1, 5)])
+def test_noise_blocks_are_the_serial_draws(n_steps, rows, channels, start):
+    # fewer steps than the helper's window, more, several channels, a
+    # resumed stream, and a block too small to share
+    blocks = _bounded(lambda: list(noise_blocks(
+        4, start, n_steps, rows, 1, channels=channels)))
+    assert len(blocks) == n_steps
+    _assert_serial(blocks, 4, start, rows, channels)
+
+
+def test_two_live_noise_streams_both_finish():
+    def zipped():
+        return list(zip(noise_blocks(1, 0, 10, SHARED_ROWS, 1),
+                        noise_blocks(2, 0, 10, SHARED_ROWS, 1)))
+
+    def nested():
+        return [(outer, list(noise_blocks(2, 3, 5, SHARED_ROWS, 1)))
+                for outer in noise_blocks(1, 0, 6, SHARED_ROWS, 1)]
+
+    pairs = _bounded(zipped)
+    assert len(pairs) == 10
+    _assert_serial([a for a, _ in pairs], 1)
+    _assert_serial([b for _, b in pairs], 2)
+    rows = _bounded(nested)
+    assert len(rows) == 6
+    _assert_serial([outer for outer, _ in rows], 1)
+    for _, inner in rows:
+        _assert_serial(inner, 2, start=3)
+
+
+def test_noise_streams_on_many_threads_are_the_serial_draws():
+    def run():
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            return list(pool.map(lambda seed: list(noise_blocks(
+                seed, 0, 12, SHARED_ROWS, 1)), range(8)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the threads as often as possible
+    try:
+        streams = _bounded(run, timeout=120.0)
+    finally:
+        sys.setswitchinterval(interval)
+    for seed, blocks in enumerate(streams):
+        assert len(blocks) == 12
+        _assert_serial(blocks, seed)
+    assert sum(t.name == "ergolab-noise" for t in threading.enumerate()) <= 1
+
+
+@pytest.mark.parametrize("pause", [0.0, 0.02], ids=["eager", "slow"])
+def test_a_failed_draw_raises_in_the_caller_at_its_step(monkeypatch, pause):
+    # a slow caller leaves the failing block to the helper thread
+    real = sde.gaussian_increments
+
+    def failing(seed, step, *args, **kwargs):
+        if step == 5:
+            raise FloatingPointError("draw failed")
+        return real(seed, step, *args, **kwargs)
+
+    def consume():
+        taken = []
+        with pytest.raises(FloatingPointError, match="draw failed"):
+            for block in noise_blocks(3, 0, 12, SHARED_ROWS, 1):
+                taken.append(block)
+                time.sleep(pause)
+        return taken
+
+    monkeypatch.setattr(sde, "gaussian_increments", failing)
+    taken = _bounded(consume)
+    assert len(taken) == 5
+    _assert_serial(taken, 3)
+    monkeypatch.undo()
+    _assert_serial(_bounded(lambda: list(noise_blocks(
+        3, 0, 12, SHARED_ROWS, 1))), 3)
+
+
+def test_closing_a_stream_early_stops_its_helper_work(monkeypatch):
+    list(noise_blocks(0, 0, 3, SHARED_ROWS, 1))  # the helper, if any, runs
+    threads = threading.active_count()
+    drawn = []
+    real = sde.gaussian_increments
+
+    def counted(seed, step, *args, **kwargs):
+        block = real(seed, step, *args, **kwargs)
+        time.sleep(0.005)  # a close that does not wait returns before this
+        drawn.append((seed, step))
+        return block
+
+    def assert_idle():
+        before = len(drawn)
+        time.sleep(0.05)
+        assert len(drawn) == before
+
+    monkeypatch.setattr(sde, "gaussian_increments", counted)
+    stream = noise_blocks(1, 0, 50, SHARED_ROWS, 1)
+    next(stream)
+    stream.close()
+    assert_idle()
+    for step, _ in enumerate(noise_blocks(2, 0, 50, SHARED_ROWS, 1)):
+        if step == 2:
+            break
+    assert_idle()
+    stream = noise_blocks(3, 0, 50, SHARED_ROWS, 1)
+    next(stream)
+    del stream  # garbage-collected
+    assert_idle()
+    blow_up = _quiet_spec(lambda t, x, mu: x ** 3)
+    start = np.full((SHARED_ROWS, 1), 2.0)
+    flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 20.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for steps in (iter_mv(blow_up, start, 0.5, 40, 4),
+                      iter_decoupled(blow_up, start, flow, 0.5, 40, 5)):
+            with pytest.raises(BlowUpError):
+                for _ in steps:
+                    pass
+            assert_idle()
+    assert len(drawn) < 4 * 50
+    monkeypatch.undo()
+    _assert_serial(_bounded(lambda: list(noise_blocks(
+        6, 0, 9, SHARED_ROWS, 1))), 6)
+    assert threading.active_count() == threads
+
+
+def test_one_cpu_mask_leaves_every_draw_to_the_caller(monkeypatch):
+    threads = threading.active_count()
+    drawers = set()
+    real = sde.gaussian_increments
+
+    def tracked(*args, **kwargs):
+        drawers.add(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                        raising=False)
+    monkeypatch.setattr(sde, "gaussian_increments", tracked)
+    _assert_serial(list(noise_blocks(6, 0, 9, SHARED_ROWS, 1)), 6)
+    assert drawers == {threading.get_ident()}
+    assert threading.active_count() == threads
 
 
 def test_derive_seed_spreads():
