@@ -45,7 +45,6 @@ from ergolab.sde import (
     derive_seed,
     flow_property_check,
     gaussian_increments,
-    simulate_decoupled,
     simulate_mv,
 )
 from ergolab.coupling import (
@@ -165,7 +164,6 @@ __all__ = [
     "ocp_longtime",
     "parse_scenario",
     "preset",
-    "simulate_decoupled",
     "simulate_mv",
     "simulate_reflection_coupling",
     "solve_finite_bsde",

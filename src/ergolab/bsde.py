@@ -58,7 +58,7 @@ from numpy.polynomial.hermite_e import hermegauss
 
 from ergolab.measure import MeasureFlow
 from ergolab.sde import (INIT_DRAW_STEP, draw_initial, gaussian_increments,
-                         _check_flow_alignment, _steps_for)
+                         _check_flow, _steps_for)
 
 __all__ = [
     "BasisDegeneracyError",
@@ -399,11 +399,7 @@ def solve_finite_bsde(spec, flow: MeasureFlow, x0, T: float, dt: float,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != spec.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, model wants {spec.dim}")
-    if not flow.covers(0.0, T):
-        raise ValueError(
-            f"flow covers [{flow.t0:.6g}, {flow.t1:.6g}] but the solve needs "
-            f"[0, {T:.6g}]")
-    _check_flow_alignment(flow, dt)
+    _check_flow(flow, 0.0, T, dt)
     cloud = _law_cloud(x0, flow, T, n_particles, seed)
     u, zeta, residuals = backward_lsmc(spec, cloud, flow, T, dt, degree)
     return BsdeSolution(y0=float(u.eval_node(0, x0)[0]),

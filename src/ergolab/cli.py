@@ -193,19 +193,23 @@ def _coerce_like(default, value):
 def _resolve(scenario: Scenario | None, args, defaults: dict) -> dict:
     """defaults < scenario [run] < --flag/--set overrides. A --particles,
     --dt or --horizon flag that the subcommand does not take is a usage
-    error."""
+    error. A scenario [run] key that it does not take is left out with a
+    note on stderr, since one scenario file may serve several subcommands."""
     params = dict(defaults)
     if scenario is not None:
         for key, value in scenario.run.items():
-            if key in params or key in ("seed", "threads"):
-                try:
-                    params[key] = _coerce_like(defaults.get(key), value)
-                except (TypeError, ValueError):
-                    line, col = scenario.run_meta.get(key, (0, 0))
-                    raise ScenarioError(
-                        f"run key {key!r} needs a "
-                        f"{type(defaults[key]).__name__}, got {value!r}",
-                        scenario.source, line, col) from None
+            if key not in params and key not in ("seed", "threads"):
+                print(f"ergolab: note: [run] key {key!r} does not apply to "
+                      f"{args.subcommand}; ignored", file=sys.stderr)
+                continue
+            try:
+                params[key] = _coerce_like(defaults.get(key), value)
+            except (TypeError, ValueError):
+                line, col = scenario.run_meta.get(key, (0, 0))
+                raise ScenarioError(
+                    f"run key {key!r} needs a "
+                    f"{type(defaults[key]).__name__}, got {value!r}",
+                    scenario.source, line, col) from None
     for key in ("dt", "horizon", "particles", "seed", "threads"):
         value = getattr(args, key, None)
         if value is None:

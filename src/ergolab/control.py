@@ -21,7 +21,7 @@ from ergolab.ltb import DecayFit, _fit_exponential
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
 from ergolab.model import ControlSpec
 from ergolab.sde import (CheckpointedFlow, DriftShift, derive_seed,
-                         iter_decoupled, _steps_for)
+                         iter_mv, _steps_for)
 
 __all__ = [
     "ControlConfigurationError",
@@ -273,9 +273,8 @@ def evaluate_cost_finite(spec, policy: ControlPolicy, x0, theta, T: float,
     shift = _policy_shift(spec, policy)
     states = np.tile(x0, (n_particles, 1))
     costs = np.zeros(n_particles)
-    for k, t, x, _ in iter_decoupled(spec, states, flow, dt, n_steps, seed,
-                                     shift=shift):
-        mu = flow.at_time(min(t, T))
+    for k, t, x, mu, _ in iter_mv(spec, states, dt, n_steps, seed, flow=flow,
+                                  shift=shift):
         if k < n_steps:
             a = policy.actions(t, x, mu)
             costs += dt * np.asarray(
@@ -312,12 +311,11 @@ def girsanov_reweighted_cost(spec, policy: ControlPolicy, x0, theta,
     costs = np.zeros(n_particles)
     log_rho = np.zeros(n_particles)
     ra = None
-    for k, t, x, dw in iter_decoupled(spec, states, flow, dt, n_steps, seed):
+    for k, t, x, mu, dw in iter_mv(spec, states, dt, n_steps, seed, flow=flow):
         # dw is step k - 1's increment: close that step's density term
         if ra is not None:
             log_rho += np.sum(ra * dw, axis=1) \
                 - 0.5 * dt * np.sum(ra * ra, axis=1)
-        mu = flow.at_time(min(t, T))
         if k < n_steps:
             a = policy.actions(t, x, mu)
             ra = a @ r.T
@@ -354,16 +352,15 @@ def evaluate_cost_ergodic(spec, policy: ControlPolicy, x0, mu_star,
     else:
         flow = MeasureFlow.constant(mu_star, 0.0, t_long)
 
-    def cost(t, x, _dw):
-        mu = flow.at_time(t)
+    def cost(t, x, mu):
         return float(np.mean(spec.control.running_cost(
             x, mu, policy.actions(t, x, mu))))
 
     shift = _policy_shift(spec, policy)
     states = np.tile(x0, (n_particles, 1))
     j, se, _ = _tail_average(
-        lambda n_steps: iter_decoupled(spec, states, flow, dt, n_steps, seed,
-                                       shift=shift),
+        lambda n_steps: iter_mv(spec, states, dt, n_steps, seed, flow=flow,
+                                shift=shift),
         t_long, dt, spec.contraction_rate_bound(), cost)
     gap = j - lam if math.isfinite(lam) else math.nan
     verdict = _verdict(gap, 3.0 * (se + lam_se)) if math.isfinite(lam) \

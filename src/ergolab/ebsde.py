@@ -387,9 +387,9 @@ def _zeta_rows(zeta: RegressionFunction | None, x: np.ndarray) -> np.ndarray:
 def _tail_average(steps: Callable[[int], Iterator], t_long: float,
                   dt: float, rate: float, sample: Callable,
                   t_burn: float | None = None) -> tuple[float, float, float]:
-    """Average ``sample(t, x, aux)`` along the Euler run ``steps(n_steps)``
-    on [0, t_long], over the steps after a burn-in, where aux is the run's
-    fourth item (the measure, or the increment).
+    """Average ``sample(t, x, mu)`` along the Euler run ``steps(n_steps)``
+    on [0, t_long], over the steps after a burn-in, where mu is the measure
+    the run yields with x.
 
     The burn-in is ``t_burn``, by default min(10 / rate, t_long / 3)
     (t_long / 3 without a positive rate), and always leaves one step. The
@@ -400,7 +400,7 @@ def _tail_average(steps: Callable[[int], Iterator], t_long: float,
     if t_burn is None:
         t_burn = min(10.0 / rate, t_long / 3.0) if rate > 0 else t_long / 3.0
     burn = min(int(round(t_burn / dt)), n_steps - 1)
-    samples = np.array([sample(t, x, aux) for k, t, x, aux in steps(n_steps)
+    samples = np.array([sample(t, x, mu) for k, t, x, mu, _ in steps(n_steps)
                         if burn <= k < n_steps])
     value = float(samples.mean())
     n_batches = min(20, samples.size)

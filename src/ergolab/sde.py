@@ -1,7 +1,10 @@
-"""Forward simulation by Euler-Maruyama: the interacting-particle system
-with the empirical measure fed back into the coefficients, the decoupled
-equation against a frozen measure flow, and bounded drift shifts of
-Girsanov type.
+"""Forward simulation by Euler-Maruyama. One kernel, ``iter_mv``, steps
+the interacting-particle system with the empirical measure fed back into
+the coefficients, the decoupled equation against a frozen measure flow,
+and the controlled dynamics, which add a bounded drift shift of Girsanov
+type: the three are one Euler step with mu taken from a different place.
+The reflection-coupling loop in ``coupling`` keeps its own step, since it
+splits sigma into several noise channels.
 
 Noise contract: the Gaussian increment block of time step k is a pure
 function of (seed, k) through a counter-based generator, with one row per
@@ -19,17 +22,18 @@ every block is a pure function of (seed, k), results are bit-identical
 whatever the scheduling; the price is at most four blocks per open stream
 held in memory ahead of use.
 
-The interacting system is resumable: ``iter_mv`` takes the global step
-``start`` of the state it resumes from, and a run resumed from its step-g
-state repeats the unsplit run bit for bit. ``simulate_mv`` and
-``simulate_decoupled`` keep every ``record_every``-th node of a run; at
-``record_every = 1`` that is the whole (M+1, N, d) record.
+Every run is resumable: ``iter_mv`` takes the global step ``start`` of
+the state it resumes from, and a run resumed from its step-g state
+repeats the unsplit run bit for bit. ``simulate_mv`` keeps every
+``record_every``-th node of an interacting run; at ``record_every = 1``
+that is the whole (M+1, N, d) record.
 ``CheckpointedFlow`` keeps only the interacting flow's states every
 S = ceil(sqrt(M)) nodes and replays one segment at a time from its
 checkpoint when it is read (the checkpoint-and-replay scheme of Griewank
 and Walther, ACM TOMS 2000), so it holds O(sqrt(M) N d) floats and hands
 back the first pass's bits. Each Euler step checks its new states for
-finiteness once and builds its measure from the checked copy.
+finiteness once; an interacting step builds its measure from the
+checked copy.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ __all__ = [
     "noise_blocks",
     "derive_seed",
     "simulate_mv",
-    "simulate_decoupled",
     "flow_property_check",
     "contraction_rate",
 ]
@@ -288,23 +291,6 @@ class PathBundle:
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", s)
 
-    @property
-    def n_particles(self) -> int:
-        return self.states.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[2]
-
-    def index_of(self, t: float) -> int:
-        return int(np.argmin(np.abs(self.times - t)))
-
-    def states_at(self, t: float) -> np.ndarray:
-        return self.states[self.index_of(t)]
-
-    def measure_at(self, t: float) -> EmpiricalMeasure:
-        return EmpiricalMeasure(self.states_at(t))
-
 
 @dataclass(frozen=True, eq=False)
 class CheckpointedFlow(FlowGrid):
@@ -375,7 +361,7 @@ class CheckpointedFlow(FlowGrid):
             # replay segment i from its checkpoint at its global step; the
             # step into the next checkpoint is never taken
             g0 = i * self.every
-            seg = [mu for *_, mu in iter_mv(
+            seg = [mu for _, _, _, mu, _ in iter_mv(
                 self.spec, self.checkpoints[i], self.dt,
                 min(self.every, self.n_steps - g0) - 1, self.seed, start=g0)]
             if len(self._cache) == self._CACHED_SEGMENTS:
@@ -468,24 +454,50 @@ def draw_initial(theta: EmpiricalMeasure, n_particles: int,
     return theta.points[idx].copy()
 
 
+def _check_flow(flow: MeasureFlow | CheckpointedFlow, t0: float, t1: float,
+                dt: float) -> None:
+    """The flow covers [t0, t1] on a grid of whole steps of dt."""
+    if not flow.covers(t0, t1):
+        raise ValueError(
+            f"flow covers [{flow.t0:.6g}, {flow.t1:.6g}] but the run "
+            f"needs [{t0:.6g}, {t1:.6g}]")
+    ratio = np.diff(flow.times) / dt
+    if np.any(np.abs(ratio - np.round(ratio)) > 1e-6):
+        raise ValueError("flow grid spacing is not a whole multiple of dt")
+
+
 def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int, seed: int,
-            start: int = 0, _blocks: Iterator[np.ndarray] | None = None
-            ) -> Iterator[tuple[int, float, np.ndarray, EmpiricalMeasure]]:
-    """Advance the interacting-particle system in place from ``states`` at
-    global step ``start`` of a run from time 0: global step g runs at
-    t = g dt and consumes the (seed, g) noise block, so a run resumed from
-    its step-g state at ``start=g`` repeats the unsplit run bit for bit.
-    Yields (j, t, states, measure) before the first step and after each
-    one, j counting the steps taken. The yielded array is the live buffer:
-    copy before storing. Each measure owns a copy of its states.
+            start: int = 0, flow: MeasureFlow | CheckpointedFlow | None = None,
+            shift: DriftShift | None = None,
+            _blocks: Iterator[np.ndarray] | None = None) -> Iterator[tuple]:
+    """Advance one Euler system in place from ``states`` at global step
+    ``start`` of a run from time 0: global step g runs at t = g dt and
+    consumes the (seed, g) noise block, so a run resumed from its step-g
+    state at ``start=g`` repeats the unsplit run bit for bit.
+
+    Without ``flow`` this is the interacting-particle system: the
+    coefficients read the ensemble's own empirical measure. With ``flow``
+    it is the decoupled equation: they read ``flow.at_time(t)``, never the
+    simulated cloud, and the flow must cover the run on a grid of whole
+    steps. ``shift`` adds sigma * beta dt to each step.
+
+    Yields (j, t, x, mu, dw) before the first step and after each one, j
+    counting the steps taken: mu is the measure the next step reads, and dw
+    the Brownian increment sqrt(dt) * block that carried the previous state
+    to x, without any shift (None at j = 0). x is the live buffer: copy
+    before storing. Each ensemble measure owns a copy of its states.
 
     ``_blocks`` stands in for the run's own ``noise_blocks`` stream with
     the same blocks, so that synchronously coupled systems share one draw;
     they are read, never written."""
     x = np.array(states, dtype=float)
     n, d = x.shape
-    mu = EmpiricalMeasure(x.copy())
-    yield 0, start * dt, x, mu
+    if flow is None:
+        mu = EmpiricalMeasure(x.copy())
+    else:
+        _check_flow(flow, start * dt, (start + n_steps) * dt, dt)
+        mu = flow.at_time(start * dt)
+    yield 0, start * dt, x, mu, None
     scale = math.sqrt(dt)
     blocks = noise_blocks(seed, start, n_steps, n, d) if _blocks is None \
         else _blocks
@@ -495,13 +507,16 @@ def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int, seed: int,
             t = g * dt
             b = spec.drift(t, x, mu)
             sig = np.asarray(spec.diffusion(x, mu), dtype=float)
+            dw = block * scale
+            push = dw if shift is None else dw + shift(t, x, mu) * dt
             # _sigma_dot returns a fresh array, never one the spec returned
-            step = _sigma_dot(sig, block * scale)
+            step = _sigma_dot(sig, push)
             step += b * dt
             x += step
             _check_finite(x, g + 1, t + dt)
-            mu = EmpiricalMeasure._of_checked(x.copy())
-            yield k + 1, t + dt, x, mu
+            mu = EmpiricalMeasure._of_checked(x.copy()) if flow is None \
+                else flow.at_time(t + dt)
+            yield k + 1, t + dt, x, mu, dw
     finally:
         if _blocks is None:
             blocks.close()
@@ -531,17 +546,6 @@ def _tap_record(steps, n_steps: int, record_every: int,
     return times, states, tapped()
 
 
-def _record(steps, n_steps: int, record_every: int,
-            shape: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """Times and states of every ``record_every``-th node of an Euler
-    iterator, plus the terminal node, written into one preallocated
-    (n_records, N, d) array."""
-    times, states, tapped = _tap_record(steps, n_steps, record_every, shape)
-    for _ in tapped:
-        pass
-    return times, states
-
-
 def simulate_mv(spec, theta: EmpiricalMeasure, dt: float, T: float,
                 n_particles: int, seed: int,
                 record_every: int = 1) -> MVResult:
@@ -555,8 +559,10 @@ def simulate_mv(spec, theta: EmpiricalMeasure, dt: float, T: float,
         raise ValueError(f"theta is {theta.dim}-dimensional, model wants {spec.dim}")
     n_steps = _steps_for(T, dt)
     x0 = draw_initial(theta, n_particles, seed)
-    times, states = _record(iter_mv(spec, x0, dt, n_steps, seed), n_steps,
-                            record_every, x0.shape)
+    times, states, steps = _tap_record(iter_mv(spec, x0, dt, n_steps, seed),
+                                       n_steps, record_every, x0.shape)
+    for _ in steps:
+        pass
     bundle = PathBundle(times, states, seed)
     # flow nodes view the bundle's storage rather than holding copies
     flow = MeasureFlow(bundle.times,
@@ -565,102 +571,21 @@ def simulate_mv(spec, theta: EmpiricalMeasure, dt: float, T: float,
     return MVResult(bundle=bundle, flow=flow)
 
 
-def _as_states(x0, n_particles: int, dim: int) -> np.ndarray:
-    arr = np.asarray(x0, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.ndim == 1:
-        if arr.shape[0] != dim:
-            raise ValueError(f"x0 has dimension {arr.shape[0]}, model wants {dim}")
-        return np.tile(arr, (n_particles, 1))
-    if arr.ndim == 2:
-        if arr.shape[1] != dim:
-            raise ValueError(f"x0 states are {arr.shape[1]}-dimensional, "
-                             f"model wants {dim}")
-        return arr.copy()
-    raise ValueError(f"x0 must be a point or an (N, d) cloud, got shape {arr.shape}")
-
-
-def _check_flow_alignment(flow: MeasureFlow, dt: float) -> None:
-    gaps = np.diff(flow.times)
-    ratio = gaps / dt
-    if np.any(np.abs(ratio - np.round(ratio)) > 1e-6):
-        raise ValueError("flow grid spacing is not a whole multiple of dt")
-
-
-def iter_decoupled(spec, states: np.ndarray,
-                   flow: MeasureFlow | CheckpointedFlow, dt: float,
-                   n_steps: int, seed: int, shift: DriftShift | None = None,
-                   t0: float = 0.0) -> Iterator[tuple]:
-    """Advance the decoupled system from ``states`` at t0: coefficients
-    read the frozen flow, never the simulated cloud. Step k runs at
-    t = t0 + k dt and consumes the (seed, k0 + k) noise block, where k0
-    aligns t0 to the global step grid, so restarted segments keep
-    disjoint, reproducible streams. Yields (j, t, x, dw) before the first
-    step and after each one, j counting the steps taken; dw is the
-    Brownian increment sqrt(dt) * block that carried the previous state to
-    x (None at j = 0), without any drift shift. x is the live buffer: copy
-    before storing."""
-    x = np.array(states, dtype=float)
-    n, d = x.shape
-    k0 = int(round(t0 / dt))
-    scale = math.sqrt(dt)
-    yield 0, t0, x, None
-    blocks = noise_blocks(seed, k0, n_steps, n, d)
-    try:
-        for k, dw in enumerate(blocks):
-            t = t0 + k * dt
-            mu = flow.at_time(t)
-            b = spec.drift(t, x, mu)
-            sig = np.asarray(spec.diffusion(x, mu), dtype=float)
-            dw *= scale
-            push = dw if shift is None else dw + shift(t, x, mu) * dt
-            # _sigma_dot returns a fresh array, never one the spec returned
-            step = _sigma_dot(sig, push)
-            step += b * dt
-            x += step
-            _check_finite(x, k + 1, t + dt)
-            yield k + 1, t + dt, x, dw
-    finally:
-        blocks.close()
-
-
-def simulate_decoupled(spec, x0, flow: MeasureFlow | CheckpointedFlow,
-                       dt: float, T: float, n_particles: int, seed: int,
-                       shift: DriftShift | None = None, t0: float = 0.0,
-                       record_every: int = 1) -> PathBundle:
-    """Euler scheme for the decoupled equation on [t0, t0+T] with the
-    measure argument frozen to ``flow`` (piecewise constant in time).
-    ``x0`` is a single state (replicated) or an (N, d) cloud; with
-    ``shift`` present the drift gains sigma*beta."""
-    n_steps = _steps_for(T, dt)
-    states = _as_states(x0, n_particles, spec.dim)
-    if not flow.covers(t0, t0 + T):
-        raise ValueError(
-            f"flow covers [{flow.t0:.6g}, {flow.t1:.6g}] but the run needs "
-            f"[{t0:.6g}, {t0 + T:.6g}]")
-    _check_flow_alignment(flow, dt)
-    times, rec = _record(iter_decoupled(spec, states, flow, dt, n_steps, seed,
-                                        shift=shift, t0=t0),
-                         n_steps, record_every, states.shape)
-    return PathBundle(times, rec, seed)
-
-
 def flow_property_check(spec, theta: EmpiricalMeasure, s: float, T: float,
                         dt: float, n: int, seed: int) -> float:
     """Restart consistency of the decoupled equation: run the interacting
-    system to T, restart the decoupled equation at time s from the
-    ensemble X_s against the same flow with fresh noise, and return the
-    W2 distance between the two time-T clouds. Zero in law; the sampled
-    value sits at Monte Carlo scale."""
+    system to T, held as a ``CheckpointedFlow``, restart the decoupled
+    equation at time s from the ensemble X_s against that flow with fresh
+    noise, and return the W2 distance between the two time-T clouds. Zero
+    in law; the sampled value sits at Monte Carlo scale."""
     if not 0.0 < s < T:
         raise ValueError(f"need 0 < s < T, got s={s}, T={T}")
-    mv = simulate_mv(spec, theta, dt, T, n, seed)
-    x_s = mv.bundle.states_at(s)
-    restart = simulate_decoupled(spec, x_s, mv.flow, dt, T - s, n,
-                                 derive_seed(seed, 101), t0=s,
-                                 record_every=max(int(round((T - s) / dt)), 1))
-    return _w_capped(mv.bundle.measure_at(T), restart.measure_at(T), 2)
+    flow = CheckpointedFlow.build(spec, theta, dt, T, n, seed)
+    start = int(round(s / dt))
+    *_, (_, _, x, _, _) = iter_mv(spec, flow.at_time(start * dt).points, dt,
+                                  flow.n_steps - start, derive_seed(seed, 101),
+                                  start=start, flow=flow)
+    return _w_capped(flow.terminal, EmpiricalMeasure(x), 2)
 
 
 def contraction_rate(spec, theta: EmpiricalMeasure,
@@ -694,7 +619,7 @@ def contraction_rate(spec, theta: EmpiricalMeasure,
 
         times = np.empty(n_steps + 1)
         w = np.empty(n_steps + 1)
-        for (k, t, _x, mu_a), (_k, _t, _xb, mu_b) in zip(gen_a, gen_b):
+        for (k, t, _, mu_a, _), (*_, mu_b, _) in zip(gen_a, gen_b):
             times[k] = t
             w[k] = _w_capped(mu_a, mu_b, p)
 

@@ -176,6 +176,18 @@ def test_audit_outputs_and_manifest(scn_dir, tmp_path):
     assert manifest.wall_seconds >= 0.0
 
 
+def test_scenario_key_for_another_subcommand_is_noted(scn_dir, tmp_path,
+                                                      capsys):
+    # ou.scn sets dt for the subcommands that step; audit does not, and
+    # runs as if the key were absent
+    out = tmp_path / "o"
+    assert run(["audit", "--scenario", str(scn_dir / "ou.scn"),
+                "--out", str(out)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "ergolab: note: [run] key 'dt' does not apply to audit; ignored"]
+    assert "param.dt" not in (out / "manifest").read_text()
+
+
 def test_write_csv_comment_header_and_exact_floats(tmp_path):
     values = np.array([0.1, 1.0 / 3.0, -0.0, math.nan, math.inf, -math.inf,
                        5e-324, 1.7976931348623157e308, -2.5e-300])

@@ -16,7 +16,7 @@ from ergolab.coupling import (CouplingRun, EllipticityError,
                               simulate_reflection_coupling,
                               verify_lyapunov_inequality)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow, wasserstein
-from ergolab.sde import simulate_decoupled, simulate_mv
+from ergolab.sde import iter_mv, simulate_mv
 
 SINE = LyapunovConstants(eta=0.5, m_b=15.0, k_b_x=2.5, r_ball=6.0,
                          k_s_x=0.0, sigma0=1.0)
@@ -183,19 +183,20 @@ def test_coupling_preserves_marginals(sine_spec):
     run = simulate_reflection_coupling(sine_spec, flow, flow, x0=0.0,
                                        x0_prime=1.0, dt=0.01, T=2.0,
                                        n_paths=n, seed=32)
-    plain = simulate_decoupled(sine_spec, 0.0, flow, dt=0.01, T=2.0,
-                               n_particles=n, seed=33, record_every=200)
-    plain_p = simulate_decoupled(sine_spec, 1.0, flow, dt=0.01, T=2.0,
-                                 n_particles=n, seed=34, record_every=200)
+
+    def plain_run(x0, seed):
+        *_, (_, _, x, _, _) = iter_mv(sine_spec, np.full((n, 1), x0), 0.01,
+                                      200, seed, flow=flow)
+        return EmpiricalMeasure(x)
+
+    plain = plain_run(0.0, 33)
+    plain_p = plain_run(1.0, 34)
     # Monte Carlo scale: two independent clouds of the same law
-    extra = simulate_decoupled(sine_spec, 0.0, flow, dt=0.01, T=2.0,
-                               n_particles=n, seed=35, record_every=200)
-    mc = max(wasserstein(plain.measure_at(2.0), extra.measure_at(2.0), 2),
-             0.01)
-    first = wasserstein(EmpiricalMeasure(run.terminal_states),
-                        plain.measure_at(2.0), 2)
+    extra = plain_run(0.0, 35)
+    mc = max(wasserstein(plain, extra, 2), 0.01)
+    first = wasserstein(EmpiricalMeasure(run.terminal_states), plain, 2)
     second = wasserstein(EmpiricalMeasure(run.terminal_states_prime),
-                         plain_p.measure_at(2.0), 2)
+                         plain_p, 2)
     assert first <= 3.0 * mc
     assert second <= 3.0 * mc
 

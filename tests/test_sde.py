@@ -19,8 +19,8 @@ from ergolab.measure import EmpiricalMeasure, MeasureFlow, moment, wasserstein
 from ergolab.sde import (INIT_DRAW_STEP, BlowUpError, CheckpointedFlow,
                          DriftShift, PathBundle, _sigma_dot, contraction_rate,
                          derive_seed, draw_initial, flow_property_check,
-                         gaussian_increments, iter_decoupled, iter_mv,
-                         noise_blocks, simulate_decoupled, simulate_mv)
+                         gaussian_increments, iter_mv, noise_blocks,
+                         simulate_mv)
 
 # rows of a one-dimensional block large enough for noise_blocks to share
 # its drawing with the helper thread
@@ -215,7 +215,7 @@ def test_closing_a_stream_early_stops_its_helper_work(monkeypatch):
     flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 20.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for steps in (iter_mv(blow_up, start, 0.5, 40, 4),
-                      iter_decoupled(blow_up, start, flow, 0.5, 40, 5)):
+                      iter_mv(blow_up, start, 0.5, 40, 5, flow=flow)):
             with pytest.raises(BlowUpError):
                 for _ in steps:
                     pass
@@ -293,10 +293,10 @@ def test_zero_dynamics_freeze_paths():
 def test_ou_mean_and_variance(ou_spec):
     res = simulate_mv(ou_spec, EmpiricalMeasure.dirac(1.0), dt=0.01, T=2.0,
                       n_particles=10_000, seed=2)
-    m_t1 = res.bundle.states_at(1.0).mean()
+    m_t1 = res.flow.at_time(1.0).points.mean()
     assert m_t1 == pytest.approx(oracle.mv_mean(1.0, 1.0, attract=True),
                                  abs=0.02)
-    v_t2 = res.bundle.states_at(2.0)[:, 0].var()
+    v_t2 = res.flow.at_time(2.0).points[:, 0].var()
     assert v_t2 == pytest.approx(oracle.ou_variance(2.0), abs=0.03)
 
 
@@ -317,11 +317,14 @@ def test_moment_boundedness_sweep(name, p):
 def test_shifted_drift_keeps_moments_bounded(ou_spec):
     shift = DriftShift(lambda t, x, mu: np.full_like(x, 0.5), bound=0.5)
     flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 50.0)
-    bundle = simulate_decoupled(ou_spec, 0.0, flow, dt=0.02, T=50.0,
-                                n_particles=500, seed=3, shift=shift,
-                                record_every=20)
-    vals = np.array([moment(EmpiricalMeasure(s), 2) for s in bundle.states])
-    early_max = vals[bundle.times <= 5.0].max()
+    times, vals = [], []
+    for k, t, x, _mu, _dw in iter_mv(ou_spec, np.zeros((500, 1)), 0.02, 2500,
+                                     3, flow=flow, shift=shift):
+        if k % 20 == 0 or k == 2500:
+            times.append(t)
+            vals.append(moment(EmpiricalMeasure(x.copy()), 2))
+    vals = np.array(vals)
+    early_max = vals[np.array(times) <= 5.0].max()
     assert vals.max() <= 1.5 * early_max
 
 
@@ -336,11 +339,10 @@ def test_constant_shift_moves_the_mean():
     spec = _quiet_spec(lambda t, x, mu: np.zeros_like(x), sigma0=sigma0)
     shift = DriftShift(lambda t, x, mu: np.full_like(x, c), bound=c)
     flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, T)
-    bundle = simulate_decoupled(spec, 0.0, flow, dt=0.01, T=T, n_particles=n,
-                                seed=4, shift=shift,
-                                record_every=int(T / 0.01))
+    *_, (_, _, x_T, _, _) = iter_mv(spec, np.zeros((n, 1)), 0.01,
+                                    int(T / 0.01), 4, flow=flow, shift=shift)
     se = sigma0 * math.sqrt(T / n)
-    assert bundle.states[-1].mean() == pytest.approx(
+    assert x_T.mean() == pytest.approx(
         oracle.shifted_bm_mean(sigma0, c, T), abs=3 * se)
 
 
@@ -357,14 +359,12 @@ def test_decoupled_marginal_matches_interacting(ou_spec):
     theta = EmpiricalMeasure.dirac(0.5)
     n = 8000
     mv = simulate_mv(ou_spec, theta, dt=0.01, T=1.0, n_particles=n, seed=6)
-    dec = simulate_decoupled(ou_spec, draw_initial(theta, n, seed=7),
-                             mv.flow, dt=0.01, T=1.0, n_particles=n, seed=7,
-                             record_every=100)
+    *_, (_, _, dec, _, _) = iter_mv(ou_spec, draw_initial(theta, n, seed=7),
+                                    0.01, 100, 7, flow=mv.flow)
     # Monte Carlo scale from two fully independent interacting runs
     ref = simulate_mv(ou_spec, theta, dt=0.01, T=1.0, n_particles=n, seed=8)
-    mc = max(wasserstein(mv.bundle.measure_at(1.0),
-                         ref.bundle.measure_at(1.0), 2), 5e-3)
-    gap = wasserstein(dec.measure_at(1.0), mv.bundle.measure_at(1.0), 2)
+    mc = max(wasserstein(mv.flow.terminal, ref.flow.terminal, 2), 5e-3)
+    gap = wasserstein(EmpiricalMeasure(dec), mv.flow.terminal, 2)
     assert gap <= 2.0 * mc
 
 
@@ -420,8 +420,7 @@ def test_blow_up_reports_rather_than_nan():
 def test_flow_coverage_guard(ou_spec):
     flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 1.0)
     with pytest.raises(ValueError, match="covers"):
-        simulate_decoupled(ou_spec, 0.0, flow, dt=0.01, T=2.0,
-                           n_particles=10, seed=0)
+        next(iter_mv(ou_spec, np.zeros((10, 1)), 0.01, 200, 0, flow=flow))
 
 
 def test_sparse_records_match_the_full_bundle(ou_spec):
@@ -434,12 +433,6 @@ def test_sparse_records_match_the_full_bundle(ou_spec):
     nodes = [0, 3, 6, 9, 10]
     np.testing.assert_array_equal(sparse.times, full.times[nodes])
     np.testing.assert_array_equal(sparse.states, full.states[nodes])
-    flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0), 0.0, 1.5)
-    kw = dict(dt=0.1, T=1.0, n_particles=50, seed=4, t0=0.5)
-    dec_full = simulate_decoupled(ou_spec, 0.2, flow, **kw)
-    dec = simulate_decoupled(ou_spec, 0.2, flow, record_every=4, **kw)
-    np.testing.assert_array_equal(dec.times, dec_full.times[[0, 4, 8, 10]])
-    np.testing.assert_array_equal(dec.states, dec_full.states[[0, 4, 8, 10]])
 
 
 def test_bundle_accessors(ou_spec):
@@ -447,7 +440,7 @@ def test_bundle_accessors(ou_spec):
                       n_particles=5, seed=0, record_every=2)
     b = res.bundle
     assert b.states.shape == (len(b.times), 5, 1)
-    assert b.index_of(b.times[-1]) == len(b.times) - 1
+    np.testing.assert_array_equal(b.states[-1], res.flow.terminal.points)
     with pytest.raises(ValueError):
         PathBundle(np.array([0.0, 1.0]), np.zeros((3, 2, 1)), seed=0)
 
@@ -473,23 +466,16 @@ def mv_flow(ou_spec):
 def test_resumed_run_is_the_unsplit_run(ou_spec, mv_flow, data):
     m = data.draw(st.integers(1, 30), label="M")
     k = data.draw(st.integers(0, m), label="split step")
-    every = data.draw(st.integers(1, 12), label="record_every")
-    t0 = data.draw(st.sampled_from([0.0, 0.3]), label="t0")
+    start = data.draw(st.sampled_from([0, 3]), label="start")
     dt, seed = 0.1, 5
     x0 = np.linspace(-1.0, 2.0, 20)[:, None]
-    unsplit = [(x.copy(), dw) for _j, _t, x, dw in iter_decoupled(
-        ou_spec, x0, mv_flow, dt, m, seed, t0=t0)]
-    # the recorded checkpoints are the unsplit run's states
-    rec = simulate_decoupled(ou_spec, x0, mv_flow, dt=dt, T=m * dt,
-                             n_particles=20, seed=seed, t0=t0,
-                             record_every=every)
-    nodes = list(range(0, m, every)) + [m]
-    np.testing.assert_array_equal(
-        rec.states, np.stack([unsplit[g][0] for g in nodes]))
-    # restarted at t0 + k dt, its noise blocks line up with the unsplit
-    # run's; ou_spec's drift does not read t, so the states do too
-    resumed = [(x.copy(), dw) for _j, _t, x, dw in iter_decoupled(
-        ou_spec, unsplit[k][0], mv_flow, dt, m - k, seed, t0=t0 + k * dt)]
+    unsplit = [(x.copy(), dw) for _j, _t, x, _mu, dw in iter_mv(
+        ou_spec, x0, dt, m, seed, start=start, flow=mv_flow)]
+    # restarted at step start + k, its noise blocks and times line up with
+    # the unsplit run's, so its states do too
+    resumed = [(x.copy(), dw) for _j, _t, x, _mu, dw in iter_mv(
+        ou_spec, unsplit[k][0], dt, m - k, seed, start=start + k,
+        flow=mv_flow)]
     assert len(resumed) == m - k + 1
     for (x, dw), (x_ref, dw_ref) in zip(resumed[1:], unsplit[k + 1:]):
         np.testing.assert_array_equal(x, x_ref)
@@ -520,7 +506,7 @@ def test_resumed_mv_run_is_the_unsplit_run(data):
     nodes = list(range(0, m, every)) + [m]
     np.testing.assert_array_equal(sparse.bundle.states,
                                   unsplit.bundle.states[nodes])
-    resumed = [(t, x.copy(), mu) for _j, t, x, mu in iter_mv(
+    resumed = [(t, x.copy(), mu) for _j, t, x, mu, _dw in iter_mv(
         spec, unsplit.bundle.states[k], dt, m - k, seed, start=k)]
     assert len(resumed) == m - k + 1
     for j, (t, x, mu) in enumerate(resumed):
@@ -529,6 +515,25 @@ def test_resumed_mv_run_is_the_unsplit_run(data):
         np.testing.assert_array_equal(x, unsplit.bundle.states[k + j])
         np.testing.assert_array_equal(mu.points,
                                       unsplit.flow.measures[k + j].points)
+
+
+def test_decoupled_run_on_its_own_flow_is_the_interacting_run():
+    # against the interacting run's own flow, recorded at every node, the
+    # decoupled equation is that run: same states, same increments
+    spec, dt, m, seed = _timed_mv_spec(), 0.1, 12, 5
+    x0 = draw_initial(_CLOUD, 20, seed)
+    run = [(t, x.copy(), mu, dw)
+           for _j, t, x, mu, dw in iter_mv(spec, x0, dt, m, seed)]
+    flow = MeasureFlow([t for t, *_ in run], [mu for _, _, mu, _ in run])
+    for start in (0, 5):
+        replay = [(x.copy(), dw) for _j, _t, x, _mu, dw in iter_mv(
+            spec, run[start][1], dt, m - start, seed, start=start, flow=flow)]
+        assert len(replay) == m - start + 1
+        for j, ((x, dw), (_t, x_ref, _mu, dw_ref)) in enumerate(
+                zip(replay, run[start:])):
+            np.testing.assert_array_equal(x, x_ref)
+            if j > 0:
+                np.testing.assert_array_equal(dw, dw_ref)
 
 
 @settings(max_examples=30, deadline=None)
