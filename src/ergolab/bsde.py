@@ -101,21 +101,29 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
     return arr[np.argsort(arr.sum(axis=1), kind="stable")]
 
 
-def _design(u: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """(N, n_basis) monomial matrix at standardized points u of shape (N, d)."""
+def _design(u: np.ndarray, exponents: np.ndarray,
+            pows: np.ndarray | None = None,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """(N, n_basis) monomial matrix at standardized points u of shape (N, d).
+
+    ``pows`` (d, max exponent + 1, N) and ``out`` (N, n_basis), when given,
+    are filled in place of fresh arrays, with the same arithmetic."""
     n, d = u.shape
     # per-dimension power tables keep this at O(N d degree) multiplies
     deg = int(exponents.max()) if exponents.size else 0
-    pows = np.ones((d, deg + 1, n))
+    if pows is None:
+        pows = np.empty((d, deg + 1, n))
+    if out is None:
+        out = np.empty((n, exponents.shape[0]))
+    pows[:, 0] = 1.0
     for j in range(d):
         for k in range(1, deg + 1):
-            pows[j, k] = pows[j, k - 1] * u[:, j]
-    out = np.empty((n, exponents.shape[0]))
+            np.multiply(pows[j, k - 1], u[:, j], out=pows[j, k])
     for i, e in enumerate(exponents):
-        col = pows[0, e[0]]
+        col = out[:, i]
+        col[...] = pows[0, e[0]]
         for j in range(1, d):
-            col = col * pows[j, e[j]]
-        out[:, i] = col
+            np.multiply(col, pows[j, e[j]], out=col)
     return out
 
 
@@ -273,6 +281,12 @@ class _OneStep:
     degree q + 1 in dW exactly, so for a degree-q surface u both
     E[u(X_1) | x] and E[u(X_1) dW | x] / dt are exact. The rule depends
     only on (dim, q, dt) and is built once per solve.
+
+    The object also holds that solve's workspace for ``design``: the
+    next states, the power table and the design matrix, each N * rule
+    points rows. It is allocated at the first ``design`` call and reused
+    at every later one, so a sweep allocates no large array per node.
+    One object serves one solve, on one cloud and one thread.
     """
 
     def __init__(self, dim: int, degree: int, dt: float):
@@ -283,19 +297,33 @@ class _OneStep:
             list(itertools.product(nodes, repeat=dim)))
         self.w = np.prod(list(itertools.product(weights, repeat=dim)), axis=1)
         self.wz = self.w[:, None] * self.dw / self.dt
+        self._work = None
+
+    def _workspace(self, n: int, d: int, exponents: np.ndarray):
+        """(next states, power table, design matrix) for the solve's n
+        points, allocated at the first call."""
+        if self._work is None:
+            rows = n * self.w.size
+            self._work = (np.empty((n, self.w.size, d)),
+                          np.empty((d, int(exponents.max()) + 1, rows)),
+                          np.empty((rows, exponents.shape[0])))
+        return self._work
 
     def design(self, spec, t: float, x: np.ndarray, mu,
                reg: _NodeRegressor) -> np.ndarray:
         """reg's basis, in reg's standardized coordinates, at the rule's
         next states from each x under the coefficients at (t, mu): shape
         (N * rule points, nb), the rule's points of x_i in rows
-        i * points to (i + 1) * points."""
-        d = x.shape[1]
+        i * points to (i + 1) * points. The result is the workspace's
+        design matrix, overwritten by the next call."""
+        n, d = x.shape
+        nxt, pows, basis = self._workspace(n, d, reg.exponents)
         drift = np.broadcast_to(spec.drift(t, x, mu), x.shape)
-        nxt = (x + self.dt * drift)[:, None, :] + np.einsum(
-            "njk,gk->ngj", spec.diffusion_at(x, mu), self.dw)
-        return _design(((nxt - reg.center) / reg.scale).reshape(-1, d),
-                       reg.exponents)
+        np.einsum("njk,gk->ngj", spec.diffusion_at(x, mu), self.dw, out=nxt)
+        np.add((x + self.dt * drift)[:, None, :], nxt, out=nxt)
+        np.subtract(nxt, reg.center, out=nxt)
+        np.divide(nxt, reg.scale, out=nxt)
+        return _design(nxt.reshape(-1, d), reg.exponents, pows, basis)
 
     def moments(self, basis: np.ndarray,
                 coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

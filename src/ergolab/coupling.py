@@ -430,7 +430,9 @@ def simulate_reflection_coupling(spec, flow: MeasureFlow,
             p1 = np.sin(angle)[:, None]
             p2 = np.cos(angle)[:, None]
 
-            dw = scale * block
+            # the block is this loop's own; scaling it in place spares a
+            # (n_paths, 3, d) array per step that glibc would map afresh
+            dw = np.multiply(block, scale, out=block)
             w_refl, w_extra, w_shared = dw[:, 0], dw[:, 1], dw[:, 2]
 
             sig1 = np.asarray(spec.diffusion(x1, mu1), dtype=float)

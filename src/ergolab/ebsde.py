@@ -378,12 +378,6 @@ def extract_ergodic_vanishing(spec, n_particles: int, dt: float,
                            mu_star_w2_tol=inv.tolerance)
 
 
-def _zeta_rows(zeta: RegressionFunction | None, x: np.ndarray) -> np.ndarray:
-    if zeta is None:
-        return np.zeros_like(x)
-    return np.asarray(zeta.eval_node(0, x)).reshape(x.shape[0], -1)
-
-
 def _tail_average(steps: Callable[[int], Iterator], t_long: float,
                   dt: float, rate: float, sample: Callable,
                   t_burn: float | None = None) -> tuple[float, float, float]:
@@ -428,11 +422,20 @@ def lambda_by_time_average(spec, t_long: float, dt: float, n_particles: int,
             f"horizon {t_long} is below 30 / rate = {30.0 / rate:.3g}; "
             "the average would still carry transient bias")
     states = np.zeros((n_particles, spec.dim))
+    # one read-only zero z-block serves every sample of a run without zeta
+    zero = np.zeros_like(states)
+    zero.flags.writeable = False
+
+    def z_rows(x):
+        if zeta is None:
+            return zero
+        return np.asarray(zeta.eval_node(0, x)).reshape(x.shape[0], -1)
+
     value, se, t_burn = _tail_average(
         lambda n_steps: iter_mv(spec, states, dt, n_steps, seed),
         t_long, dt, rate,
         lambda t, x, mu: float(np.asarray(
-            spec.driver(x, mu, _zeta_rows(zeta, x)), dtype=float).mean()),
+            spec.driver(x, mu, z_rows(x)), dtype=float).mean()),
         t_burn)
     return TimeAverageEstimate(value=value, se=se, t_long=t_long,
                                t_burn=t_burn)

@@ -44,7 +44,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, stats
+from scipy.special import stdtrit
 
 from ergolab.bsde import BsdeSolution, solve_finite_bsde, z_from_gradient
 from ergolab.ebsde import ErgodicSolution
@@ -111,7 +111,7 @@ class DecayFit:
 def _ci_from_se(value: float, se: float, dof: int) -> tuple[float, float]:
     if dof < 1 or not np.isfinite(se):
         return (-math.inf, math.inf)
-    q = stats.t.ppf(0.975, dof)
+    q = stdtrit(dof, 0.975)  # the t quantile stats.t.ppf computes
     return (value - q * se, value + q * se)
 
 
@@ -144,6 +144,7 @@ def _refit_free_offset(t: np.ndarray, values: np.ndarray, floor: float,
     worthless)."""
     if len(t) < 3:
         return None
+    from scipy import optimize
 
     def law(tt, ell_f, c_f, rate_f):
         return ell_f + c_f * np.exp(-rate_f * tt)

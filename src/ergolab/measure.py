@@ -14,8 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
-from scipy.spatial.distance import cdist
 
 __all__ = [
     "ASSIGNMENT_LIMIT",
@@ -261,6 +259,8 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int = 2) -> float
     if not (mu.is_uniform and nu.is_uniform):
         raise UnsupportedSizeError(
             "assignment path requires uniformly weighted clouds")
+    from scipy.optimize import linear_sum_assignment
+    from scipy.spatial.distance import cdist
     cost = cdist(mu.points, nu.points, "sqeuclidean" if p == 2 else "euclidean")
     rows, cols = linear_sum_assignment(cost)
     mean_cost = cost[rows, cols].mean()

@@ -3,9 +3,11 @@ linear-z values, noise and memory budgets."""
 
 import inspect
 import math
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -279,3 +281,26 @@ def test_checkpointed_sweep_memory_is_a_fraction_of_the_bundle(ou_spec):
     finally:
         tracemalloc.stop()
     assert peak < bundle_bytes / 4
+
+
+def test_concurrent_solves_are_the_serial_solves(ou_spec):
+    # each solve owns its one-step workspace; two sweeps on two threads
+    # at once, on clouds of one size (so buffers shared between solves
+    # would fit both) from two seeds and over two horizons
+    flow = _flow_for(ou_spec, 1.0, n=1000)
+    jobs = [dict(x0=0.0, T=1.0, n_particles=3000, seed=4),
+            dict(x0=0.5, T=0.6, n_particles=3000, seed=5)]
+    barrier = threading.Barrier(len(jobs))
+
+    def solve(job, wait=False):
+        if wait:
+            barrier.wait(timeout=60)
+        return solve_finite_bsde(ou_spec, flow, dt=0.01, **job)
+
+    serial = [solve(job) for job in jobs]
+    with ThreadPoolExecutor(len(jobs)) as pool:
+        together = list(pool.map(lambda job: solve(job, wait=True), jobs))
+    for one, other in zip(serial, together):
+        np.testing.assert_array_equal(one.u.coeffs, other.u.coeffs)
+        np.testing.assert_array_equal(one.zeta.coeffs, other.zeta.coeffs)
+        np.testing.assert_array_equal(one.residuals, other.residuals)

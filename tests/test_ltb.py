@@ -143,6 +143,14 @@ def test_decay_fit_csv_and_report(tmp_path):
     assert keys == set(rep) | {"passed"}
 
 
+def test_t_quantile_is_scipy_stats():
+    # ltb loads scipy.special's stdtrit, not scipy.stats, at import
+    from scipy import stats
+    for dof in [*range(1, 201), 10**4, 10**6]:
+        q = stats.t.ppf(0.975, dof)
+        assert ltb._ci_from_se(0.3, 1.7, dof) == (0.3 - q * 1.7, 0.3 + q * 1.7)
+
+
 def test_refit_without_covariance_returns_none():
     # three points for three parameters: curve_fit solves the fit exactly
     # but cannot estimate its covariance, so the rate has no error bars;

@@ -1,6 +1,9 @@
 """Model presets, the assumption audit, and scenario-file parsing."""
 
 import dataclasses
+import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -146,3 +149,41 @@ def test_scenario_error_carries_position(tmp_path):
         load_scenario(path)
     assert err.value.line == 2
     assert str(path) in str(err.value)
+
+
+IMPORT_PROBE = """\
+import json, sys
+from pathlib import Path
+from ergolab import cli, ebsde, model
+
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+before = loaded()
+spec = model.preset("ou-attract")
+ebsde.extract_ergodic(spec, n_particles=300, dt=0.05, seed=1)
+ebsde.lambda_by_time_average(spec, t_long=60.0, dt=0.05, n_particles=300,
+                             seed=1)
+out = Path(sys.argv[1])
+(out / "ou.scn").write_text("[model]\\npreset = ou-attract\\n")
+code = cli.run(["ltb1", "--scenario", str(out / "ou.scn"), "--out",
+                str(out / "ltb1"), "--particles", "300"])
+print(json.dumps({"before": before, "after": loaded(), "code": code}))
+"""
+
+
+def test_import_loads_no_heavy_scipy(tmp_path, subprocess_env):
+    # importing a scipy module maps scipy's OpenBLAS and starts a thread:
+    # the package loads scipy.special at import, and no run loads more
+    script = tmp_path / "probe.py"
+    script.write_text(IMPORT_PROBE)
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                          env=subprocess_env, capture_output=True, text=True,
+                          timeout=240)
+    assert proc.returncode == 0, proc.stderr
+    probe = json.loads(proc.stdout.splitlines()[-1])
+    heavy = [m for m in probe["before"] if m.startswith(
+        ("scipy.optimize", "scipy.stats", "scipy.spatial"))]
+    assert heavy == []
+    assert probe["code"] == 0
+    assert probe["after"] == probe["before"]
