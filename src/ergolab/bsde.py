@@ -2,14 +2,12 @@
 operator ("regression later", Glasserman & Yu, Ann. Appl. Probab. 2004)
 on one fixed regression cloud.
 
-Under one Euler step from node k, X_{k+1} given X_k = x is Gaussian with
-mean x + b(t_k, x, mu_k) dt and covariance sigma sigma^T dt. For a value
-surface u_{k+1} that is a polynomial of degree q, both
-E[u_{k+1}(X_{k+1}) | x] and E[u_{k+1}(X_{k+1}) dW | x] / dt are exact
-under a tensor Gauss-Hermite rule with ceil((q + 2) / 2) points per
-dimension. So the regression design need not follow each path: one
-cloud is drawn once, one ridge projection P is factored on it, and the
-sweep runs
+Under one Euler step from node k, X_{k+1} given X_k = x is Gaussian, so
+for a polynomial value surface u_{k+1} both E[u_{k+1}(X_{k+1}) | x] and
+E[u_{k+1}(X_{k+1}) dW | x] / dt are exact under a Gauss-Hermite rule
+(``_OneStep``). So the regression design need not follow each path: one
+cloud is drawn once, one ridge projection P is factored on it
+(``_NodeRegressor``), and the sweep runs
 
     c_k = P (E[u_{k+1}(X_{k+1}) | x] + dt f(x, mu_k, zm_k)),
     zm_k = E[u_{k+1}(X_{k+1}) dW | x] / dt,
@@ -23,27 +21,18 @@ same one-step rule.
 
 The cloud is a draw from the flow's law at T, not a spread around x0.
 Where the basis cannot hold the value surface, the projection's weights
-decide which error is made, and the growth of Y0 in T follows the law
-the cloud is drawn from. A cloud drawn from where the process spends its
-time keeps that growth near the long-run average. On sine-weak at degree
-3 against the frozen mu* (3000 atoms, dt = 0.02), (Y0(40) - Y0(20)) / 20
-was 1.65 on a Gaussian spread around x0 at the law's scale and 2.13 to
-2.15 on draws from the law (two cloud seeds), against the fixed point's
-lambda = 2.12. When the flow starts at x0's law, its law at T is X_T's
-law; for a constant stationary flow it is the law the ergodic fixed
-point projects on.
+decide which error is made, and a cloud drawn from where the process
+spends its time keeps the growth of Y0 in T near the long-run average
+(measured in README, "Finite-horizon BSDE"). For a constant stationary
+flow it is the law the ergodic fixed point projects on. The trade-off:
+every node's surface is fitted on that one cloud, not on the law of X_k,
+so a read-out outside the cloud extrapolates the polynomial.
 
-Trade-off: every node's surface is fitted on that one cloud, not on the
-law of X_k. A read-out outside the cloud (an early node of a solve that
-starts far from the flow's law at T, or x0 itself there) extrapolates
-the polynomial.
-
-The cloud is factored once. Its centred, standardized design B gets one
-R-only QR; the condition estimate that guards against a degenerate basis
-is read off that raw R, and Q is never formed. The same R gives the ridge
-least-squares map P = (R^T R + ridge I)^{-1} B^T, formed once, so every
-fit is the single product P y. The ridge of 1e-10 keeps the smallest
-eigenvalue of R^T R + ridge I at or above 1e-10.
+On a constant flow every horizon draws the same cloud, and with
+coefficients that do not read t the horizon-T solve is a time shift of
+a longer one: its n_T + 1 nodes are the last n_T + 1 of the longer
+sweep, bit for bit. So ``_solve_horizons`` runs one sweep for a grid of
+horizons on a constant flow, and one per horizon on a moving flow.
 """
 
 from __future__ import annotations
@@ -51,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -132,16 +121,16 @@ class RegressionFunction:
     """Piecewise-in-time polynomial regression surface.
 
     Per node: coefficients over monomials of the standardized state
-    u = (x - center) / scale. Evaluation picks the nearest time node.
-    ``offset`` is subtracted after evaluation (scalar fields only), so an
-    anchor value can be zeroed exactly in floating point.
+    u = (x - center) / scale, the same for every node. Evaluation picks
+    the nearest time node. ``offset`` is subtracted after evaluation
+    (scalar fields only), so an anchor value can be zeroed exactly.
     """
 
     times: np.ndarray
     coeffs: np.ndarray  # (M+1, n_basis, out_dim)
     exponents: np.ndarray
-    centers: np.ndarray  # (M+1, dim)
-    scales: np.ndarray
+    center: np.ndarray  # (dim,)
+    scale: np.ndarray
     offset: float = 0.0
 
     def __post_init__(self):
@@ -183,7 +172,7 @@ class RegressionFunction:
 
     def eval_node(self, k: int, x) -> np.ndarray:
         pts = self._pts(x)
-        u = (pts - self.centers[k]) / self.scales[k]
+        u = (pts - self.center) / self.scale
         out = _design(u, self.exponents) @ self.coeffs[k]
         out = out - self.offset
         return out[:, 0] if self.out_dim == 1 else out
@@ -197,12 +186,12 @@ class RegressionFunction:
             raise ValueError("gradient is defined for scalar fields")
         k = self.node_index(t, warn=warn)
         pts = self._pts(x)
-        u = (pts - self.centers[k]) / self.scales[k]
+        u = (pts - self.center) / self.scale
         grad = np.empty_like(pts)
         for j in range(self.dim):
             lowered = self.exponents.copy()
             lowered[:, j] = np.maximum(lowered[:, j] - 1, 0)
-            factor = (self.exponents[:, j] / self.scales[k, j])
+            factor = (self.exponents[:, j] / self.scale[j])
             grad[:, j] = _design(u, lowered) @ (factor * self.coeffs[k, :, 0])
         return grad
 
@@ -216,7 +205,6 @@ class BsdeSolution:
     z0: np.ndarray
     u: RegressionFunction
     zeta: RegressionFunction
-    x0: np.ndarray
     dt: float
     seed: int
     residuals: np.ndarray        # per-node RMS projection residual of Y_k
@@ -359,13 +347,11 @@ def backward_lsmc(spec, cloud: np.ndarray, flow: MeasureFlow, T: float,
     per-node residuals.
 
     One regression is factored on the cloud and one Gauss-Hermite rule
-    is built. c_M = P g(x, mu_M); per node k < M, with the Euler step's
-    exact moments at (t_k, mu_k) of the surface c_{k+1},
-    y = E[u_{k+1}(X_{k+1}) | x] + dt f(x, mu_k, zm) and
-    zm = E[u_{k+1}(X_{k+1}) dW | x] / dt, and [c_k | zeta_k] = P [y | zm]
-    is one product. ``residuals[k]`` is the RMS over the cloud of node
-    k's value target around its projection. A non-finite surface raises
-    FloatingPointError with its node.
+    is built. From c_M = P g(x, mu_M), each node k < M is the one product
+    [c_k | zeta_k] = P [y | zm] of the module docstring, with the Euler
+    step's exact moments at (t_k, mu_k). ``residuals[k]`` is the RMS over
+    the cloud of node k's value target around its projection. A
+    non-finite surface raises FloatingPointError with its node.
     """
     n_steps = _steps_for(T, dt)
     d = cloud.shape[1]
@@ -396,26 +382,24 @@ def backward_lsmc(spec, cloud: np.ndarray, flow: MeasureFlow, T: float,
         coeffs[k, :, :fitted.shape[1]] = fitted
         residuals[k] = _projection_rmse(reg, fitted[:, 0], target[:, 0])
 
-    centers = np.tile(reg.center, (n_steps + 1, 1))
-    scales = np.tile(reg.scale, (n_steps + 1, 1))
     u = RegressionFunction(times=times, coeffs=coeffs[:, :, :1],
-                           exponents=exponents, centers=centers,
-                           scales=scales)
-    zeta = RegressionFunction(times=times, coeffs=coeffs[:, :, 1:],
-                              exponents=exponents, centers=centers,
-                              scales=scales)
+                           exponents=exponents, center=reg.center,
+                           scale=reg.scale)
+    zeta = replace(u, coeffs=coeffs[:, :, 1:])
     return u, zeta, residuals
 
 
-def solve_finite_bsde(spec, flow: MeasureFlow, x0, T: float, dt: float,
-                      n_particles: int, degree: int | None = None,
-                      seed: int = 0) -> BsdeSolution:
-    """Solve the decoupled BSDE on [0, T] and read (Y0, Z0) at x0.
-
-    The regression cloud is ``_law_cloud``'s draw from the flow's law at
-    T, from the (seed, INIT_DRAW_STEP) block, and ``backward_lsmc``
-    sweeps it; Y0 and Z0 are node 0's surfaces evaluated at x0 itself.
-    The flow must cover [0, T] on a grid of whole steps.
+def _solve_horizons(spec, flow: MeasureFlow, x0, t_grid, dt: float,
+                    n_particles: int, degree: int | None,
+                    seed: int) -> list[BsdeSolution]:
+    """Solve the decoupled BSDE on [0, T] for each T of ``t_grid``, a
+    whole number of steps the flow covers, and read (Y0, Z0) at x0 from
+    node 0's surfaces. A sweep is ``backward_lsmc`` over ``_law_cloud``'s
+    draw from the flow's law at its horizon. This is the one place that
+    decides which horizons share one: on a constant flow (one measure at
+    every node, as ``MeasureFlow.constant`` builds) the sweep at the
+    largest T serves each horizon with its last n_T + 1 nodes, timed
+    0, dt, ..., T; a moving flow gives each horizon its own.
     """
     c = spec.constants
     if degree is None:
@@ -427,13 +411,38 @@ def solve_finite_bsde(spec, flow: MeasureFlow, x0, T: float, dt: float,
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != spec.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, model wants {spec.dim}")
-    _check_flow(flow, 0.0, T, dt)
-    cloud = _law_cloud(x0, flow, T, n_particles, seed)
-    u, zeta, residuals = backward_lsmc(spec, cloud, flow, T, dt, degree)
-    return BsdeSolution(y0=float(u.eval_node(0, x0)[0]),
-                        z0=np.atleast_2d(zeta.eval_node(0, x0))[0], u=u,
-                        zeta=zeta, x0=x0, dt=dt, seed=seed,
-                        residuals=residuals)
+    steps = []
+    for T in t_grid:
+        _check_flow(flow, 0.0, T, dt)
+        steps.append(_steps_for(T, dt))
+
+    def sweep(T):
+        return backward_lsmc(spec, _law_cloud(x0, flow, T, n_particles, seed),
+                             flow, T, dt, degree)
+
+    constant = isinstance(flow, MeasureFlow) and all(
+        m is flow.measures[0] for m in flow.measures)
+    shared = sweep(max(t_grid)) if constant else None
+    sols = []
+    for T, n in zip(t_grid, steps):
+        u, zeta, residuals = shared if constant else sweep(T)
+        times = np.arange(n + 1) * dt
+        u = replace(u, times=times, coeffs=u.coeffs[-n - 1:])
+        zeta = replace(zeta, times=times, coeffs=zeta.coeffs[-n - 1:])
+        sols.append(BsdeSolution(
+            y0=float(u.eval_node(0, x0)[0]),
+            z0=np.atleast_2d(zeta.eval_node(0, x0))[0], u=u, zeta=zeta,
+            dt=dt, seed=seed, residuals=residuals[-n - 1:]))
+    return sols
+
+
+def solve_finite_bsde(spec, flow: MeasureFlow, x0, T: float, dt: float,
+                      n_particles: int, degree: int | None = None,
+                      seed: int = 0) -> BsdeSolution:
+    """Solve the decoupled BSDE on [0, T] and read (Y0, Z0) at x0: the
+    one-horizon call of ``_solve_horizons``."""
+    return _solve_horizons(spec, flow, x0, [T], dt, n_particles, degree,
+                           seed)[0]
 
 
 def z_from_gradient(sol: BsdeSolution, spec, flow: MeasureFlow, t: float,

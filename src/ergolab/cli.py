@@ -54,6 +54,8 @@ __all__ = ["RunManifest", "run", "main", "rerun_from_manifest",
 
 SUBCOMMANDS = ("audit", "simulate", "invariant", "coupling", "bsde", "ebsde",
                "ltb1", "ltb2", "ltb3", "control", "report")
+# these read the drift at t = 0, so they refuse a drift that reads t
+_TIME_HOMOGENEOUS = ("ebsde", "ltb2", "ltb3", "control")
 OUT_ENV_VAR = "ERGOLAB_OUT"
 DEFAULT_SEED = 42
 
@@ -397,8 +399,9 @@ def _cmd_bsde(scenario, params, outdir):
     surface = {"node": np.arange(m), "time": u.times}
     surface.update({f"c{i}_{j}": u.coeffs[:, i, j]
                     for i in range(n_basis) for j in range(out_dim)})
-    surface.update({f"center{j}": u.centers[:, j] for j in range(u.dim)})
-    surface.update({f"scale{j}": u.scales[:, j] for j in range(u.dim)})
+    for name, per_dim in (("center", u.center), ("scale", u.scale)):
+        surface.update({f"{name}{j}": np.full(m, v)
+                        for j, v in enumerate(per_dim)})
     _write_csv(outdir / "bsde_surface.csv", surface,
                comment=f"degree={u.degree} dim={u.dim} out_dim={out_dim} "
                        f"offset={u.offset:.17g}")
@@ -695,6 +698,11 @@ def run(argv=None) -> int:
         scenario = None
         if getattr(args, "scenario", None):
             scenario = load_scenario(args.scenario)
+            where = getattr(scenario.spec.drift, "_reads_t_at", None)
+            if where is not None and args.subcommand in _TIME_HOMOGENEOUS:
+                raise ScenarioError(
+                    f"drift reads t, but {args.subcommand} needs a "
+                    "time-homogeneous drift", scenario.source, *where)
         defaults = dict(RUN_DEFAULTS[args.subcommand])
         if args.subcommand == "report" and getattr(args, "run_dir", None):
             defaults["run_dir"] = args.run_dir

@@ -17,7 +17,7 @@ import numpy as np
 
 from ergolab.bsde import BsdeSolution, RegressionFunction, solve_finite_bsde
 from ergolab.ebsde import ErgodicSolution, _tail_average
-from ergolab.ltb import DecayFit, _fit_exponential
+from ergolab.ltb import DecayFit, _fit_exponential, _horizon_run
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
 from ergolab.model import ControlSpec
 from ergolab.sde import (CheckpointedFlow, DriftShift, derive_seed,
@@ -408,7 +408,8 @@ def ocp_longtime(spec, erg: ErgodicSolution, ell_hat: float,
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     x0v = np.asarray(x0, dtype=float).reshape(-1)
     t_max = float(t_grid[-1])
-    flow = MeasureFlow.constant(erg.mu_star, 0.0, t_max)
+    flow, sols = _horizon_run(spec, None, erg.mu_star, x0v, t_grid, dt,
+                              n_particles, degree, seed)
     mu0 = flow.at_time(0.0)
     ubar_x0 = float(erg.u_bar(0.0, x0v)[0])
 
@@ -416,18 +417,13 @@ def ocp_longtime(spec, erg: ErgodicSolution, ell_hat: float,
     a_bar = pol_bar.actions(0.0, x0v[None, :], mu0)[0]
     z_bar = np.asarray(erg.zeta_bar.eval_node(0, x0v)).reshape(-1)
 
-    sols, costs = [], []
-    a_gap, z_gap = [], []
-    for T in t_grid:
-        sol = solve_finite_bsde(spec, flow, x0v, T=float(T), dt=dt,
-                                n_particles=n_particles, degree=degree,
-                                seed=derive_seed(seed, 3))
+    costs, a_gap, z_gap = [], [], []
+    for T, sol in zip(t_grid, sols):
         pol = ControlPolicy.from_finite(spec.control, sol)
         rep = evaluate_cost_finite(spec, pol, x0v, flow, float(T), dt,
                                    n_particles, seed=derive_seed(seed, 5),
                                    benchmark=sol)
         a0_T = pol.actions(0.0, x0v[None, :], mu0)[0]
-        sols.append(sol)
         costs.append(rep)
         a_gap.append(float(np.linalg.norm(a0_T - a_bar)))
         z_gap.append(float(np.linalg.norm(sol.z0 - z_bar)))

@@ -2,21 +2,16 @@
 frozen stationary law mu*, which both routes simulate the same way.
 
 ``extract_ergodic`` solves the stationary equation as one fixed point
-("regression later"). Under one Euler step, X_1 given X_0 = x is
-Gaussian with mean x + b dt and covariance sigma sigma^T dt, so for a
-value surface that is a polynomial of degree q, both E[u(X_1) | x] and
-E[u(X_1) dW | x] / dt are exact under a tensor Gauss-Hermite rule with
-ceil((q + 2) / 2) points per dimension (``bsde._OneStep``, the rule the
-finite-horizon sweep also uses). On mu*'s atoms they are two fixed
-matrices, built once, and one ridge projection, factored once, maps the
-next node's coefficients to the current node's; the gradient z-field is
-projected by the same regression. Iterating that
+("regression later") of the finite-horizon sweep's exact one-step
+operator (``bsde._OneStep``): on mu*'s atoms the Euler step's moments
+are two fixed matrices, built once, and one ridge projection, factored
+once, maps the next node's coefficients to the current node's; the
+gradient z-field is projected by the same regression. Iterating that
 undiscounted, zero-terminal map and recentring at the anchor after each
 step (relative value iteration) converges to u_bar; the anchor's
 increment per step is lambda dt. That lambda is the Euler chain's own
 long-run average, which differs from the continuous-time one by O(dt).
-Coefficients are read at t = 0, so the model is taken to be
-time-homogeneous.
+Coefficients are read at t = 0, so the model must be time-homogeneous.
 
 ``extract_ergodic_vanishing`` is the paper's construction. A family of
 discounted infinite-horizon problems is truncated to finite horizons
@@ -83,7 +78,6 @@ class AlphaSolution:
     alpha: float
     t_alpha: float
     u: RegressionFunction
-    anchor: np.ndarray
     anchor_value: float
     lambda_candidate: float
     truncation_bound: float
@@ -174,22 +168,19 @@ def _discounted_solves(spec, mu_star: EmpiricalMeasure,
     anchor = _anchor_point(spec, anchor)
     c_hat = driver_growth_constant(spec, mu_star)
     x = mu_star.points
-    reg, a, z = operator
+    reg, one_step = operator
     out = []
     for alpha in alphas:
         t_alpha = discount_horizon(alpha, c_hat, dt)
-        coeffs = np.zeros(a.shape[1])
+        coeffs = np.zeros(reg.exponents.shape[0])
         for _ in range(_steps_for(t_alpha, dt)):
-            target = a @ coeffs + dt * np.asarray(
-                spec.driver(x, mu_star, z @ coeffs), dtype=float)
-            fitted = reg.fit(target)[:, 0]
+            target, fitted = one_step(coeffs)
             coeffs = fitted / (1.0 + alpha * dt)
         u = _surface(coeffs, reg)
         anchor_value = float(u.eval_node(0, anchor)[0])
         growth = alpha * float(np.max(np.abs(u.eval_node(0, x))))
         out.append(AlphaSolution(
-            alpha=alpha, t_alpha=t_alpha, u=u, anchor=anchor,
-            anchor_value=anchor_value,
+            alpha=alpha, t_alpha=t_alpha, u=u, anchor_value=anchor_value,
             lambda_candidate=alpha * anchor_value,
             truncation_bound=(c_hat / alpha) * math.exp(-alpha * t_alpha),
             c_hat=c_hat, growth_estimate=growth,
@@ -229,19 +220,25 @@ def _anchor_point(spec, anchor) -> np.ndarray:
 
 def _one_step_operator(spec, mu_star: EmpiricalMeasure,
                        degree: int | None, dt: float):
-    """The basis on mu*'s atoms (degree max(q + 1, 3) by default), its one
-    factored regression, and the one-step matrices A (N, nb) and Z
-    (N, d, nb) with A[i] @ c = E[u_c(X_1) | x_i] and
-    Z[i] @ c = E[u_c(X_1) dW | x_i] / dt, the coefficients read at t = 0:
-    (regressor, A, Z)."""
+    """The basis on mu*'s atoms (degree max(q + 1, 3) by default), its
+    factored regression P, and the one-step map c -> (target, P target),
+    target = A c + dt f(x, mu*, Z c): (regressor, map). A (N, nb) and Z
+    (N, d, nb), built once with the coefficients read at t = 0, give
+    A[i] @ c = E[u_c(X_1) | x_i] and Z[i] @ c = E[u_c(X_1) dW | x_i] / dt."""
     if degree is None:
         degree = max(int(spec.constants.q) + 1, 3)
-    reg = _NodeRegressor(mu_star.points,
-                         monomial_exponents(spec.dim, degree), 0)
+    x = mu_star.points
+    reg = _NodeRegressor(x, monomial_exponents(spec.dim, degree), 0)
     step = _OneStep(spec.dim, degree, dt)
-    a, z = step.moments(step.design(spec, 0.0, mu_star.points, mu_star, reg),
+    a, z = step.moments(step.design(spec, 0.0, x, mu_star, reg),
                         np.eye(reg.exponents.shape[0]))
-    return reg, a, z
+
+    def one_step(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        target = a @ coeffs + dt * np.asarray(
+            spec.driver(x, mu_star, z @ coeffs), dtype=float)
+        return target, reg.fit(target)[:, 0]
+
+    return reg, one_step
 
 
 def _surface(coeffs: np.ndarray, reg: _NodeRegressor) -> RegressionFunction:
@@ -249,9 +246,8 @@ def _surface(coeffs: np.ndarray, reg: _NodeRegressor) -> RegressionFunction:
     coordinates: shape (nb,) for a value, (nb, m) for an m-vector field."""
     block = coeffs.reshape(coeffs.shape[0], -1)
     return RegressionFunction(times=np.zeros(1), coeffs=block[None],
-                              exponents=reg.exponents,
-                              centers=reg.center[None],
-                              scales=reg.scale[None])
+                              exponents=reg.exponents, center=reg.center,
+                              scale=reg.scale)
 
 
 def extract_ergodic(spec, n_particles: int, dt: float,
@@ -279,19 +275,16 @@ def extract_ergodic(spec, n_particles: int, dt: float,
     """
     inv = _stationary_law(spec, n_particles, dt, seed, t_burn)
     mu_star = inv.measure
-    x = mu_star.points
     anchor = _anchor_point(spec, anchor)
-    reg, a, z = _one_step_operator(spec, mu_star, degree, dt)
+    reg, one_step = _one_step_operator(spec, mu_star, degree, dt)
     at_anchor = _design(((anchor - reg.center) / reg.scale)[None],
                         reg.exponents)[0]
     max_steps = _steps_for(discount_horizon(
         _CAP_DISCOUNT, driver_growth_constant(spec, mu_star), dt), dt)
 
-    coeffs = np.zeros(a.shape[1])
+    coeffs = np.zeros(reg.exponents.shape[0])
     for _ in range(max_steps):
-        target = a @ coeffs + dt * np.asarray(
-            spec.driver(x, mu_star, z @ coeffs), dtype=float)
-        fitted = reg.fit(target)[:, 0]
+        target, fitted = one_step(coeffs)
         level = float(at_anchor @ fitted)
         rise = level - float(at_anchor @ coeffs)
         recentred = fitted.copy()

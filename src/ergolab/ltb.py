@@ -8,12 +8,13 @@ z-readout against the stationary z-field (exponential decay to zero).
 
 An experiment draws two things: the forward law, an interacting-particle
 run from theta on child seed 7 (none when the stationary law is held
-constant), and the regression cloud of every horizon solve, on child
-seed 3, a draw from the forward law at that horizon. Each solve sweeps
-the exact one-step operator backwards over its fixed cloud
-(``ergolab.bsde``), so all Monte Carlo noise enters through these draws,
-and it is common across the grid; orderings between horizons are then
-far more stable than under independent runs.
+constant), and the regression clouds, on child seed 3, each a draw from
+the forward law at its horizon (``ergolab.bsde``). On the constant law
+one sweep at the largest horizon serves the whole grid; a forward law
+from theta gives each horizon its own cloud and sweep. All Monte Carlo
+noise enters through these draws and is common across the grid, so
+orderings between horizons are far more stable than under independent
+runs.
 
 Each exponential fit carries a noise floor: the spread of the largest
 horizon's readout over three re-runs of everything the experiment draws,
@@ -30,11 +31,8 @@ points that do carry signal. A fit with no signal anywhere reports the
 rate as indeterminate instead of fitting noise.
 
 A forward law started from theta is one interacting-particle run to the
-largest horizon, held as a ``CheckpointedFlow``: its states every
-S = ceil(sqrt(M)) nodes, not the (M+1, N, d) record. Each horizon solve
-reads it once, last node to first, and that read replays each segment it
-needs once from its checkpoint. That costs about one extra interacting
-Euler step per node of every horizon, and keeps memory at O(sqrt(M) N d).
+largest horizon, held as a ``CheckpointedFlow`` (O(sqrt(M) N d) memory),
+which each horizon's sweep reads once, last node first.
 """
 
 from __future__ import annotations
@@ -46,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import stdtrit
 
-from ergolab.bsde import BsdeSolution, solve_finite_bsde, z_from_gradient
+from ergolab.bsde import BsdeSolution, _solve_horizons, z_from_gradient
 from ergolab.ebsde import ErgodicSolution
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
 from ergolab.sde import CheckpointedFlow, derive_seed
@@ -250,35 +248,27 @@ def _fit_exponential(t: np.ndarray, values: np.ndarray, floor: float,
                     indeterminate=False)
 
 
-def _theta_flow(spec, theta: EmpiricalMeasure | None,
-                mu_star: EmpiricalMeasure | None, t_max: float, dt: float,
-                n_particles: int,
-                seed: int) -> MeasureFlow | CheckpointedFlow:
-    """Forward law on [0, t_max]: the interacting-particle flow from
-    theta, checkpointed, or the stationary law held constant when theta
-    is None."""
-    if theta is None:
-        if mu_star is None:
-            raise ValueError("need either theta or a stationary law")
-        return MeasureFlow.constant(mu_star, 0.0, t_max)
-    return CheckpointedFlow.build(spec, theta, dt=dt, T=t_max,
-                                  n_particles=n_particles, seed=seed)
-
-
 def _horizon_run(spec, theta: EmpiricalMeasure | None,
                  mu_star: EmpiricalMeasure | None, x0, t_grid, dt,
                  n_particles, degree,
                  seed) -> tuple[MeasureFlow | CheckpointedFlow,
                                 list[BsdeSolution]]:
     """Everything an experiment draws at ``seed``: the forward law on
-    child seed 7 and one solve per horizon, each on the cloud of child
-    seed 3."""
-    flow = _theta_flow(spec, theta, mu_star, float(t_grid[-1]), dt,
-                       n_particles, derive_seed(seed, 7))
-    return flow, [solve_finite_bsde(spec, flow, x0, T=float(T), dt=dt,
-                                    n_particles=n_particles, degree=degree,
-                                    seed=derive_seed(seed, 3))
-                  for T in t_grid]
+    [0, t_grid[-1]] and every horizon's solve, on the cloud of child seed
+    3. The law is the interacting-particle flow from theta on child seed
+    7, checkpointed, or the stationary law held constant when theta is
+    None (one sweep then serves the grid)."""
+    t_max = float(t_grid[-1])
+    if theta is not None:
+        flow = CheckpointedFlow.build(spec, theta, dt=dt, T=t_max,
+                                      n_particles=n_particles,
+                                      seed=derive_seed(seed, 7))
+    elif mu_star is not None:
+        flow = MeasureFlow.constant(mu_star, 0.0, t_max)
+    else:
+        raise ValueError("need either theta or a stationary law")
+    return flow, _solve_horizons(spec, flow, x0, t_grid, dt, n_particles,
+                                 degree, derive_seed(seed, 3))
 
 
 def _noise_floor(spec, theta, mu_star, x0, t_max, dt, n_particles, degree,

@@ -651,6 +651,9 @@ def _expression_coefficients(model: dict, constants: Constants, source: str):
         out = drift_e(t=t, x=x[:, 0], m1=mu.m1(), m2=mu.m2())
         return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],))[:, None]
 
+    if "t" in drift_e.names:  # where, for subcommands that freeze time
+        drift._reads_t_at = model["drift"][1:]
+
     def diffusion(x, mu):
         if "x" in diff_e.names:
             out = np.asarray(diff_e(x=x[:, 0], m1=mu.m1(), m2=mu.m2()), dtype=float)

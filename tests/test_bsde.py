@@ -235,7 +235,7 @@ def test_solve_draws_one_block_of_its_own_seed(ou_spec, monkeypatch, law):
     # the regression cloud; the sweep's moments are exact and draw nothing
     assert drawn == [(9, INIT_DRAW_STEP)]
     # a law with spread is sampled; a point mass is spread around x0
-    center = sol.u.centers[0, 0]
+    center = sol.u.center[0]
     if law == "interacting":
         assert abs(center - flow.at_time(1.01).mean()[0]) < 0.2
     else:
@@ -304,3 +304,50 @@ def test_concurrent_solves_are_the_serial_solves(ou_spec):
         np.testing.assert_array_equal(one.u.coeffs, other.u.coeffs)
         np.testing.assert_array_equal(one.zeta.coeffs, other.zeta.coeffs)
         np.testing.assert_array_equal(one.residuals, other.residuals)
+
+
+@pytest.mark.parametrize("name", ["ou-attract", "sine-weak"])
+def test_constant_flow_grid_is_the_per_horizon_solves(name, monkeypatch):
+    # on a constant flow each horizon is the tail of one sweep at the
+    # largest one, bit for bit
+    spec = model.preset(name)
+    mu = EmpiricalMeasure(np.random.default_rng(3).normal(0.0, 1.2, (400, 1)))
+    flow = MeasureFlow.constant(mu, 0.0, 1.6)
+    grid = (0.4, 1.0, 1.6)
+    swept = []
+
+    def counted(spec, cloud, flow, T, *args):
+        swept.append(T)
+        return backward_lsmc(spec, cloud, flow, T, *args)
+
+    monkeypatch.setattr(bsde, "backward_lsmc", counted)
+    sols = bsde._solve_horizons(spec, flow, 1.0, grid, 0.02, 400, None, 5)
+    assert swept == [1.6]
+    for T, sol in zip(grid, sols):
+        one = solve_finite_bsde(spec, flow, 1.0, T=T, dt=0.02,
+                                n_particles=400, seed=5)
+        assert np.array_equal(sol.u.times, one.u.times)
+        assert np.array_equal(sol.u.coeffs, one.u.coeffs)
+        assert np.array_equal(sol.zeta.coeffs, one.zeta.coeffs)
+        assert np.array_equal(sol.residuals, one.residuals)
+        assert sol.y0 == one.y0 and np.array_equal(sol.z0, one.z0)
+
+
+def test_moving_flow_grid_draws_a_cloud_per_horizon(ou_spec, monkeypatch):
+    flow = sde.CheckpointedFlow.build(ou_spec, EmpiricalMeasure.dirac(0.5),
+                                      dt=0.02, T=1.0, n_particles=300, seed=5)
+    swept = []
+
+    def counted(spec, cloud, flow, T, *args):
+        swept.append((T, cloud.mean()))
+        return backward_lsmc(spec, cloud, flow, T, *args)
+
+    monkeypatch.setattr(bsde, "backward_lsmc", counted)
+    sols = bsde._solve_horizons(ou_spec, flow, 0.0, (0.4, 1.0), 0.02, 300,
+                                None, 9)
+    assert [T for T, _ in swept] == [0.4, 1.0]
+    # each cloud is a draw from the flow's law at its own horizon
+    for (T, center), sol in zip(swept, sols):
+        assert abs(center - flow.at_time(T).mean()[0]) < 0.2
+        assert sol.u.times[-1] == pytest.approx(T)
+    assert swept[0][1] != swept[1][1]

@@ -99,6 +99,22 @@ particles = 1500
 dt = 0.02
 """
 
+# a drift that reads t: value field at column 9 of line 4
+TIME_SCN = """\
+[model]
+dim = 1
+regime = strong
+drift = -x + 0.5 * sin(t)
+diffusion = 1
+driver = x**2
+terminal = x**2
+
+[run]
+particles = 50
+dt = 0.05
+horizon = 0.5
+"""
+
 
 @pytest.fixture(scope="module")
 def scn_dir(tmp_path_factory):
@@ -106,7 +122,7 @@ def scn_dir(tmp_path_factory):
     for name, text in (("ou.scn", OU_SCN), ("lq.scn", LQ_SCN),
                        ("bad.scn", BAD_SCN), ("expand.scn", EXPANDING_SCN),
                        ("cubic.scn", CUBIC_SCN), ("step.scn", STEP_SCN),
-                       ("sine.scn", SINE_SCN)):
+                       ("sine.scn", SINE_SCN), ("time.scn", TIME_SCN)):
         (d / name).write_text(text)
     return d
 
@@ -141,6 +157,20 @@ def test_malformed_scenario_line_column_diagnostic(scn_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}:4:13:" in err
     assert "particles" in err
+
+
+def test_drift_that_reads_t_is_refused_where_time_is_frozen(scn_dir, tmp_path,
+                                                            capsys):
+    # the ergodic triple reads the drift at t = 0 and one backward sweep
+    # serves every horizon of a constant flow
+    path = scn_dir / "time.scn"
+    for sub in ("ebsde", "ltb2", "ltb3", "control"):
+        assert run([sub, "--scenario", str(path),
+                    "--out", str(tmp_path / sub)]) == 1
+        err = capsys.readouterr().err
+        assert f"{path}:4:9: drift reads t" in err and sub in err
+    assert run(["simulate", "--scenario", str(path),
+                "--out", str(tmp_path / "simulate")]) == 0
 
 
 def test_failed_audit_exits_two(scn_dir, tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle_reference as oracle
-from ergolab import cli, control, sde
+from ergolab import bsde, cli, control, sde
 from ergolab.bsde import solve_finite_bsde
 from ergolab.control import (
     AdmissibilityError,
@@ -297,6 +297,21 @@ def test_finite_policy_saturates_far_from_origin(lq_spec, erg_lq):
         0.0, x0[None, :], mu0)
     np.testing.assert_array_equal(a_fin, [[-1.0]])
     np.testing.assert_array_equal(a_erg, [[-1.0]])
+
+
+def test_longtime_grid_runs_one_sweep(lq_spec, erg_lq, monkeypatch):
+    # one sweep for the grid on mu*, three for the feedback floor
+    swept = []
+    sweep = bsde.backward_lsmc
+
+    def counted(spec, cloud, flow, T, *args):
+        swept.append(T)
+        return sweep(spec, cloud, flow, T, *args)
+
+    monkeypatch.setattr(bsde, "backward_lsmc", counted)
+    ocp_longtime(lq_spec, erg_lq, ell_hat=0.0, t_grid=(1.0, 2.0), dt=0.05,
+                 n_particles=300, seed=1)
+    assert swept == [2.0] * (1 + 3)
 
 
 def test_longtime_control_expansion(lq_spec, erg_lq, tmp_path):

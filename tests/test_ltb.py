@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle_reference as oracle
-from ergolab import cli, ebsde, ltb
+from ergolab import bsde, cli, ebsde, ltb
 from ergolab.ltb import (DecayFit, _fit_exponential, _fit_inverse_time,
                          ltb1_experiment, ltb2_experiment, ltb3_experiment)
 from ergolab.measure import EmpiricalMeasure
@@ -221,6 +221,24 @@ def test_sine_weak_value_slope_tracks_lambda(sine_spec, erg_sine):
                           t_grid=(5.0, 10.0, 20.0), dt=0.02,
                           n_particles=2000, seed=7)
     assert np.max(fit.observed) <= 0.15
+
+
+@pytest.mark.parametrize("experiment,t_max", [(ltb2_experiment, 8.0),
+                                              (ltb3_experiment, 4.0)])
+def test_constant_flow_grid_runs_one_sweep(ou_spec, erg_ou, monkeypatch,
+                                           experiment, t_max):
+    # the default grid's horizons share one sweep at the largest; the
+    # noise floor re-runs that horizon at three fresh seeds
+    swept = []
+    sweep = bsde.backward_lsmc
+
+    def counted(spec, cloud, flow, T, *args):
+        swept.append(T)
+        return sweep(spec, cloud, flow, T, *args)
+
+    monkeypatch.setattr(bsde, "backward_lsmc", counted)
+    experiment(ou_spec, erg_ou, dt=0.02, n_particles=500, seed=3)
+    assert swept == [t_max] * (1 + 3)
 
 
 def test_sine_weak_centred_value_does_not_drift(sine_spec, erg_sine):

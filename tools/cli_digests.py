@@ -40,6 +40,9 @@ RUNS = [
     ("ltb1", "ou-attract", "ltb1", ["--particles", "500"]),
     ("ltb2", "ou-attract", "ltb2", ["--particles", "500"]),
     ("ltb3", "ou-attract", "ltb3", ["--particles", "500"]),
+    # the cubic basis cannot hold sine-weak's value surface
+    ("ltb2-sine", "sine-weak", "ltb2", ["--particles", "500"]),
+    ("ltb3-sine", "sine-weak", "ltb3", ["--particles", "500"]),
     ("control", "control-lq", "control",
      ["--particles", "500", "--set", "t_grid=1 2"]),
 ]
