@@ -33,6 +33,12 @@ rate as indeterminate instead of fitting noise.
 A forward law started from theta is one interacting-particle run to the
 largest horizon, held as a ``CheckpointedFlow`` (O(sqrt(M) N d) memory),
 which each horizon's sweep reads once, last node first.
+
+The fits' 95% intervals take their Student-t quantile from ``_t975``,
+which needs only ``math``, so importing this module loads no scipy.
+``scipy.optimize`` is imported by the free-offset refit the first time
+a fit takes it (``ltb2``, ``ltb3`` and ``control.ocp_longtime`` can);
+that import maps scipy's OpenBLAS, with one more thread.
 """
 
 from __future__ import annotations
@@ -42,7 +48,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtrit
 
 from ergolab.bsde import BsdeSolution, _solve_horizons, z_from_gradient
 from ergolab.ebsde import ErgodicSolution
@@ -106,10 +111,66 @@ class DecayFit:
                 "indeterminate": int(self.indeterminate), "note": self.note}
 
 
+# Hill's series for the 0.975 t quantile in powers of 1/dof about the
+# normal quantile z (G. W. Hill, "Algorithm 396: Student's t-quantiles",
+# CACM 13, 1970); within 1.2e-14 of the root from dof 500 on
+_Z = 1.959963984540054
+_HILL = (_Z, _Z * (_Z**2 + 1) / 4,
+         _Z * ((5 * _Z**2 + 16) * _Z**2 + 3) / 96,
+         _Z * (((3 * _Z**2 + 19) * _Z**2 + 17) * _Z**2 - 15) / 384,
+         _Z * ((((79 * _Z**2 + 776) * _Z**2 + 1482) * _Z**2 - 1920)
+               * _Z**2 - 945) / 92160)
+
+
+def _beta_cf(a: float, u: float) -> float:
+    """Lentz's continued fraction h in I_x(a, ½) = x^a (1 − x)^½ h /
+    (a B(a, ½)) at x = 1/(1 + u), fast while x < (a + 1)/(a + 2.5)."""
+    x = 1 / (1 + u)
+    # 1/(1 − (a + ½) x / (a + 1)), written without the cancellation at x ~ 1
+    d = (a + 1) * (1 + u) / (0.5 + (a + 1) * u)
+    c, h = 1.0, d
+    for m in range(1, 1000):
+        for e in (m * (0.5 - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                  -(a + m) * (a + m + 0.5) * x
+                  / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1 / (1 + e * d)
+            c = 1 + e / c
+            h *= d * c
+        if abs(d * c - 1) < 4e-16:
+            break
+    return h
+
+
+def _t975(dof: int) -> float:
+    """0.975 quantile of Student's t with integer ``dof`` degrees of freedom:
+    Hill's series from dof 500 on; below, Newton's method from it on the
+    tail 1 − F(t) = ½ I_x(ν/2, ½) = f(t) t h / ν, x = ν/(ν + t²), with
+    f the density and h from ``_beta_cf`` (fast here, as t² > 3)."""
+    nu = float(dof)
+    t = sum(g / nu**k for k, g in enumerate(_HILL))
+    if nu >= 500:
+        return t
+    # Γ(a + ½)/Γ(a), a = ν/2, by Γ's recurrence up from a = ½ or 1
+    a, b = nu / 2, 0.5 if dof % 2 else 1.0
+    r = math.sqrt(math.pi) / 2 if b == 1 else 1 / math.sqrt(math.pi)
+    while b < a:
+        r *= (b + 0.5) / b
+        b += 1
+    f0 = r / math.sqrt(nu * math.pi)
+    for _ in range(50):
+        u = t * t / nu
+        f = f0 * math.exp(-(a + 0.5) * math.log1p(u))
+        step = t * _beta_cf(a, u) / nu - 0.025 / f
+        t += step
+        if abs(step) < 1e-10 * t:  # convergence is quadratic
+            break
+    return t
+
+
 def _ci_from_se(value: float, se: float, dof: int) -> tuple[float, float]:
     if dof < 1 or not np.isfinite(se):
         return (-math.inf, math.inf)
-    q = stdtrit(dof, 0.975)  # the t quantile stats.t.ppf computes
+    q = _t975(dof)
     return (value - q * se, value + q * se)
 
 

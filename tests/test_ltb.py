@@ -143,12 +143,21 @@ def test_decay_fit_csv_and_report(tmp_path):
     assert keys == set(rep) | {"passed"}
 
 
-def test_t_quantile_is_scipy_stats():
-    # ltb loads scipy.special's stdtrit, not scipy.stats, at import
+def test_t_quantile_matches_scipy_stats():
+    # scipy's own quantile is off the true root by up to 19 ulp (dof 6),
+    # so the in-house one is held to a stated tolerance, not to its bits
     from scipy import stats
     for dof in [*range(1, 201), 10**4, 10**6]:
-        q = stats.t.ppf(0.975, dof)
-        assert ltb._ci_from_se(0.3, 1.7, dof) == (0.3 - q * 1.7, 0.3 + q * 1.7)
+        lo, hi = ltb._ci_from_se(0.0, 1.0, dof)
+        assert lo == -hi
+        assert hi == pytest.approx(stats.t.ppf(0.975, dof), rel=1e-13)
+    p = 0.975
+    assert ltb._ci_from_se(0.0, 1.0, 1)[1] == pytest.approx(
+        math.tan(math.pi * (p - 0.5)), rel=1e-14)
+    assert ltb._ci_from_se(0.0, 1.0, 2)[1] == pytest.approx(
+        (2 * p - 1) / math.sqrt(2 * p * (1 - p)), rel=1e-14)
+    for dof, se in ((0, 1.0), (-1, 1.0), (5, math.inf), (5, math.nan)):
+        assert ltb._ci_from_se(0.3, se, dof) == (-math.inf, math.inf)
 
 
 def test_refit_without_covariance_returns_none():
