@@ -4,10 +4,10 @@ on one fixed regression cloud.
 
 Under one Euler step from node k, X_{k+1} given X_k = x is Gaussian, so
 for a polynomial value surface u_{k+1} both E[u_{k+1}(X_{k+1}) | x] and
-E[u_{k+1}(X_{k+1}) dW | x] / dt are exact under a Gauss-Hermite rule
-(``_OneStep``). So the regression design need not follow each path: one
-cloud is drawn once, one ridge projection P is factored on it
-(``_NodeRegressor``), and the sweep runs
+E[u_{k+1}(X_{k+1}) dW | x] / dt are exact under a Gauss-Hermite rule.
+So the regression design need not follow each path: one cloud is drawn
+once, one ridge projection P is factored on it (``_NodeRegressor``), and
+the sweep runs
 
     c_k = P (E[u_{k+1}(X_{k+1}) | x] + dt f(x, mu_k, zm_k)),
     zm_k = E[u_{k+1}(X_{k+1}) dW | x] / dt,
@@ -15,9 +15,16 @@ cloud is drawn once, one ridge projection P is factored on it
 from c_M = P g, with zeta_k = P zm_k fitted in the same product as c_k.
 No forward paths are simulated, no noise is drawn after the cloud, and
 each node is one product P [y | zm]. The measure arguments come from the
-frozen flow, read once per node from last to first. The fixed point and
-the discount ladder of ``ergolab.ebsde`` build their operator from the
-same one-step rule.
+frozen flow, read once per node from last to first.
+
+``_Operator`` is the one copy of that map. The sweep steps it at each
+node's (t, mu); the fixed point and the discount ladder of
+``ergolab.ebsde`` step it on a law held fixed. Two rules hold for every
+caller. The basis degree is max(q + 1, 3) by default, and a degree below
+q + 1 raises ValueError. A law held fixed reads the drift at t = 0, so a
+drift marked as reading t (``_reads_t_at``, set by the scenario
+compiler) raises ValueError there; an API caller whose drift reads t
+marks it the same way.
 
 The cloud is a draw from the flow's law at T, not a spread around x0.
 Where the basis cannot hold the value surface, the projection's weights
@@ -253,76 +260,109 @@ class _NodeRegressor:
         return self.basis @ coeffs
 
 
-def _projection_rmse(reg: _NodeRegressor, fitted: np.ndarray,
-                     target: np.ndarray) -> float:
-    """RMS over the cloud of a target around its projection."""
-    return float(np.linalg.norm(reg.predict(fitted) - target)
-                 / math.sqrt(target.shape[0]))
-
-
-class _OneStep:
-    """One Euler step's conditional moments of a degree-q polynomial
-    surface, exact by a Gauss-Hermite rule.
+class _Operator:
+    """The one backward map (module docstring) on one fixed (N, d) cloud,
+    with its rules: the regression factored on the cloud (``reg``), the
+    Gauss-Hermite rule, and the basis degree. ``target`` is the only code
+    that forms the backward target.
 
     X_1 = x + b dt + sigma dW with dW ~ N(0, dt I). The tensor rule with
     ceil((q + 2) / 2) points per dimension integrates every polynomial of
-    degree q + 1 in dW exactly, so for a degree-q surface u both
-    E[u(X_1) | x] and E[u(X_1) dW | x] / dt are exact. The rule depends
-    only on (dim, q, dt) and is built once per solve.
-
-    The object also holds that solve's workspace for ``design``: the
-    next states, the power table and the design matrix, each N * rule
-    points rows. It is allocated at the first ``design`` call and reused
-    at every later one, so a sweep allocates no large array per node.
-    One object serves one solve, on one cloud and one thread.
+    degree q + 1 in dW exactly, so both moments of a degree-q surface are
+    exact. On a ``law`` held fixed (mu*) they are two matrices built once
+    at t = 0, A (N, nb) and Z (N, d, nb), with A[i] @ c = E[u_c(X_1) | x_i]
+    and Z[i] @ c = E[u_c(X_1) dW | x_i] / dt. Otherwise each ``target``
+    forms them at its own (t, mu) in a workspace allocated at the first
+    call and reused, so a sweep allocates no large array per node. One
+    object serves one solve, on one thread.
     """
 
-    def __init__(self, dim: int, degree: int, dt: float):
+    def __init__(self, spec, cloud: np.ndarray, dt: float,
+                 degree: int | None = None, law=None):
+        q = spec.constants.q
+        if degree is None:
+            degree = max(int(q) + 1, 3)
+        if degree < q + 1:
+            raise ValueError(
+                f"basis degree {degree} cannot represent terminal growth "
+                f"q + 1 = {q + 1}")
+        where = getattr(spec.drift, "_reads_t_at", None)
+        if law is not None and where is not None:
+            raise ValueError(
+                "a law held fixed reads the drift at t = 0, but the drift "
+                "reads t (line {}, column {})".format(*where))
+        self.spec, self.cloud, self.dt, self.law = spec, cloud, dt, law
+        d = cloud.shape[1]
+        self.reg = _NodeRegressor(cloud, monomial_exponents(d, degree), 0)
         nodes, weights = hermegauss(math.ceil((degree + 2) / 2))
         weights = weights / weights.sum()
-        self.dt = dt
         self.dw = math.sqrt(dt) * np.array(
-            list(itertools.product(nodes, repeat=dim)))
-        self.w = np.prod(list(itertools.product(weights, repeat=dim)), axis=1)
-        self.wz = self.w[:, None] * self.dw / self.dt
+            list(itertools.product(nodes, repeat=d)))
+        self.w = np.prod(list(itertools.product(weights, repeat=d)), axis=1)
+        self.wz = self.w[:, None] * self.dw / dt
         self._work = None
+        if law is not None:
+            self._az = self._moments(self._design(0.0, law),
+                                     np.eye(self.reg.exponents.shape[0]))
 
-    def _workspace(self, n: int, d: int, exponents: np.ndarray):
-        """(next states, power table, design matrix) for the solve's n
-        points, allocated at the first call."""
+    def _design(self, t: float, mu) -> np.ndarray:
+        """reg's basis at the rule's next states from the cloud under the
+        coefficients at (t, mu): (N * rule points, nb), x_i's points in
+        rows i * points to (i + 1) * points, in the workspace."""
+        x, reg = self.cloud, self.reg
+        n, d = x.shape
         if self._work is None:
             rows = n * self.w.size
             self._work = (np.empty((n, self.w.size, d)),
-                          np.empty((d, int(exponents.max()) + 1, rows)),
-                          np.empty((rows, exponents.shape[0])))
-        return self._work
-
-    def design(self, spec, t: float, x: np.ndarray, mu,
-               reg: _NodeRegressor) -> np.ndarray:
-        """reg's basis, in reg's standardized coordinates, at the rule's
-        next states from each x under the coefficients at (t, mu): shape
-        (N * rule points, nb), the rule's points of x_i in rows
-        i * points to (i + 1) * points. The result is the workspace's
-        design matrix, overwritten by the next call."""
-        n, d = x.shape
-        nxt, pows, basis = self._workspace(n, d, reg.exponents)
-        drift = np.broadcast_to(spec.drift(t, x, mu), x.shape)
-        np.einsum("njk,gk->ngj", spec.diffusion_at(x, mu), self.dw, out=nxt)
+                          np.empty((d, int(reg.exponents.max()) + 1, rows)),
+                          np.empty((rows, reg.exponents.shape[0])))
+        nxt, pows, basis = self._work
+        drift = np.broadcast_to(self.spec.drift(t, x, mu), x.shape)
+        np.einsum("njk,gk->ngj", self.spec.diffusion_at(x, mu), self.dw,
+                  out=nxt)
         np.add((x + self.dt * drift)[:, None, :], nxt, out=nxt)
         np.subtract(nxt, reg.center, out=nxt)
         np.divide(nxt, reg.scale, out=nxt)
         return _design(nxt.reshape(-1, d), reg.exponents, pows, basis)
 
-    def moments(self, basis: np.ndarray,
-                coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """E[u_c(X_1) | x] and E[u_c(X_1) dW | x] / dt for the ``design``
-        at x: shapes (N,) and (N, d) for coefficients c of shape (nb,),
-        (N, m) and (N, d, m) for c of shape (nb, m). At c = I these are
-        the matrices A and Z with A[i] @ c = E[u_c(X_1) | x_i] and
-        Z[i] @ c = E[u_c(X_1) dW | x_i] / dt."""
+    def _moments(self, basis: np.ndarray,
+                 coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """E[u_c(X_1) | x] and E[u_c(X_1) dW | x] / dt on a ``_design``:
+        (N,) and (N, d) for c (nb,), (N, m) and (N, d, m) for c (nb, m)."""
         values = (basis @ coeffs).reshape(-1, self.w.size, *coeffs.shape[1:])
         return (np.einsum("g,ng...->n...", self.w, values),
                 np.einsum("gk,ng...->nk...", self.wz, values))
+
+    def target(self, coeffs: np.ndarray, t: float = 0.0,
+               mu=None) -> tuple[np.ndarray, np.ndarray]:
+        """(E[u_c(X_1) | x] + dt f(x, mu, zm), zm) on the cloud for the
+        next node's c (nb,), at (t, mu) or at the law held fixed."""
+        if self.law is not None:
+            a, z = self._az
+            e_val, z_val, mu = a @ coeffs, z @ coeffs, self.law
+        else:
+            e_val, z_val = self._moments(self._design(t, mu), coeffs)
+        y = e_val + self.dt * np.asarray(
+            self.spec.driver(self.cloud, mu, z_val), dtype=float)
+        return y, z_val
+
+    def step(self, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One step at the law held fixed: (value target, its coefficients)."""
+        y, _ = self.target(coeffs)
+        return y, self.reg.fit(y)[:, 0]
+
+    def rmse(self, fitted: np.ndarray, target: np.ndarray) -> float:
+        """RMS over the cloud of a target around its projection."""
+        return float(np.linalg.norm(self.reg.predict(fitted) - target)
+                     / math.sqrt(target.shape[0]))
+
+    def surface(self, coeffs: np.ndarray) -> RegressionFunction:
+        """The single-node surface of ``coeffs`` in reg's coordinates:
+        (nb,) for a value, (nb, m) for an m-vector field."""
+        reg = self.reg
+        return RegressionFunction(
+            times=np.zeros(1), coeffs=coeffs.reshape(1, coeffs.shape[0], -1),
+            exponents=reg.exponents, center=reg.center, scale=reg.scale)
 
 
 def _law_cloud(x0: np.ndarray, flow: MeasureFlow, T: float,
@@ -341,26 +381,23 @@ def _law_cloud(x0: np.ndarray, flow: MeasureFlow, T: float,
 
 
 def backward_lsmc(spec, cloud: np.ndarray, flow: MeasureFlow, T: float,
-                  dt: float, degree: int):
+                  dt: float, degree: int | None):
     """Backward sweep of the one-step operator on [0, T] over a fixed
     (N, d) cloud: returns the value surface u, the z-field zeta and the
     per-node residuals.
 
-    One regression is factored on the cloud and one Gauss-Hermite rule
-    is built. From c_M = P g(x, mu_M), each node k < M is the one product
-    [c_k | zeta_k] = P [y | zm] of the module docstring, with the Euler
-    step's exact moments at (t_k, mu_k). ``residuals[k]`` is the RMS over
-    the cloud of node k's value target around its projection. A
-    non-finite surface raises FloatingPointError with its node.
+    One ``_Operator`` is built on the cloud. From c_M = P g(x, mu_M),
+    each node k < M is the one product [c_k | zeta_k] = P [y | zm] of
+    its target at (t_k, mu_k). ``residuals[k]`` is the RMS over the cloud
+    of node k's value target around its projection. A non-finite surface
+    raises FloatingPointError with its node.
     """
     n_steps = _steps_for(T, dt)
     d = cloud.shape[1]
-    exponents = monomial_exponents(d, degree)
-    reg = _NodeRegressor(cloud, exponents, 0)
-    step = _OneStep(d, degree, dt)
+    op = _Operator(spec, cloud, dt, degree)
+    reg = op.reg
     times = np.arange(n_steps + 1) * dt
-    nb = exponents.shape[0]
-    coeffs = np.zeros((n_steps + 1, nb, 1 + d))
+    coeffs = np.zeros((n_steps + 1, reg.exponents.shape[0], 1 + d))
     residuals = np.zeros(n_steps + 1)
 
     for k in range(n_steps, -1, -1):
@@ -368,22 +405,18 @@ def backward_lsmc(spec, cloud: np.ndarray, flow: MeasureFlow, T: float,
         if k == n_steps:
             target = np.asarray(spec.terminal(cloud, mu), dtype=float)[:, None]
         else:
-            e_val, z_val = step.moments(
-                step.design(spec, times[k], cloud, mu, reg),
-                coeffs[k + 1, :, 0])
-            y = e_val + dt * np.asarray(spec.driver(cloud, mu, z_val),
-                                        dtype=float)
-            target = np.column_stack([y, z_val])
+            target = np.column_stack(op.target(coeffs[k + 1, :, 0],
+                                               times[k], mu))
         fitted = reg.fit(target)
         if not np.isfinite(fitted.sum()):
             raise FloatingPointError(
                 f"backward sweep: non-finite surface at node {k} "
                 f"(t = {times[k]:.6g})")
         coeffs[k, :, :fitted.shape[1]] = fitted
-        residuals[k] = _projection_rmse(reg, fitted[:, 0], target[:, 0])
+        residuals[k] = op.rmse(fitted[:, 0], target[:, 0])
 
     u = RegressionFunction(times=times, coeffs=coeffs[:, :, :1],
-                           exponents=exponents, center=reg.center,
+                           exponents=reg.exponents, center=reg.center,
                            scale=reg.scale)
     zeta = replace(u, coeffs=coeffs[:, :, 1:])
     return u, zeta, residuals
@@ -399,15 +432,9 @@ def _solve_horizons(spec, flow: MeasureFlow, x0, t_grid, dt: float,
     decides which horizons share one: on a constant flow (one measure at
     every node, as ``MeasureFlow.constant`` builds) the sweep at the
     largest T serves each horizon with its last n_T + 1 nodes, timed
-    0, dt, ..., T; a moving flow gives each horizon its own.
+    0, dt, ..., T, unless the drift is marked as reading t
+    (``_reads_t_at``); a moving flow gives each horizon its own.
     """
-    c = spec.constants
-    if degree is None:
-        degree = max(int(c.q) + 1, 3)
-    if degree < c.q + 1:
-        raise ValueError(
-            f"basis degree {degree} cannot represent terminal growth "
-            f"q + 1 = {c.q + 1}")
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != spec.dim:
         raise ValueError(f"x0 has dimension {x0.shape[0]}, model wants {spec.dim}")
@@ -420,12 +447,13 @@ def _solve_horizons(spec, flow: MeasureFlow, x0, t_grid, dt: float,
         return backward_lsmc(spec, _law_cloud(x0, flow, T, n_particles, seed),
                              flow, T, dt, degree)
 
-    constant = isinstance(flow, MeasureFlow) and all(
-        m is flow.measures[0] for m in flow.measures)
-    shared = sweep(max(t_grid)) if constant else None
+    one_sweep = (isinstance(flow, MeasureFlow)
+                 and all(m is flow.measures[0] for m in flow.measures)
+                 and getattr(spec.drift, "_reads_t_at", None) is None)
+    shared = sweep(max(t_grid)) if one_sweep else None
     sols = []
     for T, n in zip(t_grid, steps):
-        u, zeta, residuals = shared if constant else sweep(T)
+        u, zeta, residuals = shared if one_sweep else sweep(T)
         times = np.arange(n + 1) * dt
         u = replace(u, times=times, coeffs=u.coeffs[-n - 1:])
         zeta = replace(zeta, times=times, coeffs=zeta.coeffs[-n - 1:])

@@ -3,15 +3,18 @@ frozen stationary law mu*, which both routes simulate the same way.
 
 ``extract_ergodic`` solves the stationary equation as one fixed point
 ("regression later") of the finite-horizon sweep's exact one-step
-operator (``bsde._OneStep``): on mu*'s atoms the Euler step's moments
-are two fixed matrices, built once, and one ridge projection, factored
-once, maps the next node's coefficients to the current node's; the
-gradient z-field is projected by the same regression. Iterating that
-undiscounted, zero-terminal map and recentring at the anchor after each
-step (relative value iteration) converges to u_bar; the anchor's
-increment per step is lambda dt. That lambda is the Euler chain's own
-long-run average, which differs from the continuous-time one by O(dt).
-Coefficients are read at t = 0, so the model must be time-homogeneous.
+operator, ``bsde._Operator`` built on mu*'s atoms with mu* held fixed:
+there the Euler step's moments are two fixed matrices, built once, and
+one ridge projection, factored once, maps the next node's coefficients
+to the current node's; the gradient z-field is projected by the same
+regression. Iterating that undiscounted, zero-terminal map and
+recentring at the anchor after each step (relative value iteration)
+converges to u_bar; the anchor's increment per step is lambda dt. That
+lambda is the Euler chain's own long-run average, which differs from the
+continuous-time one by O(dt). Coefficients are read at t = 0, so the
+model must be time-homogeneous: a drift marked as reading t raises
+ValueError, as does a basis degree below q + 1 (the default is
+max(q + 1, 3)).
 
 ``extract_ergodic_vanishing`` is the paper's construction. A family of
 discounted infinite-horizon problems is truncated to finite horizons
@@ -35,8 +38,7 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from ergolab.bsde import (RegressionFunction, _NodeRegressor, _OneStep,
-                          _design, _projection_rmse, monomial_exponents)
+from ergolab.bsde import RegressionFunction, _design, _Operator
 from ergolab.measure import EmpiricalMeasure, invariant_measure
 from ergolab.sde import derive_seed, iter_mv, _steps_for
 
@@ -154,11 +156,11 @@ def discount_horizon(alpha: float, c_hat: float, dt: float,
 
 
 def _discounted_solves(spec, mu_star: EmpiricalMeasure,
-                       alphas: Sequence[float], dt: float, operator,
+                       alphas: Sequence[float], dt: float,
+                       operator: _Operator,
                        anchor) -> tuple[AlphaSolution, ...]:
     """Solve the discounted equation for every alpha against the frozen
-    law on ``operator``, the one-step operator over mu*'s atoms that
-    ``_one_step_operator`` builds.
+    law on ``operator``, built on mu*'s atoms with mu* held fixed.
 
     Each discount iterates c <- P(A c + dt f(x, mu*, Z c)) / (1 + alpha dt)
     from zero for the steps of its own truncation horizon; with a
@@ -168,15 +170,14 @@ def _discounted_solves(spec, mu_star: EmpiricalMeasure,
     anchor = _anchor_point(spec, anchor)
     c_hat = driver_growth_constant(spec, mu_star)
     x = mu_star.points
-    reg, one_step = operator
     out = []
     for alpha in alphas:
         t_alpha = discount_horizon(alpha, c_hat, dt)
-        coeffs = np.zeros(reg.exponents.shape[0])
+        coeffs = np.zeros(operator.reg.exponents.shape[0])
         for _ in range(_steps_for(t_alpha, dt)):
-            target, fitted = one_step(coeffs)
+            target, fitted = operator.step(coeffs)
             coeffs = fitted / (1.0 + alpha * dt)
-        u = _surface(coeffs, reg)
+        u = operator.surface(coeffs)
         anchor_value = float(u.eval_node(0, anchor)[0])
         growth = alpha * float(np.max(np.abs(u.eval_node(0, x))))
         out.append(AlphaSolution(
@@ -184,20 +185,20 @@ def _discounted_solves(spec, mu_star: EmpiricalMeasure,
             lambda_candidate=alpha * anchor_value,
             truncation_bound=(c_hat / alpha) * math.exp(-alpha * t_alpha),
             c_hat=c_hat, growth_estimate=growth,
-            fit_rmse=_projection_rmse(reg, fitted, target)))
+            fit_rmse=operator.rmse(fitted, target)))
     return tuple(out)
 
 
-def _gradient_z(spec, u: RegressionFunction, mu_star: EmpiricalMeasure,
-                reg: _NodeRegressor) -> RegressionFunction:
+def _gradient_z(spec, u: RegressionFunction,
+                operator: _Operator) -> RegressionFunction:
     """The z-field grad u(x) sigma(x, mu*) of u's first node, projected by
-    the operator's regression ``reg`` on mu*'s atoms. With a constant
-    diffusion grad u lies in the basis, so the projection reproduces it up
-    to the ridge."""
-    x = mu_star.points
+    the operator's regression on mu*'s atoms. With a constant diffusion
+    grad u lies in the basis, so the projection reproduces it up to the
+    ridge."""
+    x, mu_star = operator.cloud, operator.law
     z = np.einsum("nj,njk->nk", u.gradient(u.times[0], x),
                   spec.diffusion_at(x, mu_star))
-    return _surface(reg.fit(z), reg)
+    return operator.surface(operator.reg.fit(z))
 
 
 def _stationary_law(spec, n_particles: int, dt: float, seed: int,
@@ -218,38 +219,6 @@ def _anchor_point(spec, anchor) -> np.ndarray:
             else np.asarray(anchor, dtype=float).reshape(-1))
 
 
-def _one_step_operator(spec, mu_star: EmpiricalMeasure,
-                       degree: int | None, dt: float):
-    """The basis on mu*'s atoms (degree max(q + 1, 3) by default), its
-    factored regression P, and the one-step map c -> (target, P target),
-    target = A c + dt f(x, mu*, Z c): (regressor, map). A (N, nb) and Z
-    (N, d, nb), built once with the coefficients read at t = 0, give
-    A[i] @ c = E[u_c(X_1) | x_i] and Z[i] @ c = E[u_c(X_1) dW | x_i] / dt."""
-    if degree is None:
-        degree = max(int(spec.constants.q) + 1, 3)
-    x = mu_star.points
-    reg = _NodeRegressor(x, monomial_exponents(spec.dim, degree), 0)
-    step = _OneStep(spec.dim, degree, dt)
-    a, z = step.moments(step.design(spec, 0.0, x, mu_star, reg),
-                        np.eye(reg.exponents.shape[0]))
-
-    def one_step(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        target = a @ coeffs + dt * np.asarray(
-            spec.driver(x, mu_star, z @ coeffs), dtype=float)
-        return target, reg.fit(target)[:, 0]
-
-    return reg, one_step
-
-
-def _surface(coeffs: np.ndarray, reg: _NodeRegressor) -> RegressionFunction:
-    """The single-node surface with coefficients ``coeffs`` in reg's
-    coordinates: shape (nb,) for a value, (nb, m) for an m-vector field."""
-    block = coeffs.reshape(coeffs.shape[0], -1)
-    return RegressionFunction(times=np.zeros(1), coeffs=block[None],
-                              exponents=reg.exponents, center=reg.center,
-                              scale=reg.scale)
-
-
 def extract_ergodic(spec, n_particles: int, dt: float,
                     degree: int | None = None, seed: int = 0,
                     t_burn: float | None = None,
@@ -257,9 +226,9 @@ def extract_ergodic(spec, n_particles: int, dt: float,
     """The ergodic triple as one recentred fixed point.
 
     The stationary law is simulated as in ``extract_ergodic_vanishing``
-    (bit for bit), and one regression is factored on its atoms. With the
-    one-step expectation matrices A and Z of ``_one_step_operator``
-    and the projection P, the coefficients iterate
+    (bit for bit), and one ``bsde._Operator`` is built on its atoms with
+    mu* held fixed. With its expectation matrices A and Z and its
+    projection P, the coefficients iterate
     c <- P (A c + dt f(x, mu*, Z c)), recentred after each step so the
     surface is zero at the anchor (origin by default); lambda is the
     anchor's increment over the last step divided by dt. The iteration
@@ -276,7 +245,8 @@ def extract_ergodic(spec, n_particles: int, dt: float,
     inv = _stationary_law(spec, n_particles, dt, seed, t_burn)
     mu_star = inv.measure
     anchor = _anchor_point(spec, anchor)
-    reg, one_step = _one_step_operator(spec, mu_star, degree, dt)
+    operator = _Operator(spec, mu_star.points, dt, degree, law=mu_star)
+    reg = operator.reg
     at_anchor = _design(((anchor - reg.center) / reg.scale)[None],
                         reg.exponents)[0]
     max_steps = _steps_for(discount_horizon(
@@ -284,7 +254,7 @@ def extract_ergodic(spec, n_particles: int, dt: float,
 
     coeffs = np.zeros(reg.exponents.shape[0])
     for _ in range(max_steps):
-        target, fitted = one_step(coeffs)
+        target, fitted = operator.step(coeffs)
         level = float(at_anchor @ fitted)
         rise = level - float(at_anchor @ coeffs)
         recentred = fitted.copy()
@@ -300,12 +270,12 @@ def extract_ergodic(spec, n_particles: int, dt: float,
             f"last coefficient change {change:.3g}", RuntimeWarning,
             stacklevel=2)
 
-    u = _surface(coeffs, reg)
+    u = operator.surface(coeffs)
     u_bar = dataclasses.replace(u, offset=float(u.eval_node(0, anchor)[0]))
     return ErgodicSolution(lambda_=rise / dt, u_bar=u_bar,
-                           zeta_bar=_gradient_z(spec, u_bar, mu_star, reg),
+                           zeta_bar=_gradient_z(spec, u_bar, operator),
                            mu_star=mu_star, trace=(),
-                           fit_rmse=_projection_rmse(reg, fitted, target),
+                           fit_rmse=operator.rmse(fitted, target),
                            stable=stable, mu_star_w2=inv.diagnostic_w2,
                            mu_star_w2_tol=inv.tolerance)
 
@@ -336,7 +306,7 @@ def extract_ergodic_vanishing(spec, n_particles: int, dt: float,
     alphas = tuple(sorted(alphas, reverse=True))
     inv = _stationary_law(spec, n_particles, dt, seed, t_burn)
     mu_star = inv.measure
-    operator = _one_step_operator(spec, mu_star, degree, dt)
+    operator = _Operator(spec, mu_star.points, dt, degree, law=mu_star)
     trace = _discounted_solves(spec, mu_star, alphas, dt, operator, anchor)
 
     cand = np.array([t.lambda_candidate for t in trace])
@@ -363,7 +333,7 @@ def extract_ergodic_vanishing(spec, n_particles: int, dt: float,
 
     best = trace[-1]
     u_bar = dataclasses.replace(best.u, offset=best.anchor_value)
-    zeta_bar = _gradient_z(spec, best.u, mu_star, operator[0])
+    zeta_bar = _gradient_z(spec, best.u, operator)
     return ErgodicSolution(lambda_=lam, u_bar=u_bar, zeta_bar=zeta_bar,
                            mu_star=mu_star, trace=trace,
                            fit_rmse=rmse, stable=stable,

@@ -18,6 +18,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from ergolab import ebsde, model
 
 
+# a scenario drift that reads t: the compiler marks it (``_reads_t_at``)
+TIME_DRIFT_SCN = """\
+[model]
+dim = 1
+regime = strong
+drift = -x + 2 * sin(3 * t)
+diffusion = 1
+driver = x**2
+terminal = x**2
+"""
+
+
 def trace_surface_gap(erg, points, kind):
     """Disagreement between the two smallest-alpha extraction surfaces.
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracle_reference as oracle
+from conftest import TIME_DRIFT_SCN
 from ergolab import bsde, model, sde
 from ergolab.bsde import (_RIDGE, BasisDegeneracyError, OffGridWarning,
                           _NodeRegressor, backward_lsmc, monomial_exponents,
@@ -331,6 +332,30 @@ def test_constant_flow_grid_is_the_per_horizon_solves(name, monkeypatch):
         assert np.array_equal(sol.zeta.coeffs, one.zeta.coeffs)
         assert np.array_equal(sol.residuals, one.residuals)
         assert sol.y0 == one.y0 and np.array_equal(sol.z0, one.z0)
+
+
+def test_drift_that_reads_t_gets_a_sweep_per_horizon(monkeypatch):
+    # a time shift of one sweep holds a shorter horizon only when the
+    # coefficients ignore t; here a shared sweep read Y0 = 0.868 at
+    # T = 0.5 against the horizon's own 0.700
+    spec = model.parse_scenario(TIME_DRIFT_SCN).spec
+    mu = EmpiricalMeasure(np.random.default_rng(3).normal(0.0, 1.2, (400, 1)))
+    flow = MeasureFlow.constant(mu, 0.0, 2.0)
+    grid = (0.5, 1.0, 2.0)
+    swept = []
+
+    def counted(spec, cloud, flow, T, *args):
+        swept.append(T)
+        return backward_lsmc(spec, cloud, flow, T, *args)
+
+    monkeypatch.setattr(bsde, "backward_lsmc", counted)
+    sols = bsde._solve_horizons(spec, flow, 0.0, grid, 0.02, 400, None, 5)
+    assert swept == list(grid)
+    for T, sol in zip(grid, sols):
+        one = solve_finite_bsde(spec, flow, 0.0, T=T, dt=0.02,
+                                n_particles=400, seed=5)
+        assert sol.y0 == one.y0
+        assert np.array_equal(sol.u.coeffs, one.u.coeffs)
 
 
 def test_moving_flow_grid_draws_a_cloud_per_horizon(ou_spec, monkeypatch):

@@ -173,6 +173,15 @@ def test_drift_that_reads_t_is_refused_where_time_is_frozen(scn_dir, tmp_path,
                 "--out", str(tmp_path / "simulate")]) == 0
 
 
+def test_basis_degree_below_growth_exits_one(scn_dir, tmp_path, capsys):
+    # every route refuses a basis that cannot hold q + 1 = 2
+    for sub in ("bsde", "ebsde"):
+        assert run([sub, "--scenario", str(scn_dir / "ou.scn"),
+                    "--set", "degree=1", "--particles", "500",
+                    "--out", str(tmp_path / sub)]) == 1
+        assert "basis degree 1" in capsys.readouterr().err
+
+
 def test_failed_audit_exits_two(scn_dir, tmp_path):
     # drift = x is expanding, so the dissipativity check must fail (the
     # run itself completes and writes its report)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracle_reference as oracle
+from conftest import TIME_DRIFT_SCN
 from ergolab import bsde, ebsde, model, sde
 from ergolab.ebsde import (HorizonBudgetError, discount_horizon,
                            extract_ergodic, extract_ergodic_vanishing,
@@ -24,7 +25,8 @@ LADDER = dict(n_particles=400, dt=0.05, alphas=(0.8, 0.4, 0.2), seed=11)
 def test_constant_driver_discounted_value(ou_spec, erg_ou, alpha):
     c = 0.8
     spec = ou_spec.replace(driver=lambda x, mu, z: np.full(x.shape[0], c))
-    operator = ebsde._one_step_operator(spec, erg_ou.mu_star, None, 0.02)
+    operator = bsde._Operator(spec, erg_ou.mu_star.points, 0.02,
+                              law=erg_ou.mu_star)
     sol, = ebsde._discounted_solves(spec, erg_ou.mu_star, (alpha,), dt=0.02,
                                     operator=operator, anchor=None)
     want = (c / alpha) * (1.0 - math.exp(-alpha * sol.t_alpha))
@@ -241,7 +243,7 @@ def test_fixed_point_factors_once_and_draws_only_mu_star(ou_spec, monkeypatch,
         drawn[seed, step] += 1
         return draw(seed, step, *args, **kwargs)
 
-    monkeypatch.setattr(ebsde, "_NodeRegressor", CountedRegressor)
+    monkeypatch.setattr(bsde, "_NodeRegressor", CountedRegressor)
     monkeypatch.setattr(bsde, "gaussian_increments", counted)
     monkeypatch.setattr(sde, "gaussian_increments", counted)
     extract(ou_spec, n_particles=400, dt=0.05, seed=11, **kwargs)
@@ -251,6 +253,23 @@ def test_fixed_point_factors_once_and_draws_only_mu_star(ou_spec, monkeypatch,
     burn = derive_seed(11, 1)
     n_burn = round(12.0 / ou_spec.contraction_rate_bound() / 0.05)
     assert drawn == Counter({(burn, g): 1 for g in range(n_burn)})
+
+
+@pytest.mark.parametrize("extract", [extract_ergodic,
+                                     extract_ergodic_vanishing])
+def test_degree_below_growth_is_refused(ou_spec, extract):
+    # a linear basis cannot hold ou-attract's quadratic value surface: a
+    # fixed point on it settles, stable, on lambda = 0.5489, not 0.50505
+    with pytest.raises(ValueError, match="basis degree 1"):
+        extract(ou_spec, n_particles=200, dt=0.05, degree=1, seed=1)
+
+
+@pytest.mark.filterwarnings("ignore:burn-in diagnostic")
+def test_law_held_fixed_refuses_a_drift_that_reads_t():
+    # the fixed point reads the coefficients at t = 0 only
+    spec = model.parse_scenario(TIME_DRIFT_SCN).spec
+    with pytest.raises(ValueError, match="reads t"):
+        extract_ergodic(spec, n_particles=200, dt=0.05, seed=1)
 
 
 def test_fixed_point_that_does_not_settle_is_flagged(ou_spec):
@@ -306,15 +325,16 @@ def test_expectation_matrices_match_gaussian_moments(ou_spec, dim):
         drift = lambda x: -x @ mix.T  # noqa: E731
         spec = ou_spec.replace(dim=2, drift=lambda t, x, mu: drift(x),
                                diffusion=lambda x, mu: sigma, name="mixed-2d")
+    # with a zero driver the target is the conditional expectation itself
+    spec = spec.replace(driver=lambda x, mu, z: np.zeros(x.shape[0]))
     x = np.random.default_rng(3).normal(0.0, 0.7, (40, dim))
-    exponents = bsde.monomial_exponents(dim, 3)
-    reg = bsde._NodeRegressor(x, exponents, 0)
-    step = bsde._OneStep(dim, 3, dt)
-    basis = step.design(spec, 0.0, x, EmpiricalMeasure(x), reg)
-    a, z = step.moments(basis, np.eye(len(exponents)))
-    # the backward sweep's route: one coefficient vector at a time
+    law = EmpiricalMeasure(x)
+    held = bsde._Operator(spec, x, dt, 3, law=law)
+    reg, (a, z) = held.reg, held._az
+    exponents = reg.exponents
+    # the backward sweep's route: the moments formed at the node
     c = np.random.default_rng(4).normal(size=len(exponents))
-    e_val, z_val = step.moments(basis, c)
+    e_val, z_val = bsde._Operator(spec, x, dt, 3).target(c, 0.0, law)
     np.testing.assert_allclose(e_val, a @ c, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(z_val, z @ c, rtol=1e-12, atol=1e-12)
     assert a.shape == (40, len(exponents))

@@ -36,7 +36,12 @@ RUNS = [
     ("coupling-sine", "sine-weak", "coupling",
      ["--particles", "300", "--set", "paths=200", "--horizon", "3"]),
     ("bsde", "ou-attract", "bsde", ["--particles", "500"]),
+    ("bsde-sine", "sine-weak", "bsde", ["--particles", "500"]),
     ("ebsde", "ou-attract", "ebsde", ["--particles", "500"]),
+    ("ebsde-sine", "sine-weak", "ebsde", ["--particles", "500"]),
+    # the time average reads the ladder's zeta_bar at every step
+    ("ebsde-tavg", "ou-attract", "ebsde",
+     ["--particles", "500", "--set", "t_long=40"]),
     ("ltb1", "ou-attract", "ltb1", ["--particles", "500"]),
     ("ltb2", "ou-attract", "ltb2", ["--particles", "500"]),
     ("ltb3", "ou-attract", "ltb3", ["--particles", "500"]),
