@@ -17,7 +17,8 @@ import numpy as np
 
 from ergolab.bsde import BsdeSolution, RegressionFunction, solve_finite_bsde
 from ergolab.ebsde import ErgodicSolution, _tail_average
-from ergolab.ltb import DecayFit, _fit_exponential, _horizon_run
+from ergolab.ltb import (DecayFit, _fit_exponential, _horizon_run,
+                         _noise_floor)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
 from ergolab.model import ControlSpec
 from ergolab.sde import (CheckpointedFlow, DriftShift, derive_seed,
@@ -407,7 +408,6 @@ def ocp_longtime(spec, erg: ErgodicSolution, ell_hat: float,
         lam = erg.lambda_
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     x0v = np.asarray(x0, dtype=float).reshape(-1)
-    t_max = float(t_grid[-1])
     flow, sols = _horizon_run(spec, None, erg.mu_star, x0v, t_grid, dt,
                               n_particles, degree, seed)
     mu0 = flow.at_time(0.0)
@@ -417,36 +417,25 @@ def ocp_longtime(spec, erg: ErgodicSolution, ell_hat: float,
     a_bar = pol_bar.actions(0.0, x0v[None, :], mu0)[0]
     z_bar = np.asarray(erg.zeta_bar.eval_node(0, x0v)).reshape(-1)
 
-    costs, a_gap, z_gap = [], [], []
-    for T, sol in zip(t_grid, sols):
-        pol = ControlPolicy.from_finite(spec.control, sol)
-        rep = evaluate_cost_finite(spec, pol, x0v, flow, float(T), dt,
-                                   n_particles, seed=derive_seed(seed, 5),
-                                   benchmark=sol)
-        a0_T = pol.actions(0.0, x0v[None, :], mu0)[0]
-        costs.append(rep)
-        a_gap.append(float(np.linalg.norm(a0_T - a_bar)))
-        z_gap.append(float(np.linalg.norm(sol.z0 - z_bar)))
+    def a_readout(s, s_flow):
+        return float(np.linalg.norm(ControlPolicy.from_finite(
+            spec.control, s).actions(0.0, x0v[None, :],
+                                     s_flow.at_time(0.0))[0] - a_bar))
+
+    costs = [evaluate_cost_finite(
+        spec, ControlPolicy.from_finite(spec.control, sol), x0v, flow,
+        float(T), dt, n_particles, seed=derive_seed(seed, 5), benchmark=sol)
+        for T, sol in zip(t_grid, sols)]
+    a_gap = [a_readout(sol, flow) for sol in sols]
+    z_gap = [float(np.linalg.norm(sol.z0 - z_bar)) for sol in sols]
 
     j = np.array([c.j for c in costs])
     resid = j - lam * t_grid - ubar_x0 - ell_hat
-
-    floor_j = np.std([evaluate_cost_finite(
-        spec, ControlPolicy.from_finite(spec.control, sols[-1]), x0v, flow,
-        t_max, dt, n_particles, seed=derive_seed(seed, 900 + k),
-        benchmark=sols[-1]).j for k in range(3)], ddof=1)
-
-    a_floor_vals = []
-    for k in range(3):
-        s = solve_finite_bsde(spec, flow, x0v, T=t_max, dt=dt,
-                              n_particles=n_particles, degree=degree,
-                              seed=derive_seed(seed, 950 + k))
-        p = ControlPolicy.from_finite(spec.control, s)
-        a_floor_vals.append(float(np.linalg.norm(
-            p.actions(0.0, x0v[None, :], mu0)[0] - a_bar)))
-    floor_a = float(np.std(a_floor_vals, ddof=1))
-
-    cost_fit = _fit_exponential(t_grid, resid, float(floor_j), ell=0.0)
+    floor_a = _noise_floor(spec, None, erg.mu_star, x0v, float(t_grid[-1]),
+                           dt, n_particles, degree, seed, readout=a_readout)
+    # a cost run's particles are i.i.d. on the constant law, so its
+    # standard error is the spread of j over re-runs
+    cost_fit = _fit_exponential(t_grid, resid, costs[-1].se, ell=0.0)
     feedback_fit = _fit_exponential(t_grid, np.array(a_gap), floor_a,
                                     ell=0.0)
     table = {"T": t_grid, "j": j, "residual": resid,

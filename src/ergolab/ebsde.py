@@ -204,12 +204,7 @@ def _gradient_z(spec, u: RegressionFunction,
 def _stationary_law(spec, n_particles: int, dt: float, seed: int,
                     t_burn: float | None):
     """mu* from the interacting system on child seed 1, after a burn-in of
-    ``t_burn`` (12 / rate by default)."""
-    if t_burn is None:
-        rate = spec.contraction_rate_bound()
-        if rate <= 0.0:
-            raise ValueError("no positive contraction-rate bound; pass t_burn")
-        t_burn = 12.0 / rate
+    ``t_burn`` (``invariant_measure``'s 12 / rate by default)."""
     return invariant_measure(spec, n_particles=n_particles, dt=dt,
                              t_burn=t_burn, seed=derive_seed(seed, 1))
 

@@ -16,8 +16,15 @@ noise enters through these draws and is common across the grid, so
 orderings between horizons are far more stable than under independent
 runs.
 
-Each exponential fit carries a noise floor: the spread of the largest
-horizon's readout over three re-runs of everything the experiment draws,
+The reference lambda, u_bar and z-field come from one fixed point,
+``ebsde.extract_ergodic`` at the experiment's step size, so its Euler
+bias cancels in the residuals: ``ltb2`` and ``ltb3`` take the solve,
+``ltb1`` its lambda.
+
+Each exponential fit carries a noise floor, and ``_noise_floor`` is the
+one estimator of it for a solve's readout (``control.ocp_longtime``'s
+feedback gap uses it too): the spread of the largest horizon's readout
+over three re-runs of everything the experiment draws,
 at fresh seeds. The sweep is exact where the basis holds the value
 surface, so on OU that floor sits at round-off (1e-14 to 1e-12). Where
 it does not, the truncation error depends on the cloud the projection is
@@ -354,8 +361,10 @@ def ltb1_experiment(spec, lam: float, t_grid=(5.0, 10.0, 20.0), x0=0.0,
     """Value slope vs the long-run average: fit |Y0/T - lam| to c/T.
 
     ``lam`` should come from an estimate at the same step size, so the
-    discretization bias cancels in the residual. theta=None starts the
-    forward law from a point mass at the origin.
+    discretization bias cancels in the residual; ``ergolab ltb1`` takes
+    the lambda of ``ebsde.extract_ergodic`` at the run's dt. The fit has
+    no noise floor. theta=None starts the forward law from a point mass
+    at the origin.
     """
     t_grid = np.asarray(sorted(t_grid), dtype=float)
     if theta is None:

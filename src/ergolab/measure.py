@@ -290,18 +290,25 @@ class InvariantMeasureResult:
         return self.diagnostic_w2 <= self.tolerance
 
 
-def invariant_measure(spec, n_particles: int, dt: float, t_burn: float,
-                      seed: int) -> InvariantMeasureResult:
+def invariant_measure(spec, n_particles: int, dt: float,
+                      t_burn: float | None = None,
+                      seed: int = 0) -> InvariantMeasureResult:
     """Long-run interacting-particle estimate of the invariant measure.
 
-    Simulates from a point mass at the origin to ``t_burn`` and returns the
-    terminal ensemble. The W2 distance between the half-time and terminal
-    ensembles is attached as a stationarity diagnostic; exceeding the noise
-    tolerance warns (StationarityWarning) but does not fail.
+    Simulates from a point mass at the origin to ``t_burn`` (by default
+    12 / the contraction-rate bound, which must then be positive) and
+    returns the terminal ensemble. The W2 distance between the half-time
+    and terminal ensembles is attached as a stationarity diagnostic;
+    exceeding the noise tolerance warns (StationarityWarning) but does
+    not fail.
     """
     from ergolab import sde  # simulation lives downstream of this module
 
     rate = spec.contraction_rate_bound()
+    if t_burn is None:
+        if rate <= 0.0:
+            raise ValueError("no positive contraction-rate bound; pass t_burn")
+        t_burn = 12.0 / rate
     if rate > 0.0 and t_burn < 10.0 / rate:
         raise ValueError(
             f"burn-in {t_burn} is shorter than 10/{rate} = {10.0 / rate:.3g} "

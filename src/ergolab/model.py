@@ -488,7 +488,7 @@ RUN_DEFAULTS = {
               "alphas": (0.4, 0.2, 0.1, 0.05), "t_burn": None,
               "t_long": None},
     "ltb1": {"dt": 0.01, "particles": 5000, "t_grid": (5.0, 10.0, 20.0),
-             "x0": 0.0, "degree": None, "t_long": 100.0, "lam": None},
+             "x0": 0.0, "degree": None, "lam": None},
     "ltb2": {"dt": 0.02, "particles": 5000, "t_grid": (2.0, 4.0, 6.0, 8.0),
              "x0": 3.0, "degree": None, "lam": None},
     "ltb3": {"dt": 0.02, "particles": 5000, "t_grid": (1.0, 2.0, 3.0, 4.0),

@@ -2,8 +2,9 @@
 
 Everything in this file is derived independently of the package under test:
 mean-field Ornstein-Uhlenbeck moment ODEs solved by hand, tiny transport
-problems solved by brute force, and the strong-regime limit of the concave
-radial transform. ``test_oracle_reference.py`` cross-checks the hand
+problems solved by brute force, the strong-regime limit of the concave
+radial transform, and the Euler chain of each 1-D preset solved on a dense
+grid. ``test_oracle_reference.py`` cross-checks the hand
 derivations against scipy's ODE integrator and quadrature so that a mistake
 here cannot silently agree with a mistake in the library.
 
@@ -278,3 +279,82 @@ def u_bar_lq(x: float) -> float:
 
 def zeta_bar_lq(x: float) -> float:
     return 2.0 * LAMBDA_LQ * x
+
+
+# ---------------------------------------------------------------------------
+# The Euler chain on a grid: exact values for every 1-D preset
+# ---------------------------------------------------------------------------
+# Every preset's measure term vanishes on a law symmetric about 0 (kappa m1
+# for the OU models, kappa E[tanh X] for sine-weak), and the flow from a
+# point mass at 0 and mu* are both symmetric. So the chain the solvers step,
+# X_1 = x + b(x) dt + sqrt(dt) xi, is Markov with a Gaussian kernel, and a
+# dense row-normalised kernel on a grid gives its numbers without a basis
+# or a cloud. Each entry is (drift b(x), driver f(x, z)); every preset's
+# terminal value is x^2.
+
+def _h_lq(z):
+    """inf_{a in [-1, 1]} a^2 + z a, elementwise."""
+    return np.where(np.abs(z) <= 2.0, -0.25 * z * z, 1.0 - np.abs(z))
+
+
+EULER_PRESETS = {
+    "ou-attract": (lambda x: -x, lambda x, z: x * x),
+    "sine-weak": (lambda x: -x + 1.5 * np.sin(x), lambda x, z: x * x),
+    "control-lq": (lambda x: -x, lambda x, z: x * x + _h_lq(z)),
+}
+
+
+def _euler_chain_kernel(drift, dt: float, x_max: float, n: int):
+    """Grid x (odd n puts a node at 0), the one-step kernel P(x, y) of
+    N(x + b dt, dt) row-normalised on the grid, and its z-moment
+    PZ(x, y) = P(x, y) (y - x - b dt) / dt stacked under it."""
+    x = np.linspace(-x_max, x_max, n)
+    d = x[None, :] - (x + drift(x) * dt)[:, None]
+    p = np.exp(-0.5 * d * d / dt)
+    p /= p.sum(axis=1, keepdims=True)
+    return x, np.vstack([p, p * d / dt])
+
+
+def euler_chain_ergodic(preset: str, dt: float, x_max: float = 6.0,
+                        n: int = 601, tol: float = 1e-13):
+    """(lambda_dt, x, u_bar(x)) of the preset's Euler chain by relative
+    value iteration u <- P u + dt f(x, PZ u), recentred at x = 0 after
+    each step, until no node moves by more than tol."""
+    drift, driver = EULER_PRESETS[preset]
+    x, kern = _euler_chain_kernel(drift, dt, x_max, n)
+    mid = n // 2
+    u = np.zeros(n)
+    for _ in range(1_000_000):
+        pu, zu = np.split(kern @ u, 2)
+        new = pu + dt * driver(x, zu)
+        lam = new[mid] / dt
+        new -= new[mid]
+        if np.max(np.abs(new - u)) <= tol:
+            return lam, x, new
+        u = new
+    raise RuntimeError("relative value iteration did not settle")
+
+
+def euler_chain_y0(preset: str, dt: float, horizons, x_max: float = 6.0,
+                   n: int = 601) -> np.ndarray:
+    """Y0^T(0) for each T in ``horizons`` (whole multiples of dt): the
+    backward iteration Y <- P Y + dt f(x, PZ Y) from the terminal x^2."""
+    drift, driver = EULER_PRESETS[preset]
+    x, kern = _euler_chain_kernel(drift, dt, x_max, n)
+    steps = [int(round(t / dt)) for t in horizons]
+    y, out = x * x, {}
+    for k in range(1, max(steps) + 1):
+        py, zy = np.split(kern @ y, 2)
+        y = py + dt * driver(x, zy)
+        out[k] = y[n // 2]
+    return np.array([out[k] for k in steps])
+
+
+def ltb1_c_euler(preset: str, dt: float = 0.01,
+                 t_grid=(5.0, 10.0, 20.0)) -> float:
+    """The c of ``ergolab ltb1``'s inverse-time fit on the exact chain:
+    the geometric mean of T |Y0^T / T - lambda_dt| over the grid."""
+    lam = euler_chain_ergodic(preset, dt)[0]
+    t = np.asarray(t_grid, dtype=float)
+    resid = np.abs(euler_chain_y0(preset, dt, t) / t - lam)
+    return float(np.exp(np.mean(np.log(resid * t))))

@@ -141,6 +141,10 @@ def test_usage_errors_exit_one(scn_dir, tmp_path, capsys):
                 "--horizon", "5", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "--horizon" in err and "ltb2" in err
+    # ltb1 reads lambda from the ergodic fixed point, not a time average
+    assert run(["ltb1", "--scenario", str(scn_dir / "ou.scn"),
+                "--set", "t_long=100", "--out", str(tmp_path / "o")]) == 1
+    assert "'t_long'" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):
@@ -161,10 +165,11 @@ def test_malformed_scenario_line_column_diagnostic(scn_dir, tmp_path, capsys):
 
 def test_drift_that_reads_t_is_refused_where_time_is_frozen(scn_dir, tmp_path,
                                                             capsys):
-    # the ergodic triple reads the drift at t = 0 and one backward sweep
-    # serves every horizon of a constant flow
+    # the ergodic triple reads the drift at t = 0 (ltb1 takes its lambda
+    # from it) and one backward sweep serves every horizon of a constant
+    # flow
     path = scn_dir / "time.scn"
-    for sub in ("ebsde", "ltb2", "ltb3", "control"):
+    for sub in ("ebsde", "ltb1", "ltb2", "ltb3", "control"):
         assert run([sub, "--scenario", str(path),
                     "--out", str(tmp_path / sub)]) == 1
         err = capsys.readouterr().err

@@ -314,6 +314,27 @@ def test_longtime_grid_runs_one_sweep(lq_spec, erg_lq, monkeypatch):
     assert swept == [2.0] * (1 + 3)
 
 
+def test_longtime_grid_runs_one_cost_run_per_horizon(lq_spec, erg_lq,
+                                                     monkeypatch):
+    # the cost floor is the largest horizon's own standard error, and the
+    # feedback floor comes from ltb's estimator: no run of their own
+    horizons = []
+    cost = control.evaluate_cost_finite
+
+    def counted(spec, policy, x0, theta, T, *args, **kwargs):
+        horizons.append(T)
+        return cost(spec, policy, x0, theta, T, *args, **kwargs)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("ocp_longtime solved a horizon on its own")
+
+    monkeypatch.setattr(control, "evaluate_cost_finite", counted)
+    monkeypatch.setattr(control, "solve_finite_bsde", refused)
+    ocp_longtime(lq_spec, erg_lq, ell_hat=0.0, t_grid=(4.0, 1.0, 2.0, 3.0),
+                 dt=0.05, n_particles=300, seed=1)
+    assert horizons == [1.0, 2.0, 3.0, 4.0]
+
+
 def test_longtime_control_expansion(lq_spec, erg_lq, tmp_path):
     fit = ltb2_experiment(lq_spec, erg_lq, t_grid=(0.5, 1.0, 1.5, 2.0, 3.0),
                           x0=1.0, dt=0.02, n_particles=10_000, seed=21)

@@ -232,6 +232,36 @@ def test_sine_weak_value_slope_tracks_lambda(sine_spec, erg_sine):
     assert np.max(fit.observed) <= 0.15
 
 
+# ``ergolab ltb1`` on control-lq at its defaults (dt = 0.01, 5000
+# particles) reads lambda from the ergodic fixed point, whose zeta_bar the
+# Hamiltonian driver reads. Over seeds 1-10 and 42 c reads 0.18812 on
+# average with a standard deviation of 0.00028 between seeds, against the
+# Euler chain's 0.18929: the cubic basis sets Y0^T about 0.001 low at
+# every T (degree 4 takes seed 42's gap from 0.0017 to 0.0004). The
+# tolerance is that mean offset plus four seed standard deviations. A
+# z = 0 time average put c at 0.63 and failed the fit.
+LTB1_LQ_TOL = 0.0012 + 4 * 0.0003
+
+
+@pytest.fixture(scope="module")
+def ltb1_c_lq():
+    return oracle.ltb1_c_euler("control-lq", dt=0.01)
+
+
+@pytest.mark.parametrize("seed", [42, 7])
+def test_ltb1_cli_on_control_lq_matches_the_grid_oracle(seed, ltb1_c_lq,
+                                                        tmp_path):
+    scn = tmp_path / "lq.scn"
+    scn.write_text("[model]\npreset = control-lq\n")
+    out = tmp_path / "o"
+    assert cli.run(["ltb1", "--scenario", str(scn), "--out", str(out),
+                    "--seed", str(seed)]) == 0
+    report = dict(line.split("=", 1)
+                  for line in (out / "ltb1.report").read_text().splitlines())
+    assert abs(float(report["c"]) - ltb1_c_lq) <= LTB1_LQ_TOL
+    assert "param.t_long" not in (out / "manifest").read_text()
+
+
 @pytest.mark.parametrize("experiment,t_max", [(ltb2_experiment, 8.0),
                                               (ltb3_experiment, 4.0)])
 def test_constant_flow_grid_runs_one_sweep(ou_spec, erg_ou, monkeypatch,

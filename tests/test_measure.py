@@ -1,5 +1,7 @@
 """Atom-cloud measures: metric axioms, moments, the invariant-law estimator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -144,6 +146,22 @@ def test_invariant_law_reaches_stationarity(ou_spec):
 def test_invariant_burn_in_guard(ou_spec):
     with pytest.raises(ValueError, match="burn-in"):
         invariant_measure(ou_spec, n_particles=100, dt=1e-2, t_burn=1.0, seed=0)
+
+
+def test_invariant_burn_in_defaults_to_twelve_over_the_rate(ou_spec,
+                                                            sine_spec):
+    # one burn-in rule, read by the ergodic solvers and ``ergolab invariant``
+    inv = invariant_measure(ou_spec, n_particles=100, dt=0.05, seed=0)
+    assert inv.t_burn == 12.0 / ou_spec.contraction_rate_bound()
+    # a weak regime whose outside-ball rate is spent by the diffusion
+    # certifies no rate, so the burn-in must be given
+    spent = sine_spec.replace(constants=dataclasses.replace(
+        sine_spec.constants, k_s_x=sine_spec.constants.eta))
+    assert spent.contraction_rate_bound() == 0.0
+    with pytest.raises(ValueError, match="pass t_burn"):
+        invariant_measure(spent, n_particles=100, dt=0.05, seed=0)
+    assert invariant_measure(spent, n_particles=100, dt=0.05, t_burn=1.0,
+                             seed=0).t_burn == 1.0
 
 
 def test_noise_free_contraction_to_point_mass():

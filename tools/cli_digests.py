@@ -43,6 +43,10 @@ RUNS = [
     ("ebsde-tavg", "ou-attract", "ebsde",
      ["--particles", "500", "--set", "t_long=40"]),
     ("ltb1", "ou-attract", "ltb1", ["--particles", "500"]),
+    # lambda read where the driver reads z, and from a basis that cannot
+    # hold the value surface
+    ("ltb1-lq", "control-lq", "ltb1", ["--particles", "500"]),
+    ("ltb1-sine", "sine-weak", "ltb1", ["--particles", "500"]),
     ("ltb2", "ou-attract", "ltb2", ["--particles", "500"]),
     ("ltb3", "ou-attract", "ltb3", ["--particles", "500"]),
     # the cubic basis cannot hold sine-weak's value surface
@@ -50,6 +54,9 @@ RUNS = [
     ("ltb3-sine", "sine-weak", "ltb3", ["--particles", "500"]),
     ("control", "control-lq", "control",
      ["--particles", "500", "--set", "t_grid=1 2"]),
+    # the long-time comparison on four horizons, with its two noise floors
+    ("control-grid", "control-lq", "control",
+     ["--particles", "500", "--set", "t_grid=2 4 6 8"]),
 ]
 
 SKIPPED = {"manifest", "report.report"}
