@@ -8,6 +8,17 @@ scales that reach 1e10 for the sine-weak constants, so the table is built
 and stored in ``np.longdouble`` (80-bit extended on x86-64 Linux; on
 platforms where longdouble is an alias of float64 the identity margin
 degrades to ~1e-5 absolute at those scales).
+
+The coupling's Euler step writes into one workspace of (n_paths,) and
+(n_paths, d) arrays allocated per run. Sine and cosine of the mollifier
+angle are evaluated only on the paths whose radius lies inside the band
+(delta/2, delta); outside it the weights are the constants (0, 1) and
+(1, cos(pi/2)). A diffusion given as one (d, d) matrix has its gap root
+sqrt(sigma sigma^T - sigma0^2 I) formed, and its ellipticity checked, once
+per distinct value, and a zero gap adds no synchronous term. Each leg sums
+its increment in the order b dt + sigma0 (pi1 w + pi2 w') + root w'', so
+the run is bit for bit that of the plain step that
+``tests/test_coupling.py`` keeps as its reference.
 """
 
 from __future__ import annotations
@@ -260,35 +271,72 @@ def verify_lyapunov_inequality(table: LyapunovTable, drift_samples) -> float:
     return float(np.max(margin))
 
 
+_HALF_PI = 0.5 * math.pi
+# np.cos(pi/2) in float64: 6.123233995736766e-17, pi2 above the band
+_COS_HALF_PI = float(np.cos(np.array([_HALF_PI]))[0])
+
+
+def _mollifier_ramp(r, delta: float, out=None):
+    """clip((2 r - delta) / delta, 0, 1), written into ``out`` if given."""
+    if out is None:
+        out = np.empty(np.shape(r))
+    ramp = np.multiply(2.0, r, out=out)
+    ramp -= delta
+    ramp /= delta
+    return np.clip(ramp, 0.0, 1.0, out=ramp)
+
+
 def _mollifier_angle(r, delta: float):
     """(pi/2) * ramp, the ramp rising from 0 at delta/2 to 1 at delta; the
     two mollifiers are its sine and cosine."""
-    return 0.5 * math.pi * np.clip((2.0 * np.asarray(r) - delta) / delta,
-                                   0.0, 1.0)
+    return _HALF_PI * _mollifier_ramp(r, delta)
+
+
+def _mollifier_pair(r, delta: float, ramp=None, p1=None, p2=None):
+    """(pi1, pi2) = sine and cosine of ``_mollifier_angle(r, delta)``, bit
+    for bit, written into the given (n,) buffers. Outside the band the ramp
+    is 0 or 1 and the pair is the constants (0, 1) or (1, cos(pi/2)), so
+    sine and cosine are evaluated only at the band's indices."""
+    ramp = _mollifier_ramp(r, delta, out=ramp)
+    if p1 is None:
+        p1, p2 = np.empty_like(ramp), np.empty_like(ramp)
+    # pi2 = (1 - ramp) + ramp cos(pi/2) and pi1 = ramp, exact at 0 and 1
+    np.subtract(1.0, ramp, out=p2)
+    p2 += np.multiply(ramp, _COS_HALF_PI, out=p1)
+    np.copyto(p1, ramp)
+    flat = ramp.reshape(-1)
+    band = np.flatnonzero((flat > 0.0) & (flat < 1.0))
+    if band.size:
+        angle = _HALF_PI * flat[band]
+        p1.reshape(-1)[band] = np.sin(angle)
+        p2.reshape(-1)[band] = np.cos(angle)
+    return p1, p2
 
 
 def mollifier_reflect(r, delta: float):
     """pi^1: weight of the reflected noise channel; 0 below delta/2, 1 above
     delta, a quarter sine wave between."""
-    return np.sin(_mollifier_angle(r, delta))
+    return _mollifier_pair(r, delta)[0][()]
 
 
 def mollifier_share(r, delta: float):
     """pi^2: weight of the shared channel; pi1^2 + pi2^2 = 1 exactly."""
-    return np.cos(_mollifier_angle(r, delta))
+    return _mollifier_pair(r, delta)[1][()]
 
 
-def _radius_moments(r: np.ndarray) -> tuple[float, float]:
+def _radius_moments(r: np.ndarray, acc: np.ndarray | None = None,
+                    dev: np.ndarray | None = None) -> tuple[float, float]:
     """Mean and standard error of one step's radii, bit for bit what
     ``radii.mean(axis=0)`` and ``radii.std(axis=0, ddof=1) / sqrt(n)`` give
     on a C-ordered (n, steps) record: those add the rows one after another,
     so the sums here are sequential (``add.accumulate``), not the pairwise
-    ``r.sum()``."""
+    ``r.sum()``. ``acc`` and ``dev``, if given, are (n,) buffers for the
+    running sums and the squared deviations."""
     n = r.shape[0]
-    mean = np.add.accumulate(r)[-1] / n
-    x = r - mean
+    mean = np.add.accumulate(r, out=acc)[-1] / n
+    x = np.subtract(r, mean, out=dev)
     x *= x
-    var = np.add.accumulate(x)[-1] / (n - 1)
+    var = np.add.accumulate(x, out=acc)[-1] / (n - 1)
     return mean, math.sqrt(var) / math.sqrt(n)
 
 
@@ -409,13 +457,51 @@ def simulate_reflection_coupling(spec, flow: MeasureFlow,
     x2 = np.broadcast_to(np.asarray(x0_prime, dtype=float).reshape(-1),
                          (n_paths, d)).copy()
 
+    # the step's workspace, overwritten every step: e holds x1 - x2 until
+    # it is scaled to the unit vector, refl is also the b dt scratch, inc
+    # also the squared differences, dot also the floored radius
+    e, refl, common, inc = (np.empty((n_paths, d)) for _ in range(4))
+    r, ramp, p1, p2, dot, acc, dev = (np.empty(n_paths) for _ in range(7))
+    p1_col, p2_col = p1[:, None], p2[:, None]
+
+    def radius_moments():
+        np.subtract(x1, x2, out=e)
+        np.add.reduce(np.multiply(e, e, out=inc), axis=1, out=r)
+        np.sqrt(r, out=r)
+        return _radius_moments(r, acc, dev)
+
+    # sqrt(sigma sigma^T - sigma0^2 I) of each distinct (d, d) diffusion
+    # value, checked once when first seen; None when it is zero
+    roots = {}
+
+    def gap_root(x, mu, k, t):
+        sig = np.asarray(spec.diffusion(x, mu), dtype=float)
+        if sig.ndim != 2:
+            return np.broadcast_to(_sqrt_psd_gap(sig, s0, k, t),
+                                   (n_paths, d, d))
+        key = (sig.shape, sig.tobytes())
+        if key not in roots:
+            root = _sqrt_psd_gap(sig, s0, k, t)
+            roots[key] = (np.broadcast_to(root, (n_paths, d, d))
+                          if root.any() else None)
+        return roots[key]
+
+    def step_leg(x, b, w, bar, w_extra):
+        # x += b dt + s0 (p1 w + common) + bar w_extra, summed in that
+        # order; w is read before refl takes b dt
+        np.multiply(p1_col, w, out=inc)
+        np.add(inc, common, out=inc)
+        np.multiply(inc, s0, out=inc)
+        np.add(np.multiply(b, dt, out=refl), inc, out=inc)
+        if bar is not None:
+            np.add(inc, np.einsum("nij,nj->ni", bar, w_extra), out=inc)
+        x += inc
+
     times = np.empty(n_steps + 1)
     mean_r = np.empty(n_steps + 1)
     se_r = np.empty(n_steps + 1)
     times[0] = 0.0
-    diff = x1 - x2
-    r = np.linalg.norm(diff, axis=1)
-    mean_r[0], se_r[0] = _radius_moments(r)
+    mean_r[0], se_r[0] = radius_moments()
 
     scale = math.sqrt(dt)
     with closing(noise_blocks(seed, 0, n_steps, n_paths, d,
@@ -424,42 +510,35 @@ def simulate_reflection_coupling(spec, flow: MeasureFlow,
             t = k * dt
             mu1 = flow.at_time(t)
             mu2 = flow_prime.at_time(t)
-            e = np.where(r[:, None] > 0.0,
-                         diff / np.maximum(r, 1e-300)[:, None], 0.0)
-            angle = _mollifier_angle(r, delta)
-            p1 = np.sin(angle)[:, None]
-            p2 = np.cos(angle)[:, None]
+            # e = (x1 - x2) / r, and 0 where r = 0
+            np.divide(e, np.maximum(r, 1e-300, out=dot)[:, None], out=e)
+            np.copyto(e, 0.0, where=(r == 0.0)[:, None])
+            _mollifier_pair(r, delta, ramp, p1, p2)
 
             # the block is this loop's own; scaling it in place spares a
             # (n_paths, 3, d) array per step that glibc would map afresh
             dw = np.multiply(block, scale, out=block)
             w_refl, w_extra, w_shared = dw[:, 0], dw[:, 1], dw[:, 2]
 
-            sig1 = np.asarray(spec.diffusion(x1, mu1), dtype=float)
-            sig2 = np.asarray(spec.diffusion(x2, mu2), dtype=float)
-            bar1 = np.broadcast_to(_sqrt_psd_gap(sig1, s0, k, t),
-                                   (n_paths, d, d))
-            bar2 = np.broadcast_to(_sqrt_psd_gap(sig2, s0, k, t),
-                                   (n_paths, d, d))
-
+            bar1 = gap_root(x1, mu1, k, t)
+            bar2 = gap_root(x2, mu2, k, t)
             b1 = spec.drift(t, x1, mu1)
             b2 = spec.drift(t, x2, mu2)
             # both legs split the elliptic floor across the same two
             # channels; the first channel is reflected on the second leg,
             # so at radius 0 the pair is driven identically and stays glued
-            reflected = w_refl \
-                - 2.0 * np.sum(e * w_refl, axis=1)[:, None] * e
-            common = p2 * w_shared
-            x1 += b1 * dt + s0 * (p1 * w_refl + common) \
-                + np.einsum("nij,nj->ni", bar1, w_extra)
-            x2 += b2 * dt + s0 * (p1 * reflected + common) \
-                + np.einsum("nij,nj->ni", bar2, w_extra)
+            np.multiply(p2_col, w_shared, out=common)
+            step_leg(x1, b1, w_refl, bar1, w_extra)
+            # refl = w_refl - 2 (e . w_refl) e
+            np.multiply(e, w_refl, out=refl)
+            np.multiply(np.sum(refl, axis=1, out=dot), 2.0, out=dot)
+            np.subtract(w_refl, np.multiply(dot[:, None], e, out=refl),
+                        out=refl)
+            step_leg(x2, b2, refl, bar2, w_extra)
             _check_finite(x1, k + 1, t + dt)
             _check_finite(x2, k + 1, t + dt)
             times[k + 1] = t + dt
-            diff = x1 - x2
-            r = np.linalg.norm(diff, axis=1)
-            mean_r[k + 1], se_r[k + 1] = _radius_moments(r)
+            mean_r[k + 1], se_r[k + 1] = radius_moments()
 
     rate, window, note = _fit_radius_decay(times, mean_r, delta)
     radii = RadiusMoments(mean=mean_r, se=se_r, n_paths=n_paths)

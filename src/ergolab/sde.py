@@ -52,6 +52,7 @@ import numpy as np
 # loads with the package instead of inside the first draw (~20 ms)
 import numpy.random  # noqa: F401
 
+from ergolab import measure
 from ergolab.measure import (EmpiricalMeasure, FlowGrid, MeasureFlow,
                              _w_capped)
 
@@ -403,8 +404,9 @@ class MVResult:
 @dataclass(frozen=True, eq=False)
 class ContractionFit:
     """Synchronous-coupling Wasserstein decay and its fitted exponential
-    rate. ``note`` records truncation or degeneracy; ``rate`` is NaN when
-    fewer than two usable nodes remain."""
+    rate. ``note`` records truncation, degeneracy, and a W_p taken on the
+    first ``measure.ASSIGNMENT_LIMIT`` atoms only (d > 1); ``rate`` is NaN
+    when fewer than two usable nodes remain."""
 
     rate: float
     times: np.ndarray
@@ -580,7 +582,9 @@ def flow_property_check(spec, theta: EmpiricalMeasure, s: float, T: float,
     system to T, held as a ``CheckpointedFlow``, restart the decoupled
     equation at time s from the ensemble X_s against that flow with fresh
     noise, and return the W2 distance between the two time-T clouds. Zero
-    in law; the sampled value sits at Monte Carlo scale."""
+    in law; the sampled value sits at Monte Carlo scale. For d > 1 the
+    distance is taken between the first ``measure.ASSIGNMENT_LIMIT`` atoms
+    of each cloud only."""
     if not 0.0 < s < T:
         raise ValueError(f"need 0 < s < T, got s={s}, T={T}")
     flow = CheckpointedFlow.build(spec, theta, dt, T, n, seed)
@@ -599,7 +603,9 @@ def contraction_rate(spec, theta: EmpiricalMeasure,
     the same increments (synchronous coupling), from two initial laws.
     Fits log W_p against time by least squares and returns the decay rate
     as a positive number. Nodes where W_p falls below 1e-8 are dropped
-    and the fit is marked truncated.
+    and the fit is marked truncated. For d > 1, W_p is taken between the
+    first ``measure.ASSIGNMENT_LIMIT`` atoms of each system only, and
+    ``note`` says so when n exceeds that.
 
     With ``record_every`` > 0 the fit also carries theta's system as
     ``leg_a``, recorded as ``simulate_mv`` with that ``record_every``
@@ -637,10 +643,16 @@ def contraction_rate(spec, theta: EmpiricalMeasure,
         alive[first_dead:] = False
         note = (f"W_{p} fell below {floor:g} at t = {truncated_at:.6g}; "
                 "fit truncated there")
-    if int(alive.sum()) < 2:
+    usable = int(alive.sum()) >= 2
+    if not usable:
+        note = note or "degenerate: too few usable nodes"
+    cap = measure.ASSIGNMENT_LIMIT
+    if spec.dim > 1 and n > cap:
+        note = "; ".join(filter(None, [
+            note, f"W_{p} on the first {cap} of {n} atoms of each system"]))
+    if not usable:
         return ContractionFit(rate=math.nan, times=times, w_values=w, p=p,
-                              truncated_at=truncated_at,
-                              note=note or "degenerate: too few usable nodes",
+                              truncated_at=truncated_at, note=note,
                               leg_a=leg_a)
     slope = np.polyfit(times[alive], np.log(w[alive]), 1)[0]
     return ContractionFit(rate=float(-slope), times=times, w_values=w, p=p,

@@ -11,12 +11,14 @@ import oracle_reference as oracle
 from ergolab import model
 from ergolab.coupling import (CouplingRun, EllipticityError,
                               LyapunovConstants, LyapunovTable,
-                              _radius_moments, build_lyapunov, kappa_star,
+                              _fit_radius_decay, _mollifier_angle,
+                              _mollifier_pair, _radius_moments,
+                              _sqrt_psd_gap, build_lyapunov, kappa_star,
                               mollifier_reflect, mollifier_share,
                               simulate_reflection_coupling,
                               verify_lyapunov_inequality)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow, wasserstein
-from ergolab.sde import iter_mv, simulate_mv
+from ergolab.sde import iter_mv, noise_blocks, simulate_mv
 
 SINE = LyapunovConstants(eta=0.5, m_b=15.0, k_b_x=2.5, r_ball=6.0,
                          k_s_x=0.0, sigma0=1.0)
@@ -111,6 +113,27 @@ def test_mollifier_partition_of_unity():
         assert slope.max() <= math.pi / delta + 1e-6
 
 
+@pytest.mark.parametrize("delta", [0.06, 2.0 * math.sqrt(0.01), 1e-3])
+def test_band_limited_pair_is_sin_and_cos_of_the_angle(delta):
+    r = np.concatenate([[0.0, delta / 2, delta, 1e6 * delta, 1e300],
+                        np.linspace(0.0, 1.5 * delta, 3001),
+                        np.nextafter(delta / 2, [0.0, np.inf]),
+                        np.nextafter(delta, [0.0, np.inf])])
+    angle = _mollifier_angle(r, delta)
+    inside = np.count_nonzero((angle > 0.0) & (angle < 0.5 * math.pi))
+    assert inside > 1000
+    p1, p2 = _mollifier_pair(r, delta)
+    assert np.array_equal(p1, np.sin(angle))
+    assert np.array_equal(p2, np.cos(angle))
+    # the loop's form: stale buffers overwritten in place
+    bufs = [np.full(r.shape, np.nan) for _ in range(3)]
+    q1, q2 = _mollifier_pair(r, delta, *bufs)
+    assert q1 is bufs[1] and q2 is bufs[2]
+    assert np.array_equal(q1, p1) and np.array_equal(q2, p2)
+    assert mollifier_reflect(delta, delta) == 1.0
+    assert mollifier_share(0.0, delta) == 1.0
+
+
 def _sine_flows(spec, T, n, seed):
     mv = simulate_mv(spec, EmpiricalMeasure.dirac(0.0), dt=0.01, T=T,
                      n_particles=n, seed=seed, record_every=10)
@@ -134,7 +157,10 @@ def test_radius_moments_match_the_stored_record(n_paths, steps, seed,
                                                 log_scale):
     rng = np.random.default_rng(seed)
     radii = 10.0 ** log_scale * rng.exponential(size=(n_paths, steps))
-    got = [_radius_moments(radii[:, j]) for j in range(steps)]
+    acc, dev = np.empty(n_paths), np.empty(n_paths)
+    got = [_radius_moments(radii[:, j].copy(), acc, dev)
+           for j in range(steps)]
+    assert got == [_radius_moments(radii[:, j]) for j in range(steps)]
     mean = np.array([m for m, _ in got])
     se = np.array([s for _, s in got])
     assert np.array_equal(mean, radii.mean(axis=0))
@@ -227,6 +253,125 @@ def test_ellipticity_floor_is_checked():
     with pytest.raises(EllipticityError):
         simulate_reflection_coupling(spec, flow, flow, 0.0, 1.0,
                                      dt=0.01, T=1.0, n_paths=4, seed=0)
+
+
+@pytest.mark.parametrize("per_particle", [False, True])
+def test_ellipticity_is_checked_at_every_new_diffusion_value(per_particle):
+    # sigma drops below sigma0 = 1 once the flow reaches its node at t = 0.3
+    def diffusion(x, mu):
+        sig = 1.2 if mu.mean() < 0.5 else 0.9
+        return np.full((x.shape[0], 1, 1), sig) if per_particle \
+            else np.array([[sig]])
+
+    spec = model.preset("ou-attract").replace(diffusion=diffusion)
+    flow = MeasureFlow([0.0, 0.3, 1.0],
+                       [EmpiricalMeasure.dirac(v) for v in (0.0, 1.0, 1.0)])
+    with pytest.raises(EllipticityError, match=r"at step 30 \(t = 0\.3\)"):
+        simulate_reflection_coupling(spec, flow, flow, 0.0, 1.0, dt=0.01,
+                                     T=1.0, n_paths=4, seed=0)
+
+
+def _reference_coupling(spec, flow, flow_prime, x0, x0_prime, dt, T, n,
+                        seed):
+    """The reflection-coupling step written plainly: fresh temporaries,
+    sine and cosine of the whole angle, the sigma-gap root of both legs at
+    every step, and the radii kept as an (n, steps + 1) record."""
+    c, d = spec.constants, spec.dim
+    s0 = c.sigma0
+    delta = 1e-2 * c.r_ball if c.r_ball > 0 else 2.0 * s0 * math.sqrt(dt)
+    n_steps = round(T / dt)
+    x1 = np.broadcast_to(np.reshape(x0, -1), (n, d)).astype(float)
+    x2 = np.broadcast_to(np.reshape(x0_prime, -1), (n, d)).astype(float)
+    times = np.zeros(n_steps + 1)
+    radii = np.empty((n, n_steps + 1))
+    diff = x1 - x2
+    radii[:, 0] = np.linalg.norm(diff, axis=1)
+    for k, block in enumerate(noise_blocks(seed, 0, n_steps, n, d, 3)):
+        t = k * dt
+        mu1, mu2 = flow.at_time(t), flow_prime.at_time(t)
+        r = radii[:, k]
+        e = np.where(r[:, None] > 0.0,
+                     diff / np.maximum(r, 1e-300)[:, None], 0.0)
+        angle = 0.5 * math.pi * np.clip((2.0 * r - delta) / delta, 0.0, 1.0)
+        p1, p2 = np.sin(angle)[:, None], np.cos(angle)[:, None]
+        dw = block * math.sqrt(dt)
+        w_refl, w_extra, w_shared = dw[:, 0], dw[:, 1], dw[:, 2]
+        bar1, bar2 = (np.broadcast_to(_sqrt_psd_gap(
+            np.asarray(spec.diffusion(x, mu), dtype=float), s0, k, t),
+            (n, d, d)) for x, mu in ((x1, mu1), (x2, mu2)))
+        b1, b2 = spec.drift(t, x1, mu1), spec.drift(t, x2, mu2)
+        reflected = w_refl - 2.0 * np.sum(e * w_refl, axis=1)[:, None] * e
+        common = p2 * w_shared
+        x1 += b1 * dt + s0 * (p1 * w_refl + common) \
+            + np.einsum("nij,nj->ni", bar1, w_extra)
+        x2 += b2 * dt + s0 * (p1 * reflected + common) \
+            + np.einsum("nij,nj->ni", bar2, w_extra)
+        times[k + 1] = t + dt
+        diff = x1 - x2
+        radii[:, k + 1] = np.linalg.norm(diff, axis=1)
+    mean_r = radii.mean(axis=0)
+    se_r = radii.std(axis=0, ddof=1) / math.sqrt(n)
+    rate = _fit_radius_decay(times, mean_r, delta)[0]
+    return times, mean_r, se_r, x1, x2, rate
+
+
+@pytest.fixture(scope="module")
+def background_flows():
+    return {name: simulate_mv(model.preset(name),
+                              EmpiricalMeasure.dirac(0.0), dt=0.01, T=6.0,
+                              n_particles=200, seed=3, record_every=10).flow
+            for name in ("sine-weak", "ou-attract")}
+
+
+def _two_d_spec():
+    # a constant sigma with a full-rank, non-diagonal gap root
+    sig = np.array([[1.2, 0.3], [-0.1, 1.1]])
+    return model.preset("ou-attract").replace(
+        dim=2, drift=lambda t, x, mu: -x + 0.3 * np.sin(x[:, ::-1]),
+        diffusion=lambda x, mu: sig, name="two-d")
+
+
+COUPLING_CASES = {
+    "sine-42": ("sine-weak", None, -2.0, 2.0, 42),
+    "sine-7": ("sine-weak", None, -2.0, 2.0, 7),
+    # the gap 0.045 starts both legs inside the band (0.03, 0.06)
+    "in-band": ("sine-weak", None, 0.0, 0.045, 42),
+    "glued": ("sine-weak", None, 1.0, 1.0, 42),
+    "sigma-per-particle": (
+        "sine-weak",
+        lambda x, mu: (1.0 + 0.3 * np.tanh(x) ** 2)[:, :, None],
+        -2.0, 2.0, 42),
+    "sigma-1.4": ("sine-weak", lambda x, mu: np.array([[1.4]]),
+                  -2.0, 2.0, 42),
+    # no ball: delta = 2 sigma0 sqrt(dt)
+    "ou": ("ou-attract", None, 0.0, 3.0, 42),
+    "two-d": ("two-d", None, [0.0, 0.0], [0.5, -0.3], 5),
+}
+
+
+@pytest.mark.parametrize("case", list(COUPLING_CASES))
+def test_coupling_matches_the_reference_step(case, background_flows):
+    name, diffusion, x0, x0_prime, seed = COUPLING_CASES[case]
+    if name == "two-d":
+        spec = _two_d_spec()
+        flow = MeasureFlow.constant(EmpiricalMeasure.dirac(0.0, dim=2),
+                                    0.0, 6.0)
+    else:
+        spec = model.preset(name)
+        flow = background_flows[name]
+    if diffusion is not None:
+        spec = spec.replace(diffusion=diffusion)
+    args = (spec, flow, flow, x0, x0_prime)
+    run = simulate_reflection_coupling(*args, dt=0.01, T=6.0, n_paths=2000,
+                                       seed=seed)
+    times, mean_r, se_r, x1, x2, rate = _reference_coupling(
+        *args, dt=0.01, T=6.0, n=2000, seed=seed)
+    assert np.array_equal(run.times, times)
+    assert np.array_equal(run.mean_radius, mean_r)
+    assert np.array_equal(run.se_radius, se_r)
+    assert np.array_equal(run.terminal_states, x1)
+    assert np.array_equal(run.terminal_states_prime, x2)
+    assert np.array_equal(run.rate, rate, equal_nan=True)
 
 
 def test_run_csv_and_se(sine_spec):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle_reference as oracle
-from ergolab import model, sde
+from ergolab import measure, model, sde
 from ergolab.measure import EmpiricalMeasure, MeasureFlow, moment, wasserstein
 from ergolab.sde import (INIT_DRAW_STEP, BlowUpError, CheckpointedFlow,
                          DriftShift, PathBundle, _sigma_dot, contraction_rate,
@@ -408,6 +408,28 @@ def test_equal_initial_laws_truncate_fit(ou_spec):
     assert math.isnan(fit.rate)
     assert fit.truncated_at == 0.0
     assert fit.note
+
+
+def test_capped_assignment_is_noted_on_the_fit(ou_spec, monkeypatch):
+    monkeypatch.setattr(measure, "ASSIGNMENT_LIMIT", 8)
+    spec = ou_spec.replace(dim=2, diffusion=lambda x, mu: np.eye(2),
+                           name="ou-2d")
+    theta = EmpiricalMeasure.dirac(0.0, dim=2)
+    theta_prime = EmpiricalMeasure.dirac(1.0, dim=2)
+    fit = contraction_rate(spec, theta, theta_prime, dt=0.05, T=0.5, n=12,
+                           seed=3)
+    assert math.isfinite(fit.rate)
+    assert fit.note == "W_2 on the first 8 of 12 atoms of each system"
+    # at or below the cap, and in one dimension, every atom is used
+    assert contraction_rate(spec, theta, theta_prime, dt=0.05, T=0.5, n=8,
+                            seed=3).note == ""
+    assert contraction_rate(ou_spec, EmpiricalMeasure.dirac(0.0),
+                            EmpiricalMeasure.dirac(1.0), dt=0.05, T=0.5,
+                            n=12, seed=3).note == ""
+    # a truncation note keeps the cap note after it
+    same = contraction_rate(spec, theta, theta, dt=0.05, T=0.5, n=12, seed=3)
+    assert same.note.endswith("; W_2 on the first 8 of 12 atoms of each "
+                              "system")
 
 
 def test_blow_up_reports_rather_than_nan():

@@ -35,6 +35,13 @@ RUNS = [
     ("invariant", "ou-attract", "invariant", ["--particles", "300"]),
     ("coupling-sine", "sine-weak", "coupling",
      ["--particles", "300", "--set", "paths=200", "--horizon", "3"]),
+    # both legs start inside the mollifier band (delta / 2, delta)
+    ("coupling-band", "sine-weak", "coupling",
+     ["--particles", "300", "--set", "gap=0.045", "--set", "paths=200",
+      "--horizon", "3"]),
+    # no ball, so the band width comes from the step: delta = 2 sigma0 sqrt(dt)
+    ("coupling-ou", "ou-attract", "coupling",
+     ["--particles", "300", "--set", "paths=200", "--horizon", "3"]),
     ("bsde", "ou-attract", "bsde", ["--particles", "500"]),
     ("bsde-sine", "sine-weak", "bsde", ["--particles", "500"]),
     ("ebsde", "ou-attract", "ebsde", ["--particles", "500"]),
