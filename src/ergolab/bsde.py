@@ -4,10 +4,11 @@ on one fixed regression cloud.
 
 Under one Euler step from node k, X_{k+1} given X_k = x is Gaussian, so
 for a polynomial value surface u_{k+1} both E[u_{k+1}(X_{k+1}) | x] and
-E[u_{k+1}(X_{k+1}) dW | x] / dt are exact under a Gauss-Hermite rule.
-So the regression design need not follow each path: one cloud is drawn
-once, one ridge projection P is factored on it (``_NodeRegressor``), and
-the sweep runs
+E[u_{k+1}(X_{k+1}) dW | x] / dt are exact: the basis at the conditional
+mean times shift matrices of the step's moments (``_Operator``). So the
+regression design need not follow each path: one cloud is drawn once,
+one ridge projection P is factored on it (``_NodeRegressor``), and the
+sweep runs
 
     c_k = P (E[u_{k+1}(X_{k+1}) | x] + dt f(x, mu_k, zm_k)),
     zm_k = E[u_{k+1}(X_{k+1}) dW | x] / dt,
@@ -19,27 +20,24 @@ frozen flow, read once per node from last to first.
 
 ``_Operator`` is the one copy of that map. The sweep steps it at each
 node's (t, mu); the fixed point and the discount ladder of
-``ergolab.ebsde`` step it on a law held fixed. Two rules hold for every
-caller. The basis degree is max(q + 1, 3) by default, and a degree below
-q + 1 raises ValueError. A law held fixed reads the drift at t = 0, so a
-drift marked as reading t (``_reads_t_at``, set by the scenario
-compiler) raises ValueError there; an API caller whose drift reads t
-marks it the same way.
+``ergolab.ebsde``, and a sweep on a constant flow, step it on a law held
+fixed. Two rules hold for every caller. The basis degree is
+max(q + 1, 3) by default, and a degree below q + 1 raises ValueError. A
+law held fixed reads the drift at t = 0, so a drift marked as reading t
+(``_reads_t_at``, set by the scenario compiler) raises ValueError there;
+an API caller whose drift reads t marks it the same way.
 
-The cloud is a draw from the flow's law at T, not a spread around x0.
-Where the basis cannot hold the value surface, the projection's weights
-decide which error is made, and a cloud drawn from where the process
-spends its time keeps the growth of Y0 in T near the long-run average
-(measured in README, "Finite-horizon BSDE"). For a constant stationary
-flow it is the law the ergodic fixed point projects on. The trade-off:
-every node's surface is fitted on that one cloud, not on the law of X_k,
-so a read-out outside the cloud extrapolates the polynomial.
+The cloud is a draw from the flow's law at T, not a spread around x0:
+where the basis cannot hold the value surface it weights the error
+toward where the process spends its time (README, "Finite-horizon
+BSDE"), and a read-out outside it extrapolates the polynomial.
 
 On a constant flow every horizon draws the same cloud, and with
-coefficients that do not read t the horizon-T solve is a time shift of
-a longer one: its n_T + 1 nodes are the last n_T + 1 of the longer
-sweep, bit for bit. So ``_solve_horizons`` runs one sweep for a grid of
-horizons on a constant flow, and one per horizon on a moving flow.
+coefficients that do not read t the horizon-T solve is the last n_T + 1
+nodes of a longer one, bit for bit; so ``_solve_horizons`` runs one
+sweep for a grid of horizons there. On a moving flow each horizon has
+its own cloud and sweep, and ``_sweep`` steps them in one backward read
+of the flow.
 """
 
 from __future__ import annotations
@@ -97,20 +95,13 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
     return arr[np.argsort(arr.sum(axis=1), kind="stable")]
 
 
-def _design(u: np.ndarray, exponents: np.ndarray,
-            pows: np.ndarray | None = None,
-            out: np.ndarray | None = None) -> np.ndarray:
-    """(N, n_basis) monomial matrix at standardized points u of shape (N, d).
-
-    ``pows`` (d, max exponent + 1, N) and ``out`` (N, n_basis), when given,
-    are filled in place of fresh arrays, with the same arithmetic."""
+def _design(u: np.ndarray, exponents: np.ndarray) -> np.ndarray:
+    """(N, n_basis) monomial matrix at standardized points u of shape (N, d)."""
     n, d = u.shape
     # per-dimension power tables keep this at O(N d degree) multiplies
     deg = int(exponents.max()) if exponents.size else 0
-    if pows is None:
-        pows = np.empty((d, deg + 1, n))
-    if out is None:
-        out = np.empty((n, exponents.shape[0]))
+    pows = np.empty((d, deg + 1, n))
+    out = np.empty((n, exponents.shape[0]))
     pows[:, 0] = 1.0
     for j in range(d):
         for k in range(1, deg + 1):
@@ -260,21 +251,38 @@ class _NodeRegressor:
         return self.basis @ coeffs
 
 
+def _rows(basis: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """(N, m) with [n, i] = sum_p basis[n, p] table[r, i, p], where table
+    (R, m, nb) holds one row for every cloud point (R = 1) or one per
+    point (R = N)."""
+    if table.shape[0] == 1:
+        return basis @ np.ascontiguousarray(table[0].T)
+    return np.einsum("np,nip->ni", basis, table)
+
+
 class _Operator:
     """The one backward map (module docstring) on one fixed (N, d) cloud,
     with its rules: the regression factored on the cloud (``reg``), the
-    Gauss-Hermite rule, and the basis degree. ``target`` is the only code
-    that forms the backward target.
+    Gauss-Hermite rule, and the basis degree D. ``target`` is the only
+    code that forms the backward target.
 
-    X_1 = x + b dt + sigma dW with dW ~ N(0, dt I). The tensor rule with
-    ceil((q + 2) / 2) points per dimension integrates every polynomial of
-    degree q + 1 in dW exactly, so both moments of a degree-q surface are
-    exact. On a ``law`` held fixed (mu*) they are two matrices built once
-    at t = 0, A (N, nb) and Z (N, d, nb), with A[i] @ c = E[u_c(X_1) | x_i]
-    and Z[i] @ c = E[u_c(X_1) dW | x_i] / dt. Otherwise each ``target``
-    forms them at its own (t, mu) in a workspace allocated at the first
-    call and reused, so a sweep allocates no large array per node. One
-    object serves one solve, on one thread.
+    X_1 = x + b dt + sigma dW with dW ~ N(0, dt I). In reg's coordinates
+    that is u = v + L xi, with v the standardized conditional mean,
+    L = diag(1 / scale) sigma sqrt(dt) and xi ~ N(0, I). The basis is
+    closed under shifts, so E[u^e] = sum_p C(e, e_p) v^e_p
+    E[(L xi)^(e - e_p)], and E[u^e xi_k] the same with
+    E[(L xi)^beta xi_k]. For c (nb,): E[u_c(X_1) | x] = B(v) H c and
+    E[u_c(X_1) dW | x] / dt = B(v) Hz c, with B(v) the (N, nb) basis at
+    the conditional means and H, Hz the shift matrices of L xi's moments.
+    Those have degree at most D + 1, which the tensor rule with
+    ceil((D + 2) / 2) points per dimension integrates exactly. A diffusion
+    that does not read x gives one (H, Hz); one that does, one per point.
+
+    On a ``law`` held fixed (mu*) the products are two matrices built once
+    at t = 0, A = B H (N, nb) and Z = B Hz (N, d, nb). Otherwise each
+    ``target`` forms B at its own (t, mu); H and Hz are formed again only
+    when the diffusion's value changes, so one object serves one solve,
+    on one thread.
     """
 
     def __init__(self, spec, cloud: np.ndarray, dt: float,
@@ -300,49 +308,57 @@ class _Operator:
             list(itertools.product(nodes, repeat=d)))
         self.w = np.prod(list(itertools.product(weights, repeat=d)), axis=1)
         self.wz = self.w[:, None] * self.dw / dt
-        self._work = None
+        # the shift table: (v + w)^e_b = sum_p binom[p, b] v^e_p
+        # w^(e_b - e_p), binom zero unless e_p <= e_b, e_b - e_p row idx
+        e = self.reg.exponents.tolist()
+        row = {tuple(r): i for i, r in enumerate(e)}
+        self._idx = np.array(
+            [[row.get(tuple(np.subtract(b, p)), 0) for b in e] for p in e])
+        self._binom = np.array(
+            [[math.prod(map(math.comb, b, p)) for b in e] for p in e], float)
+        self._sigma = (None, None)
         if law is not None:
-            self._az = self._moments(self._design(0.0, law),
-                                     np.eye(self.reg.exponents.shape[0]))
+            # A and Z as one (N (1 + d), nb) matrix: a node is one product
+            basis, shift = self._tables(0.0, law)
+            nb = basis.shape[1]
+            self._az = _rows(basis, np.swapaxes(shift, 2, 3).reshape(
+                shift.shape[0], -1, nb)).reshape(-1, nb)
 
-    def _design(self, t: float, mu) -> np.ndarray:
-        """reg's basis at the rule's next states from the cloud under the
-        coefficients at (t, mu): (N * rule points, nb), x_i's points in
-        rows i * points to (i + 1) * points, in the workspace."""
+    def _tables(self, t: float, mu) -> tuple[np.ndarray, np.ndarray]:
+        """B (N, nb) at (t, mu), and the shift matrices (R, 1 + d, nb, nb):
+        [r, 0] is H, [r, 1 + k] Hz's k-th, R = 1 or N (class docstring)."""
         x, reg = self.cloud, self.reg
-        n, d = x.shape
-        if self._work is None:
-            rows = n * self.w.size
-            self._work = (np.empty((n, self.w.size, d)),
-                          np.empty((d, int(reg.exponents.max()) + 1, rows)),
-                          np.empty((rows, reg.exponents.shape[0])))
-        nxt, pows, basis = self._work
         drift = np.broadcast_to(self.spec.drift(t, x, mu), x.shape)
-        np.einsum("njk,gk->ngj", self.spec.diffusion_at(x, mu), self.dw,
-                  out=nxt)
-        np.add((x + self.dt * drift)[:, None, :], nxt, out=nxt)
-        np.subtract(nxt, reg.center, out=nxt)
-        np.divide(nxt, reg.scale, out=nxt)
-        return _design(nxt.reshape(-1, d), reg.exponents, pows, basis)
-
-    def _moments(self, basis: np.ndarray,
-                 coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """E[u_c(X_1) | x] and E[u_c(X_1) dW | x] / dt on a ``_design``:
-        (N,) and (N, d) for c (nb,), (N, m) and (N, d, m) for c (nb, m)."""
-        values = (basis @ coeffs).reshape(-1, self.w.size, *coeffs.shape[1:])
-        return (np.einsum("g,ng...->n...", self.w, values),
-                np.einsum("gk,ng...->nk...", self.wz, values))
+        basis = _design((x + self.dt * drift - reg.center) / reg.scale,
+                        reg.exponents)
+        sigma = self.spec.diffusion_at(x, mu)
+        if sigma.strides[0] == 0:  # the same (d, d) matrix at every point
+            sigma = sigma[:1]
+        key = (sigma.shape, sigma.tobytes())
+        if self._sigma[0] != key:
+            # the monomials at the rule's points of L xi, their moments,
+            # and those moments placed by the shift table
+            noise = np.einsum("rjk,gk->rgj", sigma, self.dw) / reg.scale
+            mono = _design(noise.reshape(-1, x.shape[1]), reg.exponents)
+            mono = mono.reshape(sigma.shape[0], self.w.size, -1)
+            moments = np.concatenate(
+                [np.einsum("g,rgb->rb", self.w, mono)[:, None],
+                 np.einsum("gk,rgb->rkb", self.wz, mono)], axis=1)
+            self._sigma = key, moments[:, :, self._idx] * self._binom
+        return basis, self._sigma[1]
 
     def target(self, coeffs: np.ndarray, t: float = 0.0,
                mu=None) -> tuple[np.ndarray, np.ndarray]:
         """(E[u_c(X_1) | x] + dt f(x, mu, zm), zm) on the cloud for the
         next node's c (nb,), at (t, mu) or at the law held fixed."""
         if self.law is not None:
-            a, z = self._az
-            e_val, z_val, mu = a @ coeffs, z @ coeffs, self.law
+            moments = (self._az @ coeffs).reshape(len(self.cloud), -1)
+            mu = self.law
         else:
-            e_val, z_val = self._moments(self._design(t, mu), coeffs)
-        y = e_val + self.dt * np.asarray(
+            basis, shift = self._tables(t, mu)
+            moments = _rows(basis, shift @ coeffs)
+        z_val = moments[:, 1:]
+        y = moments[:, 0] + self.dt * np.asarray(
             self.spec.driver(self.cloud, mu, z_val), dtype=float)
         return y, z_val
 
@@ -365,14 +381,14 @@ class _Operator:
             exponents=reg.exponents, center=reg.center, scale=reg.scale)
 
 
-def _law_cloud(x0: np.ndarray, flow: MeasureFlow, T: float,
-               n_particles: int, seed: int) -> np.ndarray:
+def _law_cloud(x0: np.ndarray, law, n_particles: int,
+               seed: int) -> np.ndarray:
     """The regression cloud, from the (seed, INIT_DRAW_STEP) block:
-    n_particles draws from the flow's law at T. A law with a spread under
-    0.1 in some coordinate (a point mass, as when the coefficients ignore
-    the measure) would make the design singular; its cloud is x0 plus a
-    Gaussian spread at the law's scale, floored at 0.1."""
-    law = flow.at_time(T)
+    n_particles draws from ``law``, the flow's law at the horizon. A law
+    with a spread under 0.1 in some coordinate (a point mass, as when the
+    coefficients ignore the measure) would make the design singular; its
+    cloud is x0 plus a Gaussian spread at the law's scale, floored at
+    0.1."""
     sd = law.points.std(axis=0)
     if np.all(sd >= _MIN_SPREAD):
         return draw_initial(law, n_particles, seed)
@@ -380,46 +396,74 @@ def _law_cloud(x0: np.ndarray, flow: MeasureFlow, T: float,
     return x0 + np.maximum(sd, _MIN_SPREAD) * xi
 
 
+def _held_law(spec, flow):
+    """The measure of a constant flow (one object at every node, as
+    ``MeasureFlow.constant`` builds) whose drift does not read t, which
+    a sweep may hold fixed; None for any other flow."""
+    if (isinstance(flow, MeasureFlow)
+            and all(m is flow.measures[0] for m in flow.measures)
+            and getattr(spec.drift, "_reads_t_at", None) is None):
+        return flow.measures[0]
+    return None
+
+
+def _sweep(spec, flow, steps, dt: float, degree: int | None, cloud_at):
+    """Backward sweeps of the one-step operator on [0, steps[h] dt] for
+    every horizon h in one read of the flow: from the largest node down,
+    node k reads (t_k, mu_k) once and steps each horizon with
+    steps[h] >= k. A horizon's cloud is ``cloud_at`` of its terminal law,
+    its ``_Operator`` is built there (on ``_held_law``, if any), and from
+    c_n = P g each node k < n is the one product [c_k | zeta_k] =
+    P [y | zm] of its target. Horizons share nothing but the reads, so
+    each result is its one-horizon sweep's, bit for bit.
+
+    Returns the value surface u, the z-field zeta and the residuals per
+    horizon, ``residuals[k]`` the RMS over the cloud of node k's value
+    target around its projection. A non-finite surface raises
+    FloatingPointError.
+    """
+    law = _held_law(spec, flow)
+    times = np.arange(max(steps) + 1) * dt
+    swept = [None] * len(steps)
+    for k in range(max(steps), -1, -1):
+        mu = flow.at_time(times[k])
+        for h, n in enumerate(steps):
+            if n < k:
+                continue
+            if n == k:
+                cloud = cloud_at(mu)
+                op = _Operator(spec, cloud, dt, degree, law=law)
+                swept[h] = op, np.zeros((n + 1, op.reg.exponents.shape[0],
+                                         1 + cloud.shape[1])), np.zeros(n + 1)
+                target = np.asarray(spec.terminal(cloud, mu),
+                                    dtype=float)[:, None]
+            op, coeffs, residuals = swept[h]
+            if n > k:
+                target = np.column_stack(op.target(coeffs[k + 1, :, 0],
+                                                   times[k], mu))
+            fitted = op.reg.fit(target)
+            if not np.isfinite(fitted.sum()):
+                raise FloatingPointError(
+                    f"backward sweep: non-finite surface at node {k} "
+                    f"(t = {times[k]:.6g})")
+            coeffs[k, :, :fitted.shape[1]] = fitted
+            residuals[k] = op.rmse(fitted[:, 0], target[:, 0])
+    out = []
+    for op, coeffs, residuals in swept:
+        u = RegressionFunction(
+            times=times[:len(coeffs)], coeffs=coeffs[:, :, :1],
+            exponents=op.reg.exponents, center=op.reg.center,
+            scale=op.reg.scale)
+        out.append((u, replace(u, coeffs=coeffs[:, :, 1:]), residuals))
+    return out
+
+
 def backward_lsmc(spec, cloud: np.ndarray, flow: MeasureFlow, T: float,
                   dt: float, degree: int | None):
     """Backward sweep of the one-step operator on [0, T] over a fixed
-    (N, d) cloud: returns the value surface u, the z-field zeta and the
-    per-node residuals.
-
-    One ``_Operator`` is built on the cloud. From c_M = P g(x, mu_M),
-    each node k < M is the one product [c_k | zeta_k] = P [y | zm] of
-    its target at (t_k, mu_k). ``residuals[k]`` is the RMS over the cloud
-    of node k's value target around its projection. A non-finite surface
-    raises FloatingPointError with its node.
-    """
-    n_steps = _steps_for(T, dt)
-    d = cloud.shape[1]
-    op = _Operator(spec, cloud, dt, degree)
-    reg = op.reg
-    times = np.arange(n_steps + 1) * dt
-    coeffs = np.zeros((n_steps + 1, reg.exponents.shape[0], 1 + d))
-    residuals = np.zeros(n_steps + 1)
-
-    for k in range(n_steps, -1, -1):
-        mu = flow.at_time(times[k])
-        if k == n_steps:
-            target = np.asarray(spec.terminal(cloud, mu), dtype=float)[:, None]
-        else:
-            target = np.column_stack(op.target(coeffs[k + 1, :, 0],
-                                               times[k], mu))
-        fitted = reg.fit(target)
-        if not np.isfinite(fitted.sum()):
-            raise FloatingPointError(
-                f"backward sweep: non-finite surface at node {k} "
-                f"(t = {times[k]:.6g})")
-        coeffs[k, :, :fitted.shape[1]] = fitted
-        residuals[k] = op.rmse(fitted[:, 0], target[:, 0])
-
-    u = RegressionFunction(times=times, coeffs=coeffs[:, :, :1],
-                           exponents=reg.exponents, center=reg.center,
-                           scale=reg.scale)
-    zeta = replace(u, coeffs=coeffs[:, :, 1:])
-    return u, zeta, residuals
+    (N, d) cloud, the one-horizon ``_sweep``."""
+    return _sweep(spec, flow, [_steps_for(T, dt)], dt, degree,
+                  lambda mu: cloud)[0]
 
 
 def _solve_horizons(spec, flow: MeasureFlow, x0, t_grid, dt: float,
@@ -427,13 +471,12 @@ def _solve_horizons(spec, flow: MeasureFlow, x0, t_grid, dt: float,
                     seed: int) -> list[BsdeSolution]:
     """Solve the decoupled BSDE on [0, T] for each T of ``t_grid``, a
     whole number of steps the flow covers, and read (Y0, Z0) at x0 from
-    node 0's surfaces. A sweep is ``backward_lsmc`` over ``_law_cloud``'s
-    draw from the flow's law at its horizon. This is the one place that
-    decides which horizons share one: on a constant flow (one measure at
-    every node, as ``MeasureFlow.constant`` builds) the sweep at the
-    largest T serves each horizon with its last n_T + 1 nodes, timed
-    0, dt, ..., T, unless the drift is marked as reading t
-    (``_reads_t_at``); a moving flow gives each horizon its own.
+    node 0's surfaces. Each horizon's cloud is ``_law_cloud``'s draw from
+    the flow's law at T. This is the one place that decides which
+    horizons share a sweep: on a law held fixed (``_held_law``) the sweep
+    at the largest T serves each horizon with its last n_T + 1 nodes,
+    timed 0, dt, ..., T; otherwise each horizon has its own, and
+    ``_sweep`` runs them in one backward read of the flow.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != spec.dim:
@@ -442,18 +485,12 @@ def _solve_horizons(spec, flow: MeasureFlow, x0, t_grid, dt: float,
     for T in t_grid:
         _check_flow(flow, 0.0, T, dt)
         steps.append(_steps_for(T, dt))
-
-    def sweep(T):
-        return backward_lsmc(spec, _law_cloud(x0, flow, T, n_particles, seed),
-                             flow, T, dt, degree)
-
-    one_sweep = (isinstance(flow, MeasureFlow)
-                 and all(m is flow.measures[0] for m in flow.measures)
-                 and getattr(spec.drift, "_reads_t_at", None) is None)
-    shared = sweep(max(t_grid)) if one_sweep else None
+    one_sweep = _held_law(spec, flow) is not None
+    swept = _sweep(spec, flow, [max(steps)] if one_sweep else steps, dt,
+                   degree, lambda mu: _law_cloud(x0, mu, n_particles, seed))
     sols = []
-    for T, n in zip(t_grid, steps):
-        u, zeta, residuals = shared if one_sweep else sweep(T)
+    for h, n in enumerate(steps):
+        u, zeta, residuals = swept[0 if one_sweep else h]
         times = np.arange(n + 1) * dt
         u = replace(u, times=times, coeffs=u.coeffs[-n - 1:])
         zeta = replace(zeta, times=times, coeffs=zeta.coeffs[-n - 1:])

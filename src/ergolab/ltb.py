@@ -10,11 +10,13 @@ An experiment draws two things: the forward law, an interacting-particle
 run from theta on child seed 7 (none when the stationary law is held
 constant), and the regression clouds, on child seed 3, each a draw from
 the forward law at its horizon (``ergolab.bsde``). On the constant law
-one sweep at the largest horizon serves the whole grid; a forward law
-from theta gives each horizon its own cloud and sweep. All Monte Carlo
-noise enters through these draws and is common across the grid, so
-orderings between horizons are far more stable than under independent
-runs.
+one sweep at the largest horizon serves the whole grid. A forward law
+from theta is one run to the largest horizon, held as a
+``CheckpointedFlow`` (O(sqrt(M) N d) memory), and gives each horizon its
+own cloud and sweep; the sweeps read it together, once, last node first.
+All Monte Carlo noise enters through these draws and is common across
+the grid, so orderings between horizons are far more stable than under
+independent runs.
 
 The reference lambda, u_bar and z-field come from one fixed point,
 ``ebsde.extract_ergodic`` at the experiment's step size, so its Euler
@@ -36,10 +38,6 @@ few points clear it, or the pass fits poorly, the offset is freed and
 the raw series is refit nonlinearly, with the decay then pinned by the
 points that do carry signal. A fit with no signal anywhere reports the
 rate as indeterminate instead of fitting noise.
-
-A forward law started from theta is one interacting-particle run to the
-largest horizon, held as a ``CheckpointedFlow`` (O(sqrt(M) N d) memory),
-which each horizon's sweep reads once, last node first.
 
 The fits' 95% intervals take their Student-t quantile from ``_t975``,
 which needs only ``math``, so importing this module loads no scipy.

@@ -310,9 +310,10 @@ class CheckpointedFlow(FlowGrid):
     elsewhere comes from its segment's cache entry, or else replays the
     segment with ``iter_mv`` from its checkpoint at its global step, which
     gives the first pass's measures bit for bit; the segment then enters
-    the cache in place of the least recently read one. So a sweep that
-    reads the flow in order, forwards or backwards, replays each segment
-    once and holds about (M / S + 2 S) N d floats.
+    the cache in place of the least recently read one. So a read in
+    order, forwards or backwards, replays each segment once and holds
+    about (M / S + 2 S) N d floats; ``bsde._sweep`` reads the flow that
+    way once for all the horizons of a grid.
 
     Each replayed node is its own ``EmpiricalMeasure`` copy and no buffer
     is reused, so a measure a caller still holds stays valid after its

@@ -15,7 +15,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from ergolab import ebsde, model
+from ergolab import bsde, ebsde, model
 
 
 # a scenario drift that reads t: the compiler marks it (``_reads_t_at``)
@@ -28,6 +28,26 @@ diffusion = 1
 driver = x**2
 terminal = x**2
 """
+
+
+def record_sweeps(monkeypatch):
+    """Log every ``bsde._sweep`` call: ``sweeps`` gets the tuple of its
+    horizons, ``clouds`` each cloud it draws, in the order drawn (the
+    largest horizon's first)."""
+    sweeps, clouds = [], []
+    sweep = bsde._sweep
+
+    def counted(spec, flow, steps, dt, degree, cloud_at):
+        sweeps.append(tuple(round(n * dt, 9) for n in steps))
+
+        def drawn(mu):
+            clouds.append(cloud_at(mu))
+            return clouds[-1]
+
+        return sweep(spec, flow, steps, dt, degree, drawn)
+
+    monkeypatch.setattr(bsde, "_sweep", counted)
+    return sweeps, clouds
 
 
 def trace_surface_gap(erg, points, kind):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import oracle_reference as oracle
-from conftest import TIME_DRIFT_SCN
+from conftest import TIME_DRIFT_SCN, record_sweeps
 from ergolab import bsde, model, sde
 from ergolab.bsde import (_RIDGE, BasisDegeneracyError, OffGridWarning,
                           _NodeRegressor, backward_lsmc, monomial_exponents,
@@ -285,9 +285,10 @@ def test_checkpointed_sweep_memory_is_a_fraction_of_the_bundle(ou_spec):
 
 
 def test_concurrent_solves_are_the_serial_solves(ou_spec):
-    # each solve owns its one-step workspace; two sweeps on two threads
-    # at once, on clouds of one size (so buffers shared between solves
-    # would fit both) from two seeds and over two horizons
+    # each solve owns its operator and the shift matrices it keeps; two
+    # sweeps on two threads at once, on clouds of one size (so state
+    # shared between solves would fit both) from two seeds and over two
+    # horizons
     flow = _flow_for(ou_spec, 1.0, n=1000)
     jobs = [dict(x0=0.0, T=1.0, n_particles=3000, seed=4),
             dict(x0=0.5, T=0.6, n_particles=3000, seed=5)]
@@ -315,15 +316,9 @@ def test_constant_flow_grid_is_the_per_horizon_solves(name, monkeypatch):
     mu = EmpiricalMeasure(np.random.default_rng(3).normal(0.0, 1.2, (400, 1)))
     flow = MeasureFlow.constant(mu, 0.0, 1.6)
     grid = (0.4, 1.0, 1.6)
-    swept = []
-
-    def counted(spec, cloud, flow, T, *args):
-        swept.append(T)
-        return backward_lsmc(spec, cloud, flow, T, *args)
-
-    monkeypatch.setattr(bsde, "backward_lsmc", counted)
+    swept, _ = record_sweeps(monkeypatch)
     sols = bsde._solve_horizons(spec, flow, 1.0, grid, 0.02, 400, None, 5)
-    assert swept == [1.6]
+    assert swept == [(1.6,)]
     for T, sol in zip(grid, sols):
         one = solve_finite_bsde(spec, flow, 1.0, T=T, dt=0.02,
                                 n_particles=400, seed=5)
@@ -342,15 +337,10 @@ def test_drift_that_reads_t_gets_a_sweep_per_horizon(monkeypatch):
     mu = EmpiricalMeasure(np.random.default_rng(3).normal(0.0, 1.2, (400, 1)))
     flow = MeasureFlow.constant(mu, 0.0, 2.0)
     grid = (0.5, 1.0, 2.0)
-    swept = []
-
-    def counted(spec, cloud, flow, T, *args):
-        swept.append(T)
-        return backward_lsmc(spec, cloud, flow, T, *args)
-
-    monkeypatch.setattr(bsde, "backward_lsmc", counted)
+    swept, clouds = record_sweeps(monkeypatch)
     sols = bsde._solve_horizons(spec, flow, 0.0, grid, 0.02, 400, None, 5)
-    assert swept == list(grid)
+    # one read of the flow, in which every horizon has its own sweep
+    assert swept == [grid] and len(clouds) == len(grid)
     for T, sol in zip(grid, sols):
         one = solve_finite_bsde(spec, flow, 0.0, T=T, dt=0.02,
                                 n_particles=400, seed=5)
@@ -361,18 +351,45 @@ def test_drift_that_reads_t_gets_a_sweep_per_horizon(monkeypatch):
 def test_moving_flow_grid_draws_a_cloud_per_horizon(ou_spec, monkeypatch):
     flow = sde.CheckpointedFlow.build(ou_spec, EmpiricalMeasure.dirac(0.5),
                                       dt=0.02, T=1.0, n_particles=300, seed=5)
-    swept = []
-
-    def counted(spec, cloud, flow, T, *args):
-        swept.append((T, cloud.mean()))
-        return backward_lsmc(spec, cloud, flow, T, *args)
-
-    monkeypatch.setattr(bsde, "backward_lsmc", counted)
+    swept, clouds = record_sweeps(monkeypatch)
     sols = bsde._solve_horizons(ou_spec, flow, 0.0, (0.4, 1.0), 0.02, 300,
                                 None, 9)
-    assert [T for T, _ in swept] == [0.4, 1.0]
-    # each cloud is a draw from the flow's law at its own horizon
-    for (T, center), sol in zip(swept, sols):
+    assert swept == [(0.4, 1.0)]
+    # each cloud is a draw from the flow's law at its own horizon, drawn
+    # when the read reaches it (the largest horizon first)
+    centers = [cloud.mean() for cloud in clouds[::-1]]
+    for T, center, sol in zip((0.4, 1.0), centers, sols):
         assert abs(center - flow.at_time(T).mean()[0]) < 0.2
         assert sol.u.times[-1] == pytest.approx(T)
-    assert swept[0][1] != swept[1][1]
+    assert centers[0] != centers[1]
+
+
+def test_one_backward_read_serves_every_horizon(ou_spec, monkeypatch):
+    # the joint read of a checkpointed flow gives each horizon its own
+    # solve bit for bit, and replays each segment of the flow at most once
+    def build():
+        return sde.CheckpointedFlow.build(
+            ou_spec, EmpiricalMeasure.dirac(0.5), dt=0.02, T=1.0,
+            n_particles=300, seed=5)
+
+    grid = (0.4, 1.0)
+    alone = [solve_finite_bsde(ou_spec, build(), 0.0, T=T, dt=0.02,
+                               n_particles=300, seed=9) for T in grid]
+    flow = build()
+    starts = []
+    step = sde.iter_mv
+
+    def counted(*args, **kwargs):
+        starts.append(kwargs["start"])
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(sde, "iter_mv", counted)
+    sols = bsde._solve_horizons(ou_spec, flow, 0.0, grid, 0.02, 300, None, 9)
+    # every segment but the last checkpoint's, once each
+    assert starts == list(range(0, flow.n_steps, flow.every))[::-1]
+    for sol, one in zip(sols, alone):
+        assert np.array_equal(sol.u.times, one.u.times)
+        assert np.array_equal(sol.u.coeffs, one.u.coeffs)
+        assert np.array_equal(sol.zeta.coeffs, one.zeta.coeffs)
+        assert np.array_equal(sol.residuals, one.residuals)
+        assert sol.y0 == one.y0 and np.array_equal(sol.z0, one.z0)

@@ -115,6 +115,17 @@ dt = 0.05
 horizon = 0.5
 """
 
+# a diffusion that reads x: the one-step moments are formed per particle
+SIGMA_X_SCN = """\
+[model]
+dim = 1
+regime = strong
+drift = -x
+diffusion = 1 + 0.2*tanh(x)
+driver = x**2
+terminal = x**2
+"""
+
 
 @pytest.fixture(scope="module")
 def scn_dir(tmp_path_factory):
@@ -122,7 +133,8 @@ def scn_dir(tmp_path_factory):
     for name, text in (("ou.scn", OU_SCN), ("lq.scn", LQ_SCN),
                        ("bad.scn", BAD_SCN), ("expand.scn", EXPANDING_SCN),
                        ("cubic.scn", CUBIC_SCN), ("step.scn", STEP_SCN),
-                       ("sine.scn", SINE_SCN), ("time.scn", TIME_SCN)):
+                       ("sine.scn", SINE_SCN), ("time.scn", TIME_SCN),
+                       ("sigma_x.scn", SIGMA_X_SCN)):
         (d / name).write_text(text)
     return d
 
@@ -317,6 +329,17 @@ def test_bsde_rerun_is_byte_identical(scn_dir, tmp_path):
     assert rerun_from_manifest(first / "manifest", again) == 0
     for name in ("bsde_surface.csv", "bsde_residuals.csv", "bsde.report"):
         assert filecmp.cmp(first / name, again / name, shallow=False), name
+
+
+def test_bsde_with_a_diffusion_that_reads_x(scn_dir, tmp_path):
+    # y0 as the Gauss-Hermite rule gives it on the N * G next states; the
+    # shift moments at the N conditional means agree to round-off
+    out = tmp_path / "o"
+    assert run(["bsde", "--scenario", str(scn_dir / "sigma_x.scn"),
+                "--out", str(out), "--particles", "500", "--seed", "42"]) == 0
+    rep = dict(line.split("=", 1) for line in
+               (out / "bsde.report").read_text().splitlines())
+    assert float(rep["y0"]) == pytest.approx(0.72157342084133336, rel=1e-9)
 
 
 def test_bsde_fails_when_the_basis_cannot_hold_the_terminal(scn_dir,

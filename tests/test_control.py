@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import oracle_reference as oracle
-from ergolab import bsde, cli, control, sde
+from conftest import record_sweeps
+from ergolab import cli, control, sde
 from ergolab.bsde import solve_finite_bsde
 from ergolab.control import (
     AdmissibilityError,
@@ -301,17 +302,10 @@ def test_finite_policy_saturates_far_from_origin(lq_spec, erg_lq):
 
 def test_longtime_grid_runs_one_sweep(lq_spec, erg_lq, monkeypatch):
     # one sweep for the grid on mu*, three for the feedback floor
-    swept = []
-    sweep = bsde.backward_lsmc
-
-    def counted(spec, cloud, flow, T, *args):
-        swept.append(T)
-        return sweep(spec, cloud, flow, T, *args)
-
-    monkeypatch.setattr(bsde, "backward_lsmc", counted)
+    swept, _ = record_sweeps(monkeypatch)
     ocp_longtime(lq_spec, erg_lq, ell_hat=0.0, t_grid=(1.0, 2.0), dt=0.05,
                  n_particles=300, seed=1)
-    assert swept == [2.0] * (1 + 3)
+    assert swept == [(2.0,)] * (1 + 3)
 
 
 def test_longtime_grid_runs_one_cost_run_per_horizon(lq_spec, erg_lq,

@@ -312,26 +312,38 @@ def _normal_expectation(poly, times_xi=None):
     return total
 
 
-@pytest.mark.parametrize("dim", [1, 2])
-def test_expectation_matrices_match_gaussian_moments(ou_spec, dim):
+@pytest.mark.parametrize("dim,sigma_reads_x", [(1, False), (2, False),
+                                               (1, True)],
+                         ids=["1", "2", "1-sigma-of-x"])
+def test_expectation_matrices_match_gaussian_moments(ou_spec, dim,
+                                                     sigma_reads_x):
     dt = 0.1
     if dim == 1:
-        spec, sigma = ou_spec, np.eye(1)
+        spec, sigma = ou_spec, lambda x: np.ones((len(x), 1, 1))  # noqa: E731
         drift = lambda x: -x - 0.5 * x.mean(axis=0)  # noqa: E731
+        if sigma_reads_x:
+            # one diffusion per particle: (N, 1, 1)
+            sigma = lambda x: (1.0 + 0.2 * np.tanh(x))[:, :, None]  # noqa: E731
+            spec = spec.replace(diffusion=lambda x, mu: sigma(x))
     else:
         # a full diffusion and a drift that mixes the coordinates
-        sigma = np.array([[1.0, 0.0], [0.6, 0.8]])
+        full = np.array([[1.0, 0.0], [0.6, 0.8]])
+        sigma = lambda x: np.broadcast_to(full, (len(x), 2, 2))  # noqa: E731
         mix = np.array([[1.0, 0.3], [-0.2, 0.7]])
         drift = lambda x: -x @ mix.T  # noqa: E731
         spec = ou_spec.replace(dim=2, drift=lambda t, x, mu: drift(x),
-                               diffusion=lambda x, mu: sigma, name="mixed-2d")
+                               diffusion=lambda x, mu: full, name="mixed-2d")
     # with a zero driver the target is the conditional expectation itself
     spec = spec.replace(driver=lambda x, mu, z: np.zeros(x.shape[0]))
     x = np.random.default_rng(3).normal(0.0, 0.7, (40, dim))
     law = EmpiricalMeasure(x)
     held = bsde._Operator(spec, x, dt, 3, law=law)
-    reg, (a, z) = held.reg, held._az
+    reg = held.reg
     exponents = reg.exponents
+    # A's and Z's columns: the held matrices' targets of the unit vectors
+    unit = [held.target(e) for e in np.eye(len(exponents))]
+    a = np.column_stack([y for y, _ in unit])
+    z = np.stack([zm for _, zm in unit], axis=-1)
     # the backward sweep's route: the moments formed at the node
     c = np.random.default_rng(4).normal(size=len(exponents))
     e_val, z_val = bsde._Operator(spec, x, dt, 3).target(c, 0.0, law)
@@ -339,11 +351,11 @@ def test_expectation_matrices_match_gaussian_moments(ou_spec, dim):
     np.testing.assert_allclose(z_val, z @ c, rtol=1e-12, atol=1e-12)
     assert a.shape == (40, len(exponents))
     assert z.shape == (40, dim, len(exponents))
-    # standardized X_1 = mean + chol xi with xi ~ N(0, I)
-    chol = sigma * math.sqrt(dt) / reg.scale[:, None]
+    # standardized X_1 = mean + chol xi with xi ~ N(0, I), per particle
+    chol = sigma(x) * math.sqrt(dt) / reg.scale[:, None]
     means = (x + dt * drift(x) - reg.center) / reg.scale
     for i, b in itertools.product(range(len(x)), range(len(exponents))):
-        poly = _gaussian_polynomial(means[i], chol, exponents[b])
+        poly = _gaussian_polynomial(means[i], chol[i], exponents[b])
         assert a[i, b] == pytest.approx(_normal_expectation(poly),
                                         rel=1e-12, abs=1e-12)
         for k in range(dim):

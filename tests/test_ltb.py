@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import oracle_reference as oracle
-from ergolab import bsde, cli, ebsde, ltb
+from ergolab import cli, ebsde, ltb
 from ergolab.ltb import (DecayFit, _fit_exponential, _fit_inverse_time,
                          ltb1_experiment, ltb2_experiment, ltb3_experiment)
 from ergolab.measure import EmpiricalMeasure
@@ -18,7 +18,7 @@ from ergolab.measure import EmpiricalMeasure
 LAM_DT = oracle.euler_stationary_variance(0.02)
 
 
-from conftest import trace_surface_gap as _surface_gap
+from conftest import record_sweeps, trace_surface_gap as _surface_gap
 
 
 @pytest.fixture(scope="module")
@@ -268,16 +268,9 @@ def test_constant_flow_grid_runs_one_sweep(ou_spec, erg_ou, monkeypatch,
                                            experiment, t_max):
     # the default grid's horizons share one sweep at the largest; the
     # noise floor re-runs that horizon at three fresh seeds
-    swept = []
-    sweep = bsde.backward_lsmc
-
-    def counted(spec, cloud, flow, T, *args):
-        swept.append(T)
-        return sweep(spec, cloud, flow, T, *args)
-
-    monkeypatch.setattr(bsde, "backward_lsmc", counted)
+    swept, _ = record_sweeps(monkeypatch)
     experiment(ou_spec, erg_ou, dt=0.02, n_particles=500, seed=3)
-    assert swept == [t_max] * (1 + 3)
+    assert swept == [(t_max,)] * (1 + 3)
 
 
 def test_sine_weak_centred_value_does_not_drift(sine_spec, erg_sine):

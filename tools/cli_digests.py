@@ -25,7 +25,14 @@ from ergolab.cli import run  # noqa: E402
 
 SEEDS = (42, 7)
 
-# (run name, preset, subcommand, extra arguments)
+# scenarios that are not a preset, by name; any other name is a preset
+SCENARIOS = {
+    # a diffusion that reads x: the one-step moments are formed per point
+    "sigma-x": "[model]\ndim = 1\nregime = strong\ndrift = -x\n"
+               "diffusion = 1 + 0.2*tanh(x)\ndriver = x**2\nterminal = x**2\n",
+}
+
+# (run name, scenario, subcommand, extra arguments)
 RUNS = [
     ("audit-ou", "ou-attract", "audit", ["--particles", "500"]),
     ("audit-sine", "sine-weak", "audit", ["--particles", "500"]),
@@ -44,6 +51,7 @@ RUNS = [
      ["--particles", "300", "--set", "paths=200", "--horizon", "3"]),
     ("bsde", "ou-attract", "bsde", ["--particles", "500"]),
     ("bsde-sine", "sine-weak", "bsde", ["--particles", "500"]),
+    ("bsde-sigma-x", "sigma-x", "bsde", ["--particles", "500"]),
     ("ebsde", "ou-attract", "ebsde", ["--particles", "500"]),
     ("ebsde-sine", "sine-weak", "ebsde", ["--particles", "500"]),
     # the time average reads the ladder's zeta_bar at every step
@@ -54,6 +62,7 @@ RUNS = [
     # hold the value surface
     ("ltb1-lq", "control-lq", "ltb1", ["--particles", "500"]),
     ("ltb1-sine", "sine-weak", "ltb1", ["--particles", "500"]),
+    ("ltb1-sigma-x", "sigma-x", "ltb1", ["--particles", "500"]),
     ("ltb2", "ou-attract", "ltb2", ["--particles", "500"]),
     ("ltb3", "ou-attract", "ltb3", ["--particles", "500"]),
     # the cubic basis cannot hold sine-weak's value surface
@@ -72,13 +81,13 @@ SKIPPED = {"manifest", "report.report"}
 def _run_all(out: Path) -> list[str]:
     scenarios = out / "scenarios"
     scenarios.mkdir(parents=True, exist_ok=True)
-    for preset in {preset for _, preset, _, _ in RUNS}:
-        (scenarios / f"{preset}.scn").write_text(
-            f"[model]\npreset = {preset}\n")
+    for scn in {scn for _, scn, _, _ in RUNS}:
+        (scenarios / f"{scn}.scn").write_text(
+            SCENARIOS.get(scn, f"[model]\npreset = {scn}\n"))
     codes = []
     for seed in SEEDS:
-        for name, preset, sub, extra in RUNS:
-            argv = [sub, "--scenario", str(scenarios / f"{preset}.scn"),
+        for name, scn, sub, extra in RUNS:
+            argv = [sub, "--scenario", str(scenarios / f"{scn}.scn"),
                     "--out", str(out / str(seed) / name),
                     "--seed", str(seed), *extra]
             codes.append(f"exit {run(argv)}  {seed}/{name}")
