@@ -2,42 +2,35 @@
 operator ("regression later", Glasserman & Yu, Ann. Appl. Probab. 2004)
 on one fixed regression cloud.
 
-Under one Euler step from node k, X_{k+1} given X_k = x is Gaussian, so
-for a polynomial value surface u_{k+1} both E[u_{k+1}(X_{k+1}) | x] and
-E[u_{k+1}(X_{k+1}) dW | x] / dt are exact: the basis at the conditional
-mean times shift matrices of the step's moments (``_Operator``). So the
-regression design need not follow each path: one cloud is drawn once,
-one ridge projection P is factored on it (``_NodeRegressor``), and the
-sweep runs
+Under one Euler step, X_{k+1} given X_k = x is Gaussian, so for a
+polynomial surface u_{k+1} both E[u_{k+1}(X_{k+1}) | x] and
+E[u_{k+1}(X_{k+1}) dW | x] / dt are exact (``_Operator``). So one cloud
+is drawn once, one ridge projection P is factored on it
+(``_NodeRegressor``), and the sweep runs
 
     c_k = P (E[u_{k+1}(X_{k+1}) | x] + dt f(x, mu_k, zm_k)),
     zm_k = E[u_{k+1}(X_{k+1}) dW | x] / dt,
 
-from c_M = P g, with zeta_k = P zm_k fitted in the same product as c_k.
-No forward paths are simulated, no noise is drawn after the cloud, and
-each node is one product P [y | zm]. The measure arguments come from the
-frozen flow, read once per node from last to first.
+from c_M = P g, with zeta_k = P zm_k fitted in the same product as c_k
+and mu_k read from the frozen flow once per node, last to first.
 
-``_Operator`` is the one copy of that map. The sweep steps it at each
-node's (t, mu); the fixed point and the discount ladder of
-``ergolab.ebsde``, and a sweep on a constant flow, step it on a law held
-fixed. Two rules hold for every caller. The basis degree is
-max(q + 1, 3) by default, and a degree below q + 1 raises ValueError. A
-law held fixed reads the drift at t = 0, so a drift marked as reading t
-(``_reads_t_at``, set by the scenario compiler) raises ValueError there;
-an API caller whose drift reads t marks it the same way.
+``_Operator`` is the one copy of that map, with two rules. The basis
+degree is max(q + 1, 3) by default, and a degree below q + 1 raises
+ValueError. A law held fixed (mu* in ``ergolab.ebsde``; a constant
+flow's measure in ``solve_finite_bsde``, for one horizon or a grid)
+reads the drift at t = 0. A drift marked as reading t (``_reads_t_at``,
+set by the scenario compiler) is never held, and holding it raises
+ValueError; an API caller whose drift reads t marks it the same way.
 
 The cloud is a draw from the flow's law at T, not a spread around x0:
 where the basis cannot hold the value surface it weights the error
 toward where the process spends its time (README, "Finite-horizon
 BSDE"), and a read-out outside it extrapolates the polynomial.
 
-On a constant flow every horizon draws the same cloud, and with
-coefficients that do not read t the horizon-T solve is the last n_T + 1
-nodes of a longer one, bit for bit; so ``_solve_horizons`` runs one
-sweep for a grid of horizons there. On a moving flow each horizon has
-its own cloud and sweep, and ``_sweep`` steps them in one backward read
-of the flow.
+On a held law every horizon draws the same cloud, and the horizon-T
+solve is the last n_T + 1 nodes of a longer one, bit for bit, so one
+sweep serves a grid of horizons. Otherwise ``_sweep`` steps each
+horizon's own cloud and operator in one backward read of the flow.
 """
 
 from __future__ import annotations
@@ -45,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
@@ -96,12 +89,12 @@ def monomial_exponents(dim: int, degree: int) -> np.ndarray:
 
 
 def _design(u: np.ndarray, exponents: np.ndarray) -> np.ndarray:
-    """(N, n_basis) monomial matrix at standardized points u of shape (N, d)."""
+    """(N, n_basis) monomial matrix, column-major, at standardized u (N, d)."""
     n, d = u.shape
     # per-dimension power tables keep this at O(N d degree) multiplies
     deg = int(exponents.max()) if exponents.size else 0
     pows = np.empty((d, deg + 1, n))
-    out = np.empty((n, exponents.shape[0]))
+    out = np.empty((exponents.shape[0], n)).T
     pows[:, 0] = 1.0
     for j in range(d):
         for k in range(1, deg + 1):
@@ -251,38 +244,24 @@ class _NodeRegressor:
         return self.basis @ coeffs
 
 
-def _rows(basis: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """(N, m) with [n, i] = sum_p basis[n, p] table[r, i, p], where table
-    (R, m, nb) holds one row for every cloud point (R = 1) or one per
-    point (R = N)."""
-    if table.shape[0] == 1:
-        return basis @ np.ascontiguousarray(table[0].T)
-    return np.einsum("np,nip->ni", basis, table)
-
-
 class _Operator:
     """The one backward map (module docstring) on one fixed (N, d) cloud,
     with its rules: the regression factored on the cloud (``reg``), the
-    Gauss-Hermite rule, and the basis degree D. ``target`` is the only
-    code that forms the backward target.
+    Gauss-Hermite rule, and the basis degree D. ``target`` alone forms
+    the backward target.
 
-    X_1 = x + b dt + sigma dW with dW ~ N(0, dt I). In reg's coordinates
-    that is u = v + L xi, with v the standardized conditional mean,
-    L = diag(1 / scale) sigma sqrt(dt) and xi ~ N(0, I). The basis is
-    closed under shifts, so E[u^e] = sum_p C(e, e_p) v^e_p
-    E[(L xi)^(e - e_p)], and E[u^e xi_k] the same with
-    E[(L xi)^beta xi_k]. For c (nb,): E[u_c(X_1) | x] = B(v) H c and
-    E[u_c(X_1) dW | x] / dt = B(v) Hz c, with B(v) the (N, nb) basis at
-    the conditional means and H, Hz the shift matrices of L xi's moments.
-    Those have degree at most D + 1, which the tensor rule with
-    ceil((D + 2) / 2) points per dimension integrates exactly. A diffusion
-    that does not read x gives one (H, Hz); one that does, one per point.
-
-    On a ``law`` held fixed (mu*) the products are two matrices built once
-    at t = 0, A = B H (N, nb) and Z = B Hz (N, d, nb). Otherwise each
-    ``target`` forms B at its own (t, mu); H and Hz are formed again only
-    when the diffusion's value changes, so one object serves one solve,
-    on one thread.
+    X_1 = x + b dt + sigma dW is u = v + L xi in reg's coordinates, with v
+    the standardized conditional mean, L = diag(1 / scale) sigma sqrt(dt)
+    and xi ~ N(0, I). The basis is closed under shifts, so E[u^e] =
+    sum_p C(e, e_p) v^e_p E[(L xi)^(e - e_p)], and E[u^e xi_k] alike: for
+    c (nb,), E[u_c(X_1) | x] = B H c and E[u_c(X_1) dW | x] / dt = B Hz c,
+    B the basis at the N conditional means. The moments have degree at
+    most D + 1, exact under ceil((D + 2) / 2) rule points per dimension.
+    A diffusion that reads x gives one row of moments per point. A ``law``
+    held fixed has A = B H and Z = B Hz built once, at t = 0, as one
+    (N (1 + d), nb) matrix. Otherwise ``target`` forms B at its (t, mu),
+    and L xi's moments only when the diffusion's value changes; so one
+    object serves one solve, on one thread.
     """
 
     def __init__(self, spec, cloud: np.ndarray, dt: float,
@@ -303,30 +282,30 @@ class _Operator:
         d = cloud.shape[1]
         self.reg = _NodeRegressor(cloud, monomial_exponents(d, degree), 0)
         nodes, weights = hermegauss(math.ceil((degree + 2) / 2))
-        weights = weights / weights.sum()
         self.dw = math.sqrt(dt) * np.array(
             list(itertools.product(nodes, repeat=d)))
-        self.w = np.prod(list(itertools.product(weights, repeat=d)), axis=1)
-        self.wz = self.w[:, None] * self.dw / dt
-        # the shift table: (v + w)^e_b = sum_p binom[p, b] v^e_p
-        # w^(e_b - e_p), binom zero unless e_p <= e_b, e_b - e_p row idx
-        e = self.reg.exponents.tolist()
-        row = {tuple(r): i for i, r in enumerate(e)}
-        self._idx = np.array(
-            [[row.get(tuple(np.subtract(b, p)), 0) for b in e] for p in e])
-        self._binom = np.array(
-            [[math.prod(map(math.comb, b, p)) for b in e] for p in e], float)
+        w = np.prod(list(itertools.product(weights / weights.sum(),
+                                           repeat=d)), axis=1)
+        # the rule's weights of E[.] and E[. dW] / dt: (points, 1 + d)
+        self.wq = np.column_stack([w, w[:, None] * self.dw / dt])
+        # (v + w)^e_b = sum_p C(e_b, e_p) v^e_p w^(e_b - e_p), so with
+        # shift[p, j, b] = C(e_b, e_p) where e_j = e_b - e_p (zero unless
+        # e_p <= e_b), H[p, b] = sum_j E[(L xi)^e_j] shift[p, j, b] and
+        # H c = moments @ (shift @ c).T
+        e = self.reg.exponents
+        binom = np.array([[math.prod(map(math.comb, b, p)) for b in e.tolist()]
+                          for p in e.tolist()], float)
+        self._shift = binom[:, None] * (e[:, None, None] + e[None, :, None]
+                                        == e[None, None]).all(axis=3)
         self._sigma = (None, None)
         if law is not None:
-            # A and Z as one (N (1 + d), nb) matrix: a node is one product
-            basis, shift = self._tables(0.0, law)
-            nb = basis.shape[1]
-            self._az = _rows(basis, np.swapaxes(shift, 2, 3).reshape(
-                shift.shape[0], -1, nb)).reshape(-1, nb)
+            basis, moments = self._tables(0.0, law)
+            h = np.einsum("rij,pjb->ripb", moments, self._shift)
+            self._az = np.einsum("np,nipb->nib", basis, h).reshape(-1, len(e))
 
     def _tables(self, t: float, mu) -> tuple[np.ndarray, np.ndarray]:
-        """B (N, nb) at (t, mu), and the shift matrices (R, 1 + d, nb, nb):
-        [r, 0] is H, [r, 1 + k] Hz's k-th, R = 1 or N (class docstring)."""
+        """B (N, nb) at (t, mu), and the moments (R, 1 + d, nb) of L xi's
+        monomials, R = 1 or N: [r, 0] E[.], [r, 1 + k] E[. xi_k]."""
         x, reg = self.cloud, self.reg
         drift = np.broadcast_to(self.spec.drift(t, x, mu), x.shape)
         basis = _design((x + self.dt * drift - reg.center) / reg.scale,
@@ -336,15 +315,12 @@ class _Operator:
             sigma = sigma[:1]
         key = (sigma.shape, sigma.tobytes())
         if self._sigma[0] != key:
-            # the monomials at the rule's points of L xi, their moments,
-            # and those moments placed by the shift table
-            noise = np.einsum("rjk,gk->rgj", sigma, self.dw) / reg.scale
+            # the monomials of L xi at the rule's points (point-major) and
+            # their moments, as (1 + d, points) @ (nb, points, R)
+            noise = np.einsum("gk,rjk->grj", self.dw, sigma) / reg.scale
             mono = _design(noise.reshape(-1, x.shape[1]), reg.exponents)
-            mono = mono.reshape(sigma.shape[0], self.w.size, -1)
-            moments = np.concatenate(
-                [np.einsum("g,rgb->rb", self.w, mono)[:, None],
-                 np.einsum("gk,rgb->rkb", self.wz, mono)], axis=1)
-            self._sigma = key, moments[:, :, self._idx] * self._binom
+            self._sigma = key, (self.wq.T @ mono.T.reshape(
+                len(reg.exponents), len(self.wq), -1)).transpose(2, 1, 0)
         return basis, self._sigma[1]
 
     def target(self, coeffs: np.ndarray, t: float = 0.0,
@@ -355,8 +331,10 @@ class _Operator:
             moments = (self._az @ coeffs).reshape(len(self.cloud), -1)
             mu = self.law
         else:
-            basis, shift = self._tables(t, mu)
-            moments = _rows(basis, shift @ coeffs)
+            basis, moments = self._tables(t, mu)
+            rows = moments.reshape(-1, len(coeffs)) @ (self._shift @ coeffs).T
+            moments = np.einsum("np,nip->ni", basis,
+                                rows.reshape(moments.shape))
         z_val = moments[:, 1:]
         y = moments[:, 0] + self.dt * np.asarray(
             self.spec.driver(self.cloud, mu, z_val), dtype=float)
@@ -372,12 +350,14 @@ class _Operator:
         return float(np.linalg.norm(self.reg.predict(fitted) - target)
                      / math.sqrt(target.shape[0]))
 
-    def surface(self, coeffs: np.ndarray) -> RegressionFunction:
-        """The single-node surface of ``coeffs`` in reg's coordinates:
-        (nb,) for a value, (nb, m) for an m-vector field."""
+    def surface(self, coeffs: np.ndarray, times=(0.0,)) -> RegressionFunction:
+        """The surface of ``coeffs`` in reg's coordinates at ``times``:
+        (nb,) for a value or (nb, m) for an m-vector field at one node,
+        (len(times), nb, m) at several."""
         reg = self.reg
         return RegressionFunction(
-            times=np.zeros(1), coeffs=coeffs.reshape(1, coeffs.shape[0], -1),
+            times=np.asarray(times, dtype=float),
+            coeffs=coeffs.reshape(len(times), reg.exponents.shape[0], -1),
             exponents=reg.exponents, center=reg.center, scale=reg.scale)
 
 
@@ -387,8 +367,7 @@ def _law_cloud(x0: np.ndarray, law, n_particles: int,
     n_particles draws from ``law``, the flow's law at the horizon. A law
     with a spread under 0.1 in some coordinate (a point mass, as when the
     coefficients ignore the measure) would make the design singular; its
-    cloud is x0 plus a Gaussian spread at the law's scale, floored at
-    0.1."""
+    cloud is x0 plus a Gaussian spread at the law's scale, floored at 0.1."""
     sd = law.points.std(axis=0)
     if np.all(sd >= _MIN_SPREAD):
         return draw_initial(law, n_particles, seed)
@@ -396,33 +375,19 @@ def _law_cloud(x0: np.ndarray, law, n_particles: int,
     return x0 + np.maximum(sd, _MIN_SPREAD) * xi
 
 
-def _held_law(spec, flow):
-    """The measure of a constant flow (one object at every node, as
-    ``MeasureFlow.constant`` builds) whose drift does not read t, which
-    a sweep may hold fixed; None for any other flow."""
-    if (isinstance(flow, MeasureFlow)
-            and all(m is flow.measures[0] for m in flow.measures)
-            and getattr(spec.drift, "_reads_t_at", None) is None):
-        return flow.measures[0]
-    return None
-
-
-def _sweep(spec, flow, steps, dt: float, degree: int | None, cloud_at):
-    """Backward sweeps of the one-step operator on [0, steps[h] dt] for
-    every horizon h in one read of the flow: from the largest node down,
-    node k reads (t_k, mu_k) once and steps each horizon with
-    steps[h] >= k. A horizon's cloud is ``cloud_at`` of its terminal law,
-    its ``_Operator`` is built there (on ``_held_law``, if any), and from
-    c_n = P g each node k < n is the one product [c_k | zeta_k] =
-    P [y | zm] of its target. Horizons share nothing but the reads, so
-    each result is its one-horizon sweep's, bit for bit.
-
-    Returns the value surface u, the z-field zeta and the residuals per
-    horizon, ``residuals[k]`` the RMS over the cloud of node k's value
-    target around its projection. A non-finite surface raises
-    FloatingPointError.
+def _sweep(spec, flow, steps, dt: float, degree: int | None, cloud_at,
+           law=None):
+    """Backward sweeps on [0, steps[h] dt] for every horizon h in one read
+    of the flow, last node first: each horizon with steps[h] >= k steps at
+    node k's (t_k, mu_k). At its terminal node a horizon draws its cloud,
+    ``cloud_at(mu)``, and builds its ``_Operator`` (holding ``law``, if
+    given); from c_n = P g each node k < n is the one product
+    [c_k | zeta_k] = P [y | zm]. Horizons share only the reads, so each
+    result is its one-horizon sweep's, bit for bit: (operator,
+    coefficients (n + 1, nb, 1 + d), residuals), ``residuals[k]`` the RMS
+    of node k's value target around its projection. A non-finite surface
+    raises FloatingPointError.
     """
-    law = _held_law(spec, flow)
     times = np.arange(max(steps) + 1) * dt
     swept = [None] * len(steps)
     for k in range(max(steps), -1, -1):
@@ -431,11 +396,10 @@ def _sweep(spec, flow, steps, dt: float, degree: int | None, cloud_at):
             if n < k:
                 continue
             if n == k:
-                cloud = cloud_at(mu)
-                op = _Operator(spec, cloud, dt, degree, law=law)
-                swept[h] = op, np.zeros((n + 1, op.reg.exponents.shape[0],
-                                         1 + cloud.shape[1])), np.zeros(n + 1)
-                target = np.asarray(spec.terminal(cloud, mu),
+                op = _Operator(spec, cloud_at(mu), dt, degree, law=law)
+                swept[h] = op, np.zeros((n + 1, len(op.reg.exponents),
+                                         1 + spec.dim)), np.zeros(n + 1)
+                target = np.asarray(spec.terminal(op.cloud, mu),
                                     dtype=float)[:, None]
             op, coeffs, residuals = swept[h]
             if n > k:
@@ -448,35 +412,31 @@ def _sweep(spec, flow, steps, dt: float, degree: int | None, cloud_at):
                     f"(t = {times[k]:.6g})")
             coeffs[k, :, :fitted.shape[1]] = fitted
             residuals[k] = op.rmse(fitted[:, 0], target[:, 0])
-    out = []
-    for op, coeffs, residuals in swept:
-        u = RegressionFunction(
-            times=times[:len(coeffs)], coeffs=coeffs[:, :, :1],
-            exponents=op.reg.exponents, center=op.reg.center,
-            scale=op.reg.scale)
-        out.append((u, replace(u, coeffs=coeffs[:, :, 1:]), residuals))
-    return out
+    return swept
 
 
 def backward_lsmc(spec, cloud: np.ndarray, flow: MeasureFlow, T: float,
                   dt: float, degree: int | None):
-    """Backward sweep of the one-step operator on [0, T] over a fixed
-    (N, d) cloud, the one-horizon ``_sweep``."""
-    return _sweep(spec, flow, [_steps_for(T, dt)], dt, degree,
-                  lambda mu: cloud)[0]
+    """Backward sweep on [0, T] over a fixed (N, d) cloud, the one-horizon
+    ``_sweep``, reading the flow at every node: the value surface u, the
+    z-field zeta and the per-node residuals."""
+    op, coeffs, residuals = _sweep(spec, flow, [_steps_for(T, dt)], dt,
+                                   degree, lambda mu: cloud)[0]
+    times = np.arange(len(coeffs)) * dt
+    return (op.surface(coeffs[:, :, :1], times),
+            op.surface(coeffs[:, :, 1:], times), residuals)
 
 
 def _solve_horizons(spec, flow: MeasureFlow, x0, t_grid, dt: float,
                     n_particles: int, degree: int | None,
                     seed: int) -> list[BsdeSolution]:
-    """Solve the decoupled BSDE on [0, T] for each T of ``t_grid``, a
-    whole number of steps the flow covers, and read (Y0, Z0) at x0 from
-    node 0's surfaces. Each horizon's cloud is ``_law_cloud``'s draw from
-    the flow's law at T. This is the one place that decides which
-    horizons share a sweep: on a law held fixed (``_held_law``) the sweep
-    at the largest T serves each horizon with its last n_T + 1 nodes,
-    timed 0, dt, ..., T; otherwise each horizon has its own, and
-    ``_sweep`` runs them in one backward read of the flow.
+    """Solve the decoupled BSDE on [0, T] for each T of ``t_grid`` (whole
+    steps the flow covers), each on ``_law_cloud``'s draw from the flow's
+    law at T, and read (Y0, Z0) at x0. This is the one place that decides
+    which horizons share a sweep: a constant flow (one measure object at
+    every node, as ``MeasureFlow.constant`` builds) whose drift is not
+    marked as reading t is held fixed, and its sweep at the largest T
+    serves each horizon with its last n_T + 1 nodes, timed 0, ..., T.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if x0.shape[0] != spec.dim:
@@ -485,15 +445,19 @@ def _solve_horizons(spec, flow: MeasureFlow, x0, t_grid, dt: float,
     for T in t_grid:
         _check_flow(flow, 0.0, T, dt)
         steps.append(_steps_for(T, dt))
-    one_sweep = _held_law(spec, flow) is not None
-    swept = _sweep(spec, flow, [max(steps)] if one_sweep else steps, dt,
-                   degree, lambda mu: _law_cloud(x0, mu, n_particles, seed))
+    held = (isinstance(flow, MeasureFlow)
+            and all(m is flow.measures[0] for m in flow.measures)
+            and getattr(spec.drift, "_reads_t_at", None) is None)
+    law = flow.measures[0] if held else None
+    swept = _sweep(spec, flow, steps if law is None else [max(steps)], dt,
+                   degree, lambda mu: _law_cloud(x0, mu, n_particles, seed),
+                   law)
     sols = []
     for h, n in enumerate(steps):
-        u, zeta, residuals = swept[0 if one_sweep else h]
-        times = np.arange(n + 1) * dt
-        u = replace(u, times=times, coeffs=u.coeffs[-n - 1:])
-        zeta = replace(zeta, times=times, coeffs=zeta.coeffs[-n - 1:])
+        op, coeffs, residuals = swept[h if law is None else 0]
+        times, coeffs = np.arange(n + 1) * dt, coeffs[-n - 1:]
+        u = op.surface(coeffs[:, :, :1], times)
+        zeta = op.surface(coeffs[:, :, 1:], times)
         sols.append(BsdeSolution(
             y0=float(u.eval_node(0, x0)[0]),
             z0=np.atleast_2d(zeta.eval_node(0, x0))[0], u=u, zeta=zeta,
@@ -505,7 +469,8 @@ def solve_finite_bsde(spec, flow: MeasureFlow, x0, T: float, dt: float,
                       n_particles: int, degree: int | None = None,
                       seed: int = 0) -> BsdeSolution:
     """Solve the decoupled BSDE on [0, T] and read (Y0, Z0) at x0: the
-    one-horizon call of ``_solve_horizons``."""
+    one-horizon call of ``_solve_horizons``. On a constant flow a drift
+    that reads t unmarked (module docstring) is read at t = 0."""
     return _solve_horizons(spec, flow, x0, [T], dt, n_particles, degree,
                            seed)[0]
 

@@ -13,10 +13,10 @@ the forward law at its horizon (``ergolab.bsde``). On the constant law
 one sweep at the largest horizon serves the whole grid. A forward law
 from theta is one run to the largest horizon, held as a
 ``CheckpointedFlow`` (O(sqrt(M) N d) memory), and gives each horizon its
-own cloud and sweep; the sweeps read it together, once, last node first.
-All Monte Carlo noise enters through these draws and is common across
-the grid, so orderings between horizons are far more stable than under
-independent runs.
+own cloud and sweep, all reading it once, last node first. All Monte
+Carlo noise enters through these draws and is common across the grid, so
+orderings between horizons are far more stable than under independent
+runs.
 
 The reference lambda, u_bar and z-field come from one fixed point,
 ``ebsde.extract_ergodic`` at the experiment's step size, so its Euler

@@ -305,15 +305,14 @@ class CheckpointedFlow(FlowGrid):
 
     It holds the states at every S-th node and at node M, as one
     ``simulate_mv(..., record_every=S)`` pass records them (``build``,
-    S = ceil(sqrt(M))), plus at most two replayed segments. A
-    read at a checkpoint node is served from the checkpoints. A read
-    elsewhere comes from its segment's cache entry, or else replays the
-    segment with ``iter_mv`` from its checkpoint at its global step, which
-    gives the first pass's measures bit for bit; the segment then enters
-    the cache in place of the least recently read one. So a read in
-    order, forwards or backwards, replays each segment once and holds
-    about (M / S + 2 S) N d floats; ``bsde._sweep`` reads the flow that
-    way once for all the horizons of a grid.
+    S = ceil(sqrt(M))), plus at most two replayed segments. A read at a
+    checkpoint node is served from the checkpoints. A read elsewhere comes
+    from its segment's cache entry, or else replays the segment with
+    ``iter_mv`` from its checkpoint at its global step, which gives the first
+    pass's measures bit for bit; the segment then enters the cache in place
+    of the least recently read one. So an ordered read, forwards or
+    backwards, replays each segment once and holds about (M / S + 2 S) N d
+    floats; ``bsde._sweep`` reads the flow so once for a grid of horizons.
 
     Each replayed node is its own ``EmpiricalMeasure`` copy and no buffer
     is reused, so a measure a caller still holds stays valid after its

@@ -37,14 +37,14 @@ def record_sweeps(monkeypatch):
     sweeps, clouds = [], []
     sweep = bsde._sweep
 
-    def counted(spec, flow, steps, dt, degree, cloud_at):
+    def counted(spec, flow, steps, dt, degree, cloud_at, law=None):
         sweeps.append(tuple(round(n * dt, 9) for n in steps))
 
         def drawn(mu):
             clouds.append(cloud_at(mu))
             return clouds[-1]
 
-        return sweep(spec, flow, steps, dt, degree, drawn)
+        return sweep(spec, flow, steps, dt, degree, drawn, law)
 
     monkeypatch.setattr(bsde, "_sweep", counted)
     return sweeps, clouds

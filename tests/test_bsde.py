@@ -393,3 +393,24 @@ def test_one_backward_read_serves_every_horizon(ou_spec, monkeypatch):
         assert np.array_equal(sol.zeta.coeffs, one.zeta.coeffs)
         assert np.array_equal(sol.residuals, one.residuals)
         assert sol.y0 == one.y0 and np.array_equal(sol.z0, one.z0)
+
+
+def test_one_operator_follows_a_diffusion_that_reads_the_measure(ou_spec):
+    # sigma reads mu's second moment, so the moments of L xi change with
+    # the law: one operator stepped through three laws gives each law's
+    # target as an operator built for that law alone does
+    spec = ou_spec.replace(diffusion=lambda x, mu: np.array(
+        [[1.0 + 0.1 * float(np.mean(mu.points ** 2))]]))
+    x = np.random.default_rng(3).normal(0.0, 0.7, (40, 1))
+    c = np.random.default_rng(4).normal(size=4)
+    stepped = bsde._Operator(spec, x, 0.1, 3)
+    targets = []
+    for scale in (1.0, 2.0, 1.0):
+        law = EmpiricalMeasure(scale * x)
+        got = stepped.target(c, 0.0, law)
+        want = bsde._Operator(spec, x, 0.1, 3).target(c, 0.0, law)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        targets.append(got[0])
+    assert not np.allclose(targets[0], targets[1])
+    np.testing.assert_array_equal(targets[0], targets[2])
