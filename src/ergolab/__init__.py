@@ -14,6 +14,7 @@ Modules:
 
 from ergolab.measure import (
     EmpiricalMeasure,
+    LawSummary,
     MeasureFlow,
     InvariantMeasureResult,
     StationarityWarning,
@@ -36,7 +37,6 @@ from ergolab.model import (
 )
 from ergolab.sde import (
     BlowUpError,
-    CheckpointedFlow,
     ContractionFit,
     DriftShift,
     MVResult,
@@ -45,6 +45,7 @@ from ergolab.sde import (
     derive_seed,
     flow_property_check,
     gaussian_increments,
+    interacting_flow,
     simulate_mv,
 )
 from ergolab.coupling import (
@@ -108,7 +109,6 @@ __all__ = [
     "BlowUpError",
     "BsdeSolution",
     "Constants",
-    "CheckpointedFlow",
     "ContractionFit",
     "ControlConfigurationError",
     "ControlPolicy",
@@ -122,6 +122,7 @@ __all__ = [
     "ErgodicSolution",
     "HorizonBudgetError",
     "InvariantMeasureResult",
+    "LawSummary",
     "LyapunovConstants",
     "LyapunovTable",
     "MVResult",
@@ -150,6 +151,7 @@ __all__ = [
     "gaussian_increments",
     "girsanov_reweighted_cost",
     "hamiltonian",
+    "interacting_flow",
     "invariant_measure",
     "kappa_star",
     "lambda_by_time_average",

@@ -12,7 +12,8 @@ is drawn once, one ridge projection P is factored on it
     zm_k = E[u_{k+1}(X_{k+1}) dW | x] / dt,
 
 from c_M = P g, with zeta_k = P zm_k fitted in the same product as c_k
-and mu_k read from the frozen flow once per node, last to first.
+and mu_k read from the frozen flow once per node, last to first: on an
+``sde.interacting_flow``, a lookup of the node's law statistics.
 
 ``_Operator`` is the one copy of that map, with two rules. The basis
 degree is max(q + 1, 3) by default, and a degree below q + 1 raises
@@ -29,8 +30,8 @@ BSDE"), and a read-out outside it extrapolates the polynomial.
 
 On a held law every horizon draws the same cloud, and the horizon-T
 solve is the last n_T + 1 nodes of a longer one, bit for bit, so one
-sweep serves a grid of horizons. Otherwise ``_sweep`` steps each
-horizon's own cloud and operator in one backward read of the flow.
+sweep serves a grid of horizons. Otherwise each horizon has its own
+cloud and sweep.
 """
 
 from __future__ import annotations
@@ -375,44 +376,33 @@ def _law_cloud(x0: np.ndarray, law, n_particles: int,
     return x0 + np.maximum(sd, _MIN_SPREAD) * xi
 
 
-def _sweep(spec, flow, steps, dt: float, degree: int | None, cloud_at,
+def _sweep(spec, flow, n: int, dt: float, degree: int | None, cloud_at,
            law=None):
-    """Backward sweeps on [0, steps[h] dt] for every horizon h in one read
-    of the flow, last node first: each horizon with steps[h] >= k steps at
-    node k's (t_k, mu_k). At its terminal node a horizon draws its cloud,
-    ``cloud_at(mu)``, and builds its ``_Operator`` (holding ``law``, if
-    given); from c_n = P g each node k < n is the one product
-    [c_k | zeta_k] = P [y | zm]. Horizons share only the reads, so each
-    result is its one-horizon sweep's, bit for bit: (operator,
-    coefficients (n + 1, nb, 1 + d), residuals), ``residuals[k]`` the RMS
-    of node k's value target around its projection. A non-finite surface
-    raises FloatingPointError.
-    """
-    times = np.arange(max(steps) + 1) * dt
-    swept = [None] * len(steps)
-    for k in range(max(steps), -1, -1):
-        mu = flow.at_time(times[k])
-        for h, n in enumerate(steps):
-            if n < k:
-                continue
-            if n == k:
-                op = _Operator(spec, cloud_at(mu), dt, degree, law=law)
-                swept[h] = op, np.zeros((n + 1, len(op.reg.exponents),
-                                         1 + spec.dim)), np.zeros(n + 1)
-                target = np.asarray(spec.terminal(op.cloud, mu),
-                                    dtype=float)[:, None]
-            op, coeffs, residuals = swept[h]
-            if n > k:
-                target = np.column_stack(op.target(coeffs[k + 1, :, 0],
-                                                   times[k], mu))
-            fitted = op.reg.fit(target)
-            if not np.isfinite(fitted.sum()):
-                raise FloatingPointError(
-                    f"backward sweep: non-finite surface at node {k} "
-                    f"(t = {times[k]:.6g})")
-            coeffs[k, :, :fitted.shape[1]] = fitted
-            residuals[k] = op.rmse(fitted[:, 0], target[:, 0])
-    return swept
+    """Backward sweep on [0, n dt], reading node k's (t_k, mu_k) last node
+    first. The cloud is ``cloud_at(mu_n)``, its ``_Operator`` holds
+    ``law`` if given, and from c_n = P g each node k < n is the one
+    product [c_k | zeta_k] = P [y | zm]. Returns (operator, coefficients
+    (n + 1, nb, 1 + d), residuals), ``residuals[k]`` the RMS of node k's
+    value target around its projection. A non-finite surface raises
+    FloatingPointError."""
+    times = np.arange(n + 1) * dt
+    mu = flow.at_time(times[n])
+    op = _Operator(spec, cloud_at(mu), dt, degree, law=law)
+    coeffs = np.zeros((n + 1, len(op.reg.exponents), 1 + spec.dim))
+    residuals = np.zeros(n + 1)
+    target = np.asarray(spec.terminal(op.cloud, mu), dtype=float)[:, None]
+    for k in range(n, -1, -1):
+        if k < n:
+            target = np.column_stack(op.target(
+                coeffs[k + 1, :, 0], times[k], flow.at_time(times[k])))
+        fitted = op.reg.fit(target)
+        if not np.isfinite(fitted.sum()):
+            raise FloatingPointError(
+                f"backward sweep: non-finite surface at node {k} "
+                f"(t = {times[k]:.6g})")
+        coeffs[k, :, :fitted.shape[1]] = fitted
+        residuals[k] = op.rmse(fitted[:, 0], target[:, 0])
+    return op, coeffs, residuals
 
 
 def backward_lsmc(spec, cloud: np.ndarray, flow: MeasureFlow, T: float,
@@ -420,8 +410,8 @@ def backward_lsmc(spec, cloud: np.ndarray, flow: MeasureFlow, T: float,
     """Backward sweep on [0, T] over a fixed (N, d) cloud, the one-horizon
     ``_sweep``, reading the flow at every node: the value surface u, the
     z-field zeta and the per-node residuals."""
-    op, coeffs, residuals = _sweep(spec, flow, [_steps_for(T, dt)], dt,
-                                   degree, lambda mu: cloud)[0]
+    op, coeffs, residuals = _sweep(spec, flow, _steps_for(T, dt), dt,
+                                   degree, lambda mu: cloud)
     times = np.arange(len(coeffs)) * dt
     return (op.surface(coeffs[:, :, :1], times),
             op.surface(coeffs[:, :, 1:], times), residuals)
@@ -445,13 +435,12 @@ def _solve_horizons(spec, flow: MeasureFlow, x0, t_grid, dt: float,
     for T in t_grid:
         _check_flow(flow, 0.0, T, dt)
         steps.append(_steps_for(T, dt))
-    held = (isinstance(flow, MeasureFlow)
-            and all(m is flow.measures[0] for m in flow.measures)
+    held = (all(m is flow.measures[0] for m in flow.measures)
             and getattr(spec.drift, "_reads_t_at", None) is None)
     law = flow.measures[0] if held else None
-    swept = _sweep(spec, flow, steps if law is None else [max(steps)], dt,
-                   degree, lambda mu: _law_cloud(x0, mu, n_particles, seed),
-                   law)
+    swept = [_sweep(spec, flow, n, dt, degree,
+                    lambda mu: _law_cloud(x0, mu, n_particles, seed), law)
+             for n in (steps if law is None else [max(steps)])]
     sols = []
     for h, n in enumerate(steps):
         op, coeffs, residuals = swept[h if law is None else 0]

@@ -46,8 +46,8 @@ from ergolab.measure import (EmpiricalMeasure, MeasureFlow, invariant_measure,
                              moment)
 from ergolab.model import (RUN_DEFAULTS, Scenario, ScenarioError, audit,
                            load_scenario, _parse_value)
-from ergolab.sde import (BlowUpError, CheckpointedFlow, contraction_rate,
-                         derive_seed, simulate_mv)
+from ergolab.sde import (BlowUpError, contraction_rate, derive_seed,
+                         interacting_flow, simulate_mv)
 
 __all__ = ["RunManifest", "run", "main", "rerun_from_manifest",
            "SUBCOMMANDS", "OUT_ENV_VAR"]
@@ -348,7 +348,7 @@ def _cmd_coupling(scenario, params, outdir):
     x0 = np.full(spec.dim, float(params["x0"]))
     x0p = x0 + float(params["gap"])
     T = params["horizon"]
-    flow, flow_p = (CheckpointedFlow.build(
+    flow, flow_p = (interacting_flow(
         spec, EmpiricalMeasure.dirac(start), dt=params["dt"], T=T,
         n_particles=int(params["particles"]), seed=derive_seed(seed, tag))
         for start, tag in ((x0, 7), (x0p, 8)))
@@ -370,19 +370,15 @@ def _cmd_coupling(scenario, params, outdir):
         "paths": derive_seed(seed, 9)}
 
 
-def _make_flow(spec, params, t_max, seed):
-    """Decoupled background: the point-start interacting flow."""
-    return CheckpointedFlow.build(spec, _dirac(spec, params["x0"]),
-                                  dt=params["dt"], T=t_max,
-                                  n_particles=int(params["particles"]),
-                                  seed=derive_seed(seed, 7))
-
-
 def _cmd_bsde(scenario, params, outdir):
     spec = scenario.spec
     seed = params["seed"]
     T = params["horizon"]
-    flow = _make_flow(spec, params, T, seed)
+    # the decoupled background: the point-start interacting flow
+    flow = interacting_flow(spec, _dirac(spec, params["x0"]),
+                            dt=params["dt"], T=T,
+                            n_particles=int(params["particles"]),
+                            seed=derive_seed(seed, 7))
     x0 = np.full(spec.dim, float(params["x0"]))
     sol = solve_finite_bsde(spec, flow, x0, T=T, dt=params["dt"],
                             n_particles=int(params["particles"]),

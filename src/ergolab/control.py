@@ -21,8 +21,8 @@ from ergolab.ltb import (DecayFit, _fit_exponential, _horizon_run,
                          _noise_floor)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
 from ergolab.model import ControlSpec
-from ergolab.sde import (CheckpointedFlow, DriftShift, derive_seed,
-                         iter_mv, _steps_for)
+from ergolab.sde import (DriftShift, derive_seed, interacting_flow, iter_mv,
+                         _steps_for)
 
 __all__ = [
     "ControlConfigurationError",
@@ -228,13 +228,13 @@ def _verdict(gap: float, tol: float) -> str:
 
 
 def _resolve_flow(spec, theta, t_max: float, dt: float, n_particles: int,
-                  seed: int) -> MeasureFlow | CheckpointedFlow:
-    if isinstance(theta, (MeasureFlow, CheckpointedFlow)):
+                  seed: int) -> MeasureFlow:
+    if isinstance(theta, MeasureFlow):
         return theta
     if theta is None:
         theta = EmpiricalMeasure.dirac(np.zeros(spec.dim))
-    return CheckpointedFlow.build(spec, theta, dt=dt, T=t_max,
-                                  n_particles=n_particles, seed=seed)
+    return interacting_flow(spec, theta, dt=dt, T=t_max,
+                            n_particles=n_particles, seed=seed)
 
 
 def _policy_shift(spec, policy: ControlPolicy) -> DriftShift:

@@ -11,9 +11,10 @@ run from theta on child seed 7 (none when the stationary law is held
 constant), and the regression clouds, on child seed 3, each a draw from
 the forward law at its horizon (``ergolab.bsde``). On the constant law
 one sweep at the largest horizon serves the whole grid. A forward law
-from theta is one run to the largest horizon, held as a
-``CheckpointedFlow`` (O(sqrt(M) N d) memory), and gives each horizon its
-own cloud and sweep, all reading it once, last node first. All Monte
+from theta is one run to the largest horizon, held as an
+``sde.interacting_flow``: the law statistics the coefficients read at
+every node, and the cloud only at each horizon. It gives each horizon
+its own cloud and sweep, all reading it once, last node first. All Monte
 Carlo noise enters through these draws and is common across the grid, so
 orderings between horizons are far more stable than under independent
 runs.
@@ -57,7 +58,7 @@ import numpy as np
 from ergolab.bsde import BsdeSolution, _solve_horizons, z_from_gradient
 from ergolab.ebsde import ErgodicSolution
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
-from ergolab.sde import CheckpointedFlow, derive_seed
+from ergolab.sde import derive_seed, interacting_flow
 
 __all__ = [
     "DecayFit",
@@ -317,18 +318,17 @@ def _fit_exponential(t: np.ndarray, values: np.ndarray, floor: float,
 def _horizon_run(spec, theta: EmpiricalMeasure | None,
                  mu_star: EmpiricalMeasure | None, x0, t_grid, dt,
                  n_particles, degree,
-                 seed) -> tuple[MeasureFlow | CheckpointedFlow,
-                                list[BsdeSolution]]:
+                 seed) -> tuple[MeasureFlow, list[BsdeSolution]]:
     """Everything an experiment draws at ``seed``: the forward law on
     [0, t_grid[-1]] and every horizon's solve, on the cloud of child seed
     3. The law is the interacting-particle flow from theta on child seed
-    7, checkpointed, or the stationary law held constant when theta is
-    None (one sweep then serves the grid)."""
+    7, with its clouds kept at the horizons, or the stationary law held
+    constant when theta is None (one sweep then serves the grid)."""
     t_max = float(t_grid[-1])
     if theta is not None:
-        flow = CheckpointedFlow.build(spec, theta, dt=dt, T=t_max,
-                                      n_particles=n_particles,
-                                      seed=derive_seed(seed, 7))
+        flow = interacting_flow(spec, theta, dt=dt, T=t_max,
+                                n_particles=n_particles,
+                                seed=derive_seed(seed, 7), keep=t_grid)
     elif mu_star is not None:
         flow = MeasureFlow.constant(mu_star, 0.0, t_max)
     else:

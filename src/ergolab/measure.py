@@ -1,5 +1,5 @@
-"""Empirical probability measures, Wasserstein distances, and the
-invariant-measure estimator.
+"""Empirical probability measures, their flows and law summaries,
+Wasserstein distances, and the invariant-measure estimator.
 
 Measures are weighted particle clouds. The 1D Wasserstein distance is exact
 via quantile coupling; in higher dimension it is exact via the optimal
@@ -18,6 +18,7 @@ import numpy as np
 __all__ = [
     "ASSIGNMENT_LIMIT",
     "EmpiricalMeasure",
+    "LawSummary",
     "MeasureFlow",
     "InvariantMeasureResult",
     "StationarityWarning",
@@ -141,40 +142,60 @@ class EmpiricalMeasure:
         return float(self._weights @ vals)
 
 
-class FlowGrid:
-    """Grid reads shared by the measure flows on the strictly increasing
-    node grid ``times``."""
+@dataclass(frozen=True, eq=False)
+class LawSummary:
+    """A flow node kept as the statistics ``ProblemSpec.law_stats``
+    declares, each the value its cloud gave: ``mean()`` and ``m1()``,
+    ``m2()``, ``expect(phi)``. Any other read, ``points`` included,
+    raises ValueError naming the read and t."""
 
-    times: np.ndarray
+    t: float
+    n_atoms: int
+    stats: dict  # "mean" -> (d,) array, "m2" -> float, phi -> float
 
-    def node_index(self, t: float) -> int:
-        """The node that holds at time t: the last grid point <= t, up to a
-        1e-12 tolerance, clamped to the grid."""
-        idx = int(np.searchsorted(self.times, t + 1e-12, side="right")) - 1
-        return min(max(idx, 0), len(self.times) - 1)
+    @classmethod
+    def of(cls, mu: EmpiricalMeasure, law_stats, t: float) -> "LawSummary":
+        stats = {key: mu.mean() if key == "mean" else mu.m2() if key == "m2"
+                 else mu.expect(key) for key in law_stats}
+        if "mean" in stats:  # every read of the node shares this array
+            stats["mean"].flags.writeable = False
+        return cls(t, mu.n_atoms, stats)
+
+    def _read(self, key, what: str):
+        if key not in self.stats:
+            raise ValueError(
+                f"{what} at t = {self.t:.6g}: this flow node keeps only the "
+                "law statistics its spec declares (ProblemSpec.law_stats)")
+        return self.stats[key]
 
     @property
-    def t0(self) -> float:
-        return float(self.times[0])
+    def points(self) -> np.ndarray:
+        return self._read("points", "points")
 
-    @property
-    def t1(self) -> float:
-        return float(self.times[-1])
+    def mean(self) -> np.ndarray:
+        return self._read("mean", "mean()")
 
-    def covers(self, t0: float, t1: float, slack: float = 1e-9) -> bool:
-        return self.times[0] <= t0 + slack and t1 <= self.times[-1] + slack
+    def m1(self) -> float:
+        return float(self.mean()[0])
+
+    def m2(self) -> float:
+        return self._read("m2", "m2()")
+
+    def expect(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
+        return self._read(fn, f"expect({getattr(fn, '__name__', fn)})")
 
 
 @dataclass(frozen=True)
-class MeasureFlow(FlowGrid):
+class MeasureFlow:
     """Piecewise-constant-in-time sequence of measures on a strictly
     increasing grid: ``at_time(t)`` returns the node measure at the last grid
-    point <= t."""
+    point <= t. A node is an ``EmpiricalMeasure`` or, where no caller reads
+    the cloud, a ``LawSummary`` (``sde.interacting_flow``)."""
 
     times: np.ndarray
-    measures: tuple[EmpiricalMeasure, ...]
+    measures: tuple[EmpiricalMeasure | LawSummary, ...]
 
-    def __init__(self, times, measures: Sequence[EmpiricalMeasure]):
+    def __init__(self, times, measures: Sequence):
         ts = np.asarray(times, dtype=float).reshape(-1)
         ms = tuple(measures)
         if len(ts) != len(ms):
@@ -197,8 +218,22 @@ class MeasureFlow(FlowGrid):
     def terminal(self) -> EmpiricalMeasure:
         return self.measures[-1]
 
-    def at_time(self, t: float) -> EmpiricalMeasure:
-        return self.measures[self.node_index(t)]
+    @property
+    def t0(self) -> float:
+        return float(self.times[0])
+
+    @property
+    def t1(self) -> float:
+        return float(self.times[-1])
+
+    def covers(self, t0: float, t1: float, slack: float = 1e-9) -> bool:
+        return self.times[0] <= t0 + slack and t1 <= self.times[-1] + slack
+
+    def at_time(self, t: float) -> EmpiricalMeasure | LawSummary:
+        """The node that holds at time t: the last grid point <= t, up to a
+        1e-12 tolerance, clamped to the grid."""
+        idx = int(np.searchsorted(self.times, t + 1e-12, side="right")) - 1
+        return self.measures[min(max(idx, 0), len(self.times) - 1)]
 
 
 def moment(mu: EmpiricalMeasure, p: float) -> float:

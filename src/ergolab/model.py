@@ -128,7 +128,10 @@ class ControlSpec:
 
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
-    """Full model instance consumed by every numerical routine."""
+    """Full model instance consumed by every numerical routine.
+    ``law_stats`` declares all the coefficients read of mu, for a flow
+    that keeps law statistics (``measure.LawSummary``): "mean" for
+    ``mean()`` and ``m1()``, "m2" for ``m2()``, phi for ``expect(phi)``."""
 
     dim: int
     drift: Callable[[float, np.ndarray, EmpiricalMeasure], np.ndarray]
@@ -139,6 +142,7 @@ class ProblemSpec:
     regime: str = STRONG
     control: ControlSpec | None = None
     name: str = "custom"
+    law_stats: tuple = ("mean",)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -234,13 +238,17 @@ def _make_ou(kappa_sign: float, nu: float, name: str,
     )
 
 
+def _tanh_first(p: np.ndarray) -> np.ndarray:
+    """phi(p) = tanh(p_0): sine-weak's drift reads mu through E[phi(X)]."""
+    return np.tanh(p[:, 0])
+
+
 def _make_sine_weak() -> ProblemSpec:
     kappa = 0.05
     sigma_mat = np.array([[1.0]])
 
     def drift(t, x, mu):
-        pull = mu.expect(lambda p: np.tanh(p[:, 0]))
-        return -x + 1.5 * np.sin(x) + kappa * pull
+        return -x + 1.5 * np.sin(x) + kappa * mu.expect(_tanh_first)
 
     return ProblemSpec(
         dim=1,
@@ -253,6 +261,7 @@ def _make_sine_weak() -> ProblemSpec:
                             q=1.0, eps=1.0),
         regime=WEAK,
         name="sine-weak",
+        law_stats=(_tanh_first,),
     )
 
 
@@ -471,6 +480,8 @@ _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.\-]+)\]\s*$")
 
 _EXPR_FUNCS = {"sin": np.sin, "tanh": np.tanh}
 _EXPR_NAMES = ("x", "m1", "m2", "z", "a", "t")
+# each law name of the grammar, and the ProblemSpec.law_stats entry it reads
+_LAW_STATS = {"m1": "mean", "m2": "m2"}
 
 # Each subcommand's run parameters and their defaults. A scenario's [run]
 # section and the command line's --set accept exactly these keys, plus
@@ -625,6 +636,16 @@ def _parse_sections(text: str, source: str):
     return sections
 
 
+def _law_names(expr: CompiledExpression, mu) -> dict:
+    """The law statistics among an expression's names, read from mu."""
+    return {name: getattr(mu, name)() for name in expr.names & _LAW_STATS.keys()}
+
+
+def _law_stats(names) -> tuple:
+    """The ``ProblemSpec.law_stats`` that expressions over ``names`` read."""
+    return tuple(stat for name, stat in _LAW_STATS.items() if name in names)
+
+
 def _expression_coefficients(model: dict, constants: Constants, source: str):
     """Build vectorised coefficient callables from symbolic entries."""
 
@@ -648,27 +669,29 @@ def _expression_coefficients(model: dict, constants: Constants, source: str):
     terminal_e = compiled("terminal", ("x", "m1", "m2"))
 
     def drift(t, x, mu):
-        out = drift_e(t=t, x=x[:, 0], m1=mu.m1(), m2=mu.m2())
+        out = drift_e(t=t, x=x[:, 0], **_law_names(drift_e, mu))
         return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],))[:, None]
 
     if "t" in drift_e.names:  # where, for subcommands that freeze time
         drift._reads_t_at = model["drift"][1:]
 
     def diffusion(x, mu):
+        law = _law_names(diff_e, mu)
         if "x" in diff_e.names:
-            out = np.asarray(diff_e(x=x[:, 0], m1=mu.m1(), m2=mu.m2()), dtype=float)
+            out = np.asarray(diff_e(x=x[:, 0], **law), dtype=float)
             return np.broadcast_to(out, (x.shape[0],))[:, None, None]
-        return np.array([[float(diff_e(m1=mu.m1(), m2=mu.m2()))]])
+        return np.array([[float(diff_e(**law))]])
 
     def driver(x, mu, z):
-        out = driver_e(x=x[:, 0], m1=mu.m1(), m2=mu.m2(), z=z[:, 0])
+        out = driver_e(x=x[:, 0], z=z[:, 0], **_law_names(driver_e, mu))
         return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],))
 
     def terminal(x, mu):
-        out = terminal_e(x=x[:, 0], m1=mu.m1(), m2=mu.m2())
+        out = terminal_e(x=x[:, 0], **_law_names(terminal_e, mu))
         return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],))
 
-    return drift, diffusion, driver, terminal
+    names = drift_e.names | diff_e.names | driver_e.names | terminal_e.names
+    return drift, diffusion, driver, terminal, names
 
 
 def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
@@ -730,7 +753,7 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             constants = Constants(**defaults)
         except ValueError as exc:
             raise ScenarioError(str(exc), source) from None
-        drift, diffusion, driver, terminal = _expression_coefficients(
+        drift, diffusion, driver, terminal, names = _expression_coefficients(
             model, constants, source)
 
         control = None
@@ -764,8 +787,10 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                     f"{sorted(bad)[0]!r}", source, line, col)
 
             def running_cost(x, mu, a):
-                out = cost_e(x=x[:, 0], m1=mu.m1(), m2=mu.m2(), a=a[..., 0])
+                out = cost_e(x=x[:, 0], a=a[..., 0], **_law_names(cost_e, mu))
                 return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],))
+
+            names = names | cost_e.names
 
             control = ControlSpec(lo=np.array([lo]), hi=np.array([hi]),
                                   r_matrix=np.array([[rmat]]),
@@ -775,7 +800,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
             spec = ProblemSpec(dim=1, drift=drift, diffusion=diffusion,
                                driver=driver, terminal=terminal,
                                constants=constants, regime=regime,
-                               control=control, name="scenario")
+                               control=control, name="scenario",
+                               law_stats=_law_stats(names))
         except ValueError as exc:
             raise ScenarioError(str(exc), source) from None
 

@@ -27,13 +27,13 @@ the state it resumes from, and a run resumed from its step-g state
 repeats the unsplit run bit for bit. ``simulate_mv`` keeps every
 ``record_every``-th node of an interacting run; at ``record_every = 1``
 that is the whole (M+1, N, d) record.
-``CheckpointedFlow`` keeps only the interacting flow's states every
-S = ceil(sqrt(M)) nodes and replays one segment at a time from its
-checkpoint when it is read (the checkpoint-and-replay scheme of Griewank
-and Walther, ACM TOMS 2000), so it holds O(sqrt(M) N d) floats and hands
-back the first pass's bits. Each Euler step checks its new states for
-finiteness once; an interacting step builds its measure from the
-checked copy.
+
+``interacting_flow`` keeps the interacting flow from one pass as the
+integrals of mu its coefficients read (``ProblemSpec.law_stats``) at
+every node, and as clouds only where its caller reads a law, so a
+backward sweep or a coupling loop reads it without simulating it again.
+Each Euler step checks its new states for finiteness once; an
+interacting step builds its measure from the checked copy.
 """
 
 from __future__ import annotations
@@ -42,9 +42,8 @@ import itertools
 import math
 import os
 import threading
-from collections import OrderedDict
 from contextlib import closing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator
 
 import numpy as np
@@ -53,7 +52,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from ergolab import measure
-from ergolab.measure import (EmpiricalMeasure, FlowGrid, MeasureFlow,
+from ergolab.measure import (EmpiricalMeasure, LawSummary, MeasureFlow,
                              _w_capped)
 
 __all__ = [
@@ -61,13 +60,13 @@ __all__ = [
     "BlowUpError",
     "DriftShift",
     "PathBundle",
-    "CheckpointedFlow",
     "MVResult",
     "ContractionFit",
     "gaussian_increments",
     "noise_blocks",
     "derive_seed",
     "simulate_mv",
+    "interacting_flow",
     "flow_property_check",
     "contraction_rate",
 ]
@@ -297,84 +296,6 @@ class PathBundle:
 
 
 @dataclass(frozen=True, eq=False)
-class CheckpointedFlow(FlowGrid):
-    """The interacting-particle flow mu_t on nodes 0..M, run from time 0,
-    with ``MeasureFlow``'s reads (``times``, ``t0``, ``t1``, ``terminal``,
-    ``covers``, ``at_time`` with the same node rule) but without its
-    (M+1, N, d) store.
-
-    It holds the states at every S-th node and at node M, as one
-    ``simulate_mv(..., record_every=S)`` pass records them (``build``,
-    S = ceil(sqrt(M))), plus at most two replayed segments. A read at a
-    checkpoint node is served from the checkpoints. A read elsewhere comes
-    from its segment's cache entry, or else replays the segment with
-    ``iter_mv`` from its checkpoint at its global step, which gives the first
-    pass's measures bit for bit; the segment then enters the cache in place
-    of the least recently read one. So an ordered read, forwards or
-    backwards, replays each segment once and holds about (M / S + 2 S) N d
-    floats; ``bsde._sweep`` reads the flow so once for a grid of horizons.
-
-    Each replayed node is its own ``EmpiricalMeasure`` copy and no buffer
-    is reused, so a measure a caller still holds stays valid after its
-    segment leaves the cache. Reads from several threads are serialised.
-    """
-
-    spec: object
-    dt: float
-    seed: int
-    n_steps: int
-    every: int
-    checkpoints: np.ndarray  # (ceil(M / every) + 1, N, d)
-    times: np.ndarray
-    _nodes: tuple = field(default=(), repr=False)
-    _cache: OrderedDict = field(default_factory=OrderedDict, repr=False)
-    _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-
-    _CACHED_SEGMENTS = 2
-
-    @classmethod
-    def build(cls, spec, theta: EmpiricalMeasure, dt: float, T: float,
-              n_particles: int, seed: int) -> "CheckpointedFlow":
-        """Run ``simulate_mv(spec, theta, dt, T, n_particles, seed)`` once,
-        keeping the checkpoints only."""
-        n_steps = _steps_for(T, dt)
-        every = math.isqrt(n_steps - 1) + 1  # ceil(sqrt(M))
-        res = simulate_mv(spec, theta, dt=dt, T=T, n_particles=n_particles,
-                          seed=seed, record_every=every)
-        # node k + 1 sits at k dt + dt, as iter_mv times it
-        times = np.concatenate([[0.0], np.arange(n_steps) * dt + dt])
-        return cls(spec, dt, seed, n_steps, every, res.bundle.states, times,
-                   _nodes=res.flow.measures)
-
-    @property
-    def terminal(self) -> EmpiricalMeasure:
-        return self._nodes[-1]
-
-    def at_time(self, t: float) -> EmpiricalMeasure:
-        k = self.node_index(t)
-        if k == self.n_steps:
-            return self._nodes[-1]
-        i, j = divmod(k, self.every)
-        if j == 0:
-            return self._nodes[i]
-        with self._lock:
-            seg = self._cache.get(i)
-            if seg is not None:
-                self._cache.move_to_end(i)
-                return seg[j]
-            # replay segment i from its checkpoint at its global step; the
-            # step into the next checkpoint is never taken
-            g0 = i * self.every
-            seg = [mu for _, _, _, mu, _ in iter_mv(
-                self.spec, self.checkpoints[i], self.dt,
-                min(self.every, self.n_steps - g0) - 1, self.seed, start=g0)]
-            if len(self._cache) == self._CACHED_SEGMENTS:
-                self._cache.popitem(last=False)
-            self._cache[i] = seg
-            return seg[j]
-
-
-@dataclass(frozen=True, eq=False)
 class DriftShift:
     """Bounded measurable drift shift beta(t, x, mu), entering the dynamics
     as sigma(x, mu)(beta dt + dW). The declared sup bound is enforced on
@@ -459,7 +380,7 @@ def draw_initial(theta: EmpiricalMeasure, n_particles: int,
     return theta.points[idx].copy()
 
 
-def _check_flow(flow: MeasureFlow | CheckpointedFlow, t0: float, t1: float,
+def _check_flow(flow: MeasureFlow, t0: float, t1: float,
                 dt: float) -> None:
     """The flow covers [t0, t1] on a grid of whole steps of dt."""
     if not flow.covers(t0, t1):
@@ -472,7 +393,7 @@ def _check_flow(flow: MeasureFlow | CheckpointedFlow, t0: float, t1: float,
 
 
 def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int, seed: int,
-            start: int = 0, flow: MeasureFlow | CheckpointedFlow | None = None,
+            start: int = 0, flow: MeasureFlow | None = None,
             shift: DriftShift | None = None,
             _blocks: Iterator[np.ndarray] | None = None) -> Iterator[tuple]:
     """Advance one Euler system in place from ``states`` at global step
@@ -551,6 +472,15 @@ def _tap_record(steps, n_steps: int, record_every: int,
     return times, states, tapped()
 
 
+def _interacting_start(spec, theta: EmpiricalMeasure, n_particles: int,
+                       seed: int) -> np.ndarray:
+    if n_particles < 1:
+        raise ValueError("need at least one particle")
+    if theta.dim != spec.dim:
+        raise ValueError(f"theta is {theta.dim}-dimensional, model wants {spec.dim}")
+    return draw_initial(theta, n_particles, seed)
+
+
 def simulate_mv(spec, theta: EmpiricalMeasure, dt: float, T: float,
                 n_particles: int, seed: int,
                 record_every: int = 1) -> MVResult:
@@ -558,12 +488,8 @@ def simulate_mv(spec, theta: EmpiricalMeasure, dt: float, T: float,
     measure replaces the law in drift and diffusion. Initial states are
     i.i.d. draws from theta. Records every ``record_every``-th node (the
     terminal node always included) into the bundle and the measure flow."""
-    if n_particles < 1:
-        raise ValueError("need at least one particle")
-    if theta.dim != spec.dim:
-        raise ValueError(f"theta is {theta.dim}-dimensional, model wants {spec.dim}")
     n_steps = _steps_for(T, dt)
-    x0 = draw_initial(theta, n_particles, seed)
+    x0 = _interacting_start(spec, theta, n_particles, seed)
     times, states, steps = _tap_record(iter_mv(spec, x0, dt, n_steps, seed),
                                        n_steps, record_every, x0.shape)
     for _ in steps:
@@ -576,22 +502,42 @@ def simulate_mv(spec, theta: EmpiricalMeasure, dt: float, T: float,
     return MVResult(bundle=bundle, flow=flow)
 
 
+def interacting_flow(spec, theta: EmpiricalMeasure, dt: float, T: float,
+                     n_particles: int, seed: int, keep=()) -> MeasureFlow:
+    """The interacting-particle flow of ``simulate_mv(spec, theta, dt, T,
+    n_particles, seed)`` on its nodes 0..M, from one pass: the cloud at
+    the nodes of the times in ``keep`` (whole steps of dt) and at the
+    terminal, and elsewhere the node's ``LawSummary`` of
+    ``spec.law_stats``. Every read returns what that run's
+    ``record_every=1`` flow returns, bit for bit, or raises ValueError."""
+    n_steps = _steps_for(T, dt)
+    kept = {int(round(t / dt)) for t in keep} | {n_steps}
+    times = np.empty(n_steps + 1)
+    nodes = []
+    x0 = _interacting_start(spec, theta, n_particles, seed)
+    for k, t, _, mu, _ in iter_mv(spec, x0, dt, n_steps, seed):
+        times[k] = t
+        nodes.append(mu if k in kept else LawSummary.of(mu, spec.law_stats, t))
+    return MeasureFlow(times, nodes)
+
+
 def flow_property_check(spec, theta: EmpiricalMeasure, s: float, T: float,
                         dt: float, n: int, seed: int) -> float:
     """Restart consistency of the decoupled equation: run the interacting
-    system to T, held as a ``CheckpointedFlow``, restart the decoupled
-    equation at time s from the ensemble X_s against that flow with fresh
-    noise, and return the W2 distance between the two time-T clouds. Zero
-    in law; the sampled value sits at Monte Carlo scale. For d > 1 the
-    distance is taken between the first ``measure.ASSIGNMENT_LIMIT`` atoms
-    of each cloud only."""
+    system to T, held as an ``interacting_flow`` with its cloud kept at s,
+    restart the decoupled equation at time s from the ensemble X_s against
+    that flow with fresh noise, and return the W2 distance between the two
+    time-T clouds. Zero in law; the sampled value sits at Monte Carlo
+    scale. For d > 1 the distance is taken between the first
+    ``measure.ASSIGNMENT_LIMIT`` atoms of each cloud only."""
     if not 0.0 < s < T:
         raise ValueError(f"need 0 < s < T, got s={s}, T={T}")
-    flow = CheckpointedFlow.build(spec, theta, dt, T, n, seed)
     start = int(round(s / dt))
+    flow = interacting_flow(spec, theta, dt, T, n, seed, keep=[start * dt])
     *_, (_, _, x, _, _) = iter_mv(spec, flow.at_time(start * dt).points, dt,
-                                  flow.n_steps - start, derive_seed(seed, 101),
-                                  start=start, flow=flow)
+                                  _steps_for(T, dt) - start,
+                                  derive_seed(seed, 101), start=start,
+                                  flow=flow)
     return _w_capped(flow.terminal, EmpiricalMeasure(x), 2)
 
 

@@ -31,20 +31,19 @@ terminal = x**2
 
 
 def record_sweeps(monkeypatch):
-    """Log every ``bsde._sweep`` call: ``sweeps`` gets the tuple of its
-    horizons, ``clouds`` each cloud it draws, in the order drawn (the
-    largest horizon's first)."""
+    """Log every ``bsde._sweep`` call: ``sweeps`` gets its horizon, as a
+    1-tuple, ``clouds`` the cloud it draws, in the order drawn."""
     sweeps, clouds = [], []
     sweep = bsde._sweep
 
-    def counted(spec, flow, steps, dt, degree, cloud_at, law=None):
-        sweeps.append(tuple(round(n * dt, 9) for n in steps))
+    def counted(spec, flow, n, dt, degree, cloud_at, law=None):
+        sweeps.append((round(n * dt, 9),))
 
         def drawn(mu):
             clouds.append(cloud_at(mu))
             return clouds[-1]
 
-        return sweep(spec, flow, steps, dt, degree, drawn, law)
+        return sweep(spec, flow, n, dt, degree, drawn, law)
 
     monkeypatch.setattr(bsde, "_sweep", counted)
     return sweeps, clouds

@@ -246,6 +246,8 @@ def test_solve_draws_one_block_of_its_own_seed(ou_spec, monkeypatch, law):
 @pytest.mark.parametrize("m", [101, 150])
 def test_checkpointed_flow_blocks_are_drawn_at_most_three_times(
         ou_spec, monkeypatch, m):
+    # the flow's one forward pass draws each of its blocks, and the sweep
+    # reads the flow without drawing any again
     drawn = Counter()
 
     def counted(seed, step, *args, **kwargs):
@@ -254,19 +256,14 @@ def test_checkpointed_flow_blocks_are_drawn_at_most_three_times(
 
     monkeypatch.setattr(sde, "gaussian_increments", counted)
     monkeypatch.setattr(bsde, "gaussian_increments", counted)
-    flow = sde.CheckpointedFlow.build(ou_spec, EmpiricalMeasure.dirac(1.1),
-                                      dt=0.01, T=1.5, n_particles=300, seed=5)
-    # node 101 is no checkpoint of the flow, node 150 is its last
+    flow = sde.interacting_flow(ou_spec, EmpiricalMeasure.dirac(1.1),
+                                dt=0.01, T=1.5, n_particles=300, seed=5,
+                                keep=[m * 0.01])
+    # node 101 is a kept cloud inside the flow, node 150 its terminal
     solve_finite_bsde(ou_spec, flow, x0=0.4, T=m * 0.01, dt=0.01,
                       n_particles=300, seed=9)
-    counts = [drawn[5, g] for g in range(150)]
-    # once by the build; the sweep reads the flow once, last node first,
-    # and replays each segment it reaches once, up to the step into the
-    # next checkpoint, which is never taken
-    replayed = sum(min(flow.every, 150 - g0) - 1
-                   for g0 in range(0, m, flow.every))
-    assert max(counts) == 2
-    assert sum(counts) == 150 + replayed
+    assert [drawn[5, g] for g in range(150)] == [1] * 150
+    assert sum(n for (seed, _), n in drawn.items() if seed == 5) == 150
 
 
 def test_checkpointed_sweep_memory_is_a_fraction_of_the_bundle(ou_spec):
@@ -339,8 +336,8 @@ def test_drift_that_reads_t_gets_a_sweep_per_horizon(monkeypatch):
     grid = (0.5, 1.0, 2.0)
     swept, clouds = record_sweeps(monkeypatch)
     sols = bsde._solve_horizons(spec, flow, 0.0, grid, 0.02, 400, None, 5)
-    # one read of the flow, in which every horizon has its own sweep
-    assert swept == [grid] and len(clouds) == len(grid)
+    # every horizon has its own sweep
+    assert swept == [(T,) for T in grid] and len(clouds) == len(grid)
     for T, sol in zip(grid, sols):
         one = solve_finite_bsde(spec, flow, 0.0, T=T, dt=0.02,
                                 n_particles=400, seed=5)
@@ -349,15 +346,15 @@ def test_drift_that_reads_t_gets_a_sweep_per_horizon(monkeypatch):
 
 
 def test_moving_flow_grid_draws_a_cloud_per_horizon(ou_spec, monkeypatch):
-    flow = sde.CheckpointedFlow.build(ou_spec, EmpiricalMeasure.dirac(0.5),
-                                      dt=0.02, T=1.0, n_particles=300, seed=5)
+    flow = sde.interacting_flow(ou_spec, EmpiricalMeasure.dirac(0.5),
+                                dt=0.02, T=1.0, n_particles=300, seed=5,
+                                keep=[0.4])
     swept, clouds = record_sweeps(monkeypatch)
     sols = bsde._solve_horizons(ou_spec, flow, 0.0, (0.4, 1.0), 0.02, 300,
                                 None, 9)
-    assert swept == [(0.4, 1.0)]
-    # each cloud is a draw from the flow's law at its own horizon, drawn
-    # when the read reaches it (the largest horizon first)
-    centers = [cloud.mean() for cloud in clouds[::-1]]
+    assert swept == [(0.4,), (1.0,)]
+    # each cloud is a draw from the flow's law at its own horizon
+    centers = [cloud.mean() for cloud in clouds]
     for T, center, sol in zip((0.4, 1.0), centers, sols):
         assert abs(center - flow.at_time(T).mean()[0]) < 0.2
         assert sol.u.times[-1] == pytest.approx(T)
@@ -365,12 +362,13 @@ def test_moving_flow_grid_draws_a_cloud_per_horizon(ou_spec, monkeypatch):
 
 
 def test_one_backward_read_serves_every_horizon(ou_spec, monkeypatch):
-    # the joint read of a checkpointed flow gives each horizon its own
-    # solve bit for bit, and replays each segment of the flow at most once
+    # a grid of horizons on an interacting flow gives each horizon its own
+    # solve bit for bit, and steps no Euler system: the flow is read, not
+    # replayed
     def build():
-        return sde.CheckpointedFlow.build(
+        return sde.interacting_flow(
             ou_spec, EmpiricalMeasure.dirac(0.5), dt=0.02, T=1.0,
-            n_particles=300, seed=5)
+            n_particles=300, seed=5, keep=[0.4])
 
     grid = (0.4, 1.0)
     alone = [solve_finite_bsde(ou_spec, build(), 0.0, T=T, dt=0.02,
@@ -380,19 +378,35 @@ def test_one_backward_read_serves_every_horizon(ou_spec, monkeypatch):
     step = sde.iter_mv
 
     def counted(*args, **kwargs):
-        starts.append(kwargs["start"])
+        starts.append(kwargs.get("start", 0))
         return step(*args, **kwargs)
 
     monkeypatch.setattr(sde, "iter_mv", counted)
     sols = bsde._solve_horizons(ou_spec, flow, 0.0, grid, 0.02, 300, None, 9)
-    # every segment but the last checkpoint's, once each
-    assert starts == list(range(0, flow.n_steps, flow.every))[::-1]
+    assert starts == []
     for sol, one in zip(sols, alone):
         assert np.array_equal(sol.u.times, one.u.times)
         assert np.array_equal(sol.u.coeffs, one.u.coeffs)
         assert np.array_equal(sol.zeta.coeffs, one.zeta.coeffs)
         assert np.array_equal(sol.residuals, one.residuals)
         assert sol.y0 == one.y0 and np.array_equal(sol.z0, one.z0)
+
+
+def test_sine_weak_solve_over_law_statistics_is_the_stored_flow_solve():
+    # sine-weak's drift reads E[tanh X] from each node's summary as it
+    # read it from the node's cloud
+    spec = model.preset("sine-weak")
+    kw = dict(dt=0.02, T=0.6, n_particles=200, seed=6)
+    stored = simulate_mv(spec, EmpiricalMeasure.dirac(0.3), **kw).flow
+    flow = sde.interacting_flow(spec, EmpiricalMeasure.dirac(0.3), **kw,
+                                keep=[0.4])
+    one, other = (solve_finite_bsde(spec, fl, 0.3, T=0.4, dt=0.02,
+                                    n_particles=200, seed=9)
+                  for fl in (stored, flow))
+    assert np.array_equal(one.u.coeffs, other.u.coeffs)
+    assert np.array_equal(one.zeta.coeffs, other.zeta.coeffs)
+    assert np.array_equal(one.residuals, other.residuals)
+    assert one.y0 == other.y0 and np.array_equal(one.z0, other.z0)
 
 
 def test_one_operator_follows_a_diffusion_that_reads_the_measure(ou_spec):

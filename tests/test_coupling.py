@@ -18,7 +18,7 @@ from ergolab.coupling import (CouplingRun, EllipticityError,
                               simulate_reflection_coupling,
                               verify_lyapunov_inequality)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow, wasserstein
-from ergolab.sde import iter_mv, noise_blocks, simulate_mv
+from ergolab.sde import interacting_flow, iter_mv, noise_blocks, simulate_mv
 
 SINE = LyapunovConstants(eta=0.5, m_b=15.0, k_b_x=2.5, r_ball=6.0,
                          k_s_x=0.0, sigma0=1.0)
@@ -388,3 +388,23 @@ def test_horizon_must_be_whole_steps(sine_spec, dt, T):
     with pytest.raises(ValueError):
         simulate_reflection_coupling(sine_spec, flow, flow, 0.0, 2.0,
                                      dt=dt, T=T, n_paths=4, seed=0)
+
+
+def test_coupling_over_law_statistics_is_the_stored_flow_coupling(sine_spec):
+    # both legs read E[tanh X] from each node's summary as they read it
+    # from the node's cloud
+    kw = dict(dt=0.02, T=1.0, n_particles=200)
+    flows = [(simulate_mv(sine_spec, EmpiricalMeasure.dirac(start), seed=s,
+                          **kw).flow,
+              interacting_flow(sine_spec, EmpiricalMeasure.dirac(start),
+                               seed=s, **kw))
+             for start, s in ((-1.0, 3), (1.5, 4))]
+    runs = [simulate_reflection_coupling(
+        sine_spec, flow, flow_p, -1.0, 1.5, dt=0.02, T=1.0, n_paths=300,
+        seed=5) for flow, flow_p in zip(*flows)]
+    one, other = runs
+    assert np.array_equal(one.mean_radius, other.mean_radius)
+    assert np.array_equal(one.se_radius, other.se_radius)
+    assert np.array_equal(one.terminal_states, other.terminal_states)
+    assert np.array_equal(one.terminal_states_prime,
+                          other.terminal_states_prime)

@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ergolab import model
+from ergolab import measure, model
 from ergolab.measure import EmpiricalMeasure
 from ergolab.model import (PRESET_NAMES, Constants, ProblemSpec, ScenarioError,
                            audit, load_scenario, parse_scenario, preset)
@@ -128,6 +128,31 @@ def test_symbolic_scenario_matches_preset(ou_spec):
     np.testing.assert_allclose(spec.driver(x, mu, np.zeros_like(x)),
                                (x[:, 0]) ** 2, atol=1e-12)
     assert audit(spec, n_samples=500, seed=0).passed
+
+
+def test_compiled_coefficients_read_only_the_statistics_they_name(
+        monkeypatch):
+    text = ("[model]\ndim = 1\nregime = strong\n"
+            "drift = -x - 0.5*m1\ndiffusion = 1\n"
+            "driver = x**2\nterminal = x**2\n")
+    spec = parse_scenario(text, source="inline").spec
+    # the compiler declares to a flow exactly what the expressions name
+    assert spec.law_stats == ("mean",)
+
+    def refused(*args):
+        raise AssertionError("m2 read by coefficients that do not name it")
+
+    monkeypatch.setattr(measure, "moment", refused)
+    x = np.linspace(-2.0, 2.0, 7)[:, None]
+    mu = EmpiricalMeasure([0.3, -0.1, 1.2])
+    np.testing.assert_array_equal(spec.drift(0.0, x, mu),
+                                  -x - 0.5 * mu.m1())
+    spec.diffusion(x, mu), spec.driver(x, mu, x), spec.terminal(x, mu)
+    both = parse_scenario(text.replace("0.5*m1", "0.5*m1 - 0.1*m2"),
+                          source="inline").spec
+    assert both.law_stats == ("mean", "m2")
+    assert parse_scenario(text.replace(" - 0.5*m1", ""),
+                          source="inline").spec.law_stats == ()
 
 
 @pytest.mark.parametrize("text,fragment", [

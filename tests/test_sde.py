@@ -15,12 +15,13 @@ from hypothesis import given, settings, strategies as st
 
 import oracle_reference as oracle
 from ergolab import measure, model, sde
-from ergolab.measure import EmpiricalMeasure, MeasureFlow, moment, wasserstein
-from ergolab.sde import (INIT_DRAW_STEP, BlowUpError, CheckpointedFlow,
-                         DriftShift, PathBundle, _sigma_dot, contraction_rate,
-                         derive_seed, draw_initial, flow_property_check,
-                         gaussian_increments, iter_mv, noise_blocks,
-                         simulate_mv)
+from ergolab.measure import (EmpiricalMeasure, LawSummary, MeasureFlow, moment,
+                             wasserstein)
+from ergolab.sde import (INIT_DRAW_STEP, BlowUpError, DriftShift, PathBundle,
+                         _sigma_dot, contraction_rate, derive_seed,
+                         draw_initial, flow_property_check,
+                         gaussian_increments, interacting_flow, iter_mv,
+                         noise_blocks, simulate_mv)
 
 # rows of a one-dimensional block large enough for noise_blocks to share
 # its drawing with the helper thread
@@ -561,66 +562,56 @@ def test_decoupled_run_on_its_own_flow_is_the_interacting_run():
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_checkpointed_flow_matches_the_stored_flow(data):
-    # S = ceil(sqrt(M)) runs from 1 to 7: segments of every length
+    # an interacting_flow keeps the clouds it is asked for, and the terminal
+    # one; every node's declared statistics are the stored record's, here
+    # with the mean, m2 and sine-weak's phi all declared
     m = data.draw(st.integers(1, 40), label="M")
-    order = data.draw(st.sampled_from(["forward", "backward", "random"]),
-                      label="order")
-    spec, dt, seed = _timed_mv_spec(), 0.1, 8
+    keep = data.draw(st.lists(st.integers(0, m), max_size=3), label="kept")
+    (phi,) = model.preset("sine-weak").law_stats
+    spec = _timed_mv_spec().replace(law_stats=("mean", "m2", phi))
+    dt, seed = 0.1, 8
     stored = simulate_mv(spec, _CLOUD, dt=dt, T=m * dt, n_particles=20,
                          seed=seed).flow
-    flow = CheckpointedFlow.build(spec, _CLOUD, dt=dt, T=m * dt,
-                                  n_particles=20, seed=seed)
+    flow = interacting_flow(spec, _CLOUD, dt=dt, T=m * dt, n_particles=20,
+                            seed=seed, keep=[k * dt for k in keep])
     np.testing.assert_array_equal(flow.times, stored.times)
-    assert (flow.t0, flow.t1) == (stored.t0, stored.t1)
-    np.testing.assert_array_equal(flow.terminal.points,
-                                  stored.terminal.points)
-    for span in ((0.0, m * dt), (-0.1, m * dt), (0.0, m * dt + 0.1),
-                 (0.5 * dt, 0.5 * m * dt)):
-        assert flow.covers(*span) == stored.covers(*span)
-    nodes = list(range(m + 1))
-    if order == "backward":
-        nodes.reverse()
-    elif order == "random":
-        nodes = data.draw(st.permutations(nodes), label="nodes")
-    held = []
-    for k in nodes:
-        mu = flow.at_time(stored.times[k])
-        np.testing.assert_array_equal(mu.points, stored.measures[k].points)
-        held.append((k, mu))
-        assert len(flow._cache) <= 2
-    # a measure read earlier stays valid after its segment left the cache
-    for k, mu in held:
-        np.testing.assert_array_equal(mu.points, stored.measures[k].points)
-    # off-node times follow the stored flow's node rule
-    for t in (-1.0, 0.5 * dt, (m - 0.5) * dt, m * dt + 1.0):
-        np.testing.assert_array_equal(flow.at_time(t).points,
-                                      stored.at_time(t).points)
+    for k, (node, mu) in enumerate(zip(flow.measures, stored.measures)):
+        if k in keep or k == m:
+            np.testing.assert_array_equal(node.points, mu.points)
+        else:
+            assert isinstance(node, LawSummary)
+        np.testing.assert_array_equal(node.mean(), mu.mean())
+        assert node.m1() == mu.m1() and node.m2() == mu.m2()
+        assert node.expect(phi) == mu.expect(phi)
 
 
 def test_checkpointed_flow_memory_is_a_fraction_of_the_record(ou_spec):
+    # the flow keeps a mean per node and one cloud, not M + 1 clouds
     n, dt, m = 2000, 0.01, 2000
     record_bytes = (m + 1) * n * 8
     tracemalloc.start()
     try:
-        flow = CheckpointedFlow.build(ou_spec, EmpiricalMeasure.dirac(1.0),
-                                      dt=dt, T=m * dt, n_particles=n, seed=4)
+        flow = interacting_flow(ou_spec, EmpiricalMeasure.dirac(1.0),
+                                dt=dt, T=m * dt, n_particles=n, seed=4)
         for t in flow.times[::-1]:
-            flow.at_time(t)
+            flow.at_time(t).mean()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < record_bytes / 4
+    assert peak < record_bytes / 20
 
 
 def test_checkpointed_flow_reads_from_threads_match_the_stored_flow(ou_spec):
+    # reads are lookups: no lock, and any order on any thread
     kw = dict(dt=0.1, T=6.0, n_particles=30, seed=12)
     stored = simulate_mv(ou_spec, EmpiricalMeasure.dirac(1.0), **kw).flow
-    flow = CheckpointedFlow.build(ou_spec, EmpiricalMeasure.dirac(1.0), **kw)
+    flow = interacting_flow(ou_spec, EmpiricalMeasure.dirac(1.0), **kw,
+                            keep=[3.0])
 
     def reads(worker):
         order = np.random.default_rng(worker).permutation(len(stored.times))
-        return all(np.array_equal(flow.at_time(stored.times[k]).points,
-                                  stored.measures[k].points) for k in order)
+        return all(np.array_equal(flow.at_time(stored.times[k]).mean(),
+                                  stored.measures[k].mean()) for k in order)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -630,4 +621,22 @@ def test_checkpointed_flow_reads_from_threads_match_the_stored_flow(ou_spec):
             assert all(f.result(timeout=120) for f in futures)
     finally:
         sys.setswitchinterval(interval)
-    assert len(flow._cache) <= 2
+    for t in (3.0, 6.0):
+        np.testing.assert_array_equal(flow.at_time(t).points,
+                                      stored.at_time(t).points)
+
+
+def test_summary_node_refuses_what_the_spec_does_not_declare(ou_spec):
+    flow = interacting_flow(ou_spec, EmpiricalMeasure.dirac(1.0), dt=0.1,
+                            T=1.0, n_particles=30, seed=12)
+    node = flow.at_time(0.3)
+    assert node.m1() == float(node.mean()[0])
+    with pytest.raises(ValueError, match=r"^points at t = 0\.3:"):
+        node.points
+    with pytest.raises(ValueError, match=r"^m2\(\) at t = 0\.3:"):
+        node.m2()
+    (phi,) = model.preset("sine-weak").law_stats
+    with pytest.raises(ValueError, match=r"^expect\(_tanh_first\) at t = 0\.3:"):
+        node.expect(phi)
+    with pytest.raises(ValueError, match="read-only"):
+        node.mean()[0] = 0.0

@@ -30,6 +30,11 @@ SCENARIOS = {
     # a diffusion that reads x: the one-step moments are formed per point
     "sigma-x": "[model]\ndim = 1\nregime = strong\ndrift = -x\n"
                "diffusion = 1 + 0.2*tanh(x)\ndriver = x**2\nterminal = x**2\n",
+    # a drift that reads the law's second moment: the flow keeps m2 and
+    # the mean at every node, and nothing else
+    "law-m2": "[model]\ndim = 1\nregime = strong\n"
+              "drift = -x + 0.2*m1 - 0.05*m2\ndiffusion = 1\n"
+              "driver = x**2\nterminal = x**2\n",
 }
 
 # (run name, scenario, subcommand, extra arguments)
@@ -49,9 +54,12 @@ RUNS = [
     # no ball, so the band width comes from the step: delta = 2 sigma0 sqrt(dt)
     ("coupling-ou", "ou-attract", "coupling",
      ["--particles", "300", "--set", "paths=200", "--horizon", "3"]),
+    ("coupling-law-m2", "law-m2", "coupling",
+     ["--particles", "500", "--set", "paths=200", "--horizon", "3"]),
     ("bsde", "ou-attract", "bsde", ["--particles", "500"]),
     ("bsde-sine", "sine-weak", "bsde", ["--particles", "500"]),
     ("bsde-sigma-x", "sigma-x", "bsde", ["--particles", "500"]),
+    ("bsde-law-m2", "law-m2", "bsde", ["--particles", "500"]),
     ("ebsde", "ou-attract", "ebsde", ["--particles", "500"]),
     ("ebsde-sine", "sine-weak", "ebsde", ["--particles", "500"]),
     # the time average reads the ladder's zeta_bar at every step
@@ -63,6 +71,7 @@ RUNS = [
     ("ltb1-lq", "control-lq", "ltb1", ["--particles", "500"]),
     ("ltb1-sine", "sine-weak", "ltb1", ["--particles", "500"]),
     ("ltb1-sigma-x", "sigma-x", "ltb1", ["--particles", "500"]),
+    ("ltb1-law-m2", "law-m2", "ltb1", ["--particles", "500"]),
     ("ltb2", "ou-attract", "ltb2", ["--particles", "500"]),
     ("ltb3", "ou-attract", "ltb3", ["--particles", "500"]),
     # the cubic basis cannot hold sine-weak's value surface
