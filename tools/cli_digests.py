@@ -44,7 +44,13 @@ RUNS = [
     ("simulate", "ou-attract", "simulate", ["--particles", "300"]),
     ("simulate-x0p", "ou-attract", "simulate",
      ["--particles", "300", "--set", "x0_prime=1.0"]),
+    # the Euler step hands the drift m2 and the mean of the live cloud
+    ("simulate-law-m2", "law-m2", "simulate", ["--particles", "300"]),
+    ("simulate-x0p-law-m2", "law-m2", "simulate",
+     ["--particles", "300", "--set", "x0_prime=1.0"]),
     ("invariant", "ou-attract", "invariant", ["--particles", "300"]),
+    # the drift reads E[tanh X] at every step of the burn-in
+    ("invariant-sine", "sine-weak", "invariant", ["--particles", "300"]),
     ("coupling-sine", "sine-weak", "coupling",
      ["--particles", "300", "--set", "paths=200", "--horizon", "3"]),
     # both legs start inside the mollifier band (delta / 2, delta)
@@ -64,6 +70,8 @@ RUNS = [
     ("ebsde-sine", "sine-weak", "ebsde", ["--particles", "500"]),
     # the time average reads the ladder's zeta_bar at every step
     ("ebsde-tavg", "ou-attract", "ebsde",
+     ["--particles", "500", "--set", "t_long=40"]),
+    ("ebsde-tavg-law-m2", "law-m2", "ebsde",
      ["--particles", "500", "--set", "t_long=40"]),
     ("ltb1", "ou-attract", "ltb1", ["--particles", "500"]),
     # lambda read where the driver reads z, and from a basis that cannot
