@@ -39,8 +39,6 @@ from ergolab.sde import (
     BlowUpError,
     ContractionFit,
     DriftShift,
-    MVResult,
-    PathBundle,
     contraction_rate,
     derive_seed,
     flow_property_check,
@@ -125,11 +123,9 @@ __all__ = [
     "LawSummary",
     "LyapunovConstants",
     "LyapunovTable",
-    "MVResult",
     "MeasureFlow",
     "OcpResult",
     "OffGridWarning",
-    "PathBundle",
     "ProblemSpec",
     "RadiusMoments",
     "RegressionFunction",

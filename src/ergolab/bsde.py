@@ -19,9 +19,9 @@ and mu_k read from the frozen flow once per node, last to first: on an
 degree is max(q + 1, 3) by default, and a degree below q + 1 raises
 ValueError. A law held fixed (mu* in ``ergolab.ebsde``; a constant
 flow's measure in ``solve_finite_bsde``, for one horizon or a grid)
-reads the drift at t = 0. A drift marked as reading t (``_reads_t_at``,
-set by the scenario compiler) is never held, and holding it raises
-ValueError; an API caller whose drift reads t marks it the same way.
+reads the drift at t = 0, so a drift declared as reading t
+(``ProblemSpec.reads_t``) is never held: ``ergolab.ebsde`` refuses it,
+and a constant flow gives it one sweep per horizon.
 
 The cloud is a draw from the flow's law at T, not a spread around x0:
 where the basis cannot hold the value surface it weights the error
@@ -274,11 +274,6 @@ class _Operator:
             raise ValueError(
                 f"basis degree {degree} cannot represent terminal growth "
                 f"q + 1 = {q + 1}")
-        where = getattr(spec.drift, "_reads_t_at", None)
-        if law is not None and where is not None:
-            raise ValueError(
-                "a law held fixed reads the drift at t = 0, but the drift "
-                "reads t (line {}, column {})".format(*where))
         self.spec, self.cloud, self.dt, self.law = spec, cloud, dt, law
         d = cloud.shape[1]
         self.reg = _NodeRegressor(cloud, monomial_exponents(d, degree), 0)
@@ -425,7 +420,7 @@ def _solve_horizons(spec, flow: MeasureFlow, x0, t_grid, dt: float,
     law at T, and read (Y0, Z0) at x0. This is the one place that decides
     which horizons share a sweep: a constant flow (one measure object at
     every node, as ``MeasureFlow.constant`` builds) whose drift is not
-    marked as reading t is held fixed, and its sweep at the largest T
+    declared as reading t is held fixed, and its sweep at the largest T
     serves each horizon with its last n_T + 1 nodes, timed 0, ..., T.
     """
     x0 = np.asarray(x0, dtype=float).reshape(-1)
@@ -435,8 +430,8 @@ def _solve_horizons(spec, flow: MeasureFlow, x0, t_grid, dt: float,
     for T in t_grid:
         _check_flow(flow, 0.0, T, dt)
         steps.append(_steps_for(T, dt))
-    held = (all(m is flow.measures[0] for m in flow.measures)
-            and getattr(spec.drift, "_reads_t_at", None) is None)
+    held = (not spec.reads_t
+            and all(m is flow.measures[0] for m in flow.measures))
     law = flow.measures[0] if held else None
     swept = [_sweep(spec, flow, n, dt, degree,
                     lambda mu: _law_cloud(x0, mu, n_particles, seed), law)
@@ -459,7 +454,7 @@ def solve_finite_bsde(spec, flow: MeasureFlow, x0, T: float, dt: float,
                       seed: int = 0) -> BsdeSolution:
     """Solve the decoupled BSDE on [0, T] and read (Y0, Z0) at x0: the
     one-horizon call of ``_solve_horizons``. On a constant flow a drift
-    that reads t unmarked (module docstring) is read at t = 0."""
+    that reads t undeclared (module docstring) is read at t = 0."""
     return _solve_horizons(spec, flow, x0, [T], dt, n_particles, degree,
                            seed)[0]
 

@@ -47,7 +47,8 @@ from ergolab.measure import (EmpiricalMeasure, MeasureFlow, invariant_measure,
 from ergolab.model import (RUN_DEFAULTS, Scenario, ScenarioError, audit,
                            load_scenario, _parse_value)
 from ergolab.sde import (BlowUpError, contraction_rate, derive_seed,
-                         interacting_flow, simulate_mv)
+                         interacting_flow, iter_mv, _interacting_start,
+                         _steps_for)
 
 __all__ = ["RunManifest", "run", "main", "rerun_from_manifest",
            "SUBCOMMANDS", "OUT_ENV_VAR"]
@@ -289,30 +290,37 @@ def _cmd_simulate(scenario, params, outdir):
     spec = scenario.spec
     seed = params["seed"]
     theta = _dirac(spec, params["x0"])
-    run_args = dict(dt=params["dt"], T=params["horizon"], seed=seed,
-                    record_every=int(params["flow_every"]))
+    n = int(params["particles"])
+    dt, T = params["dt"], params["horizon"]
+    n_steps = _steps_for(T, dt)
+    every = max(int(params["flow_every"]), 1)
+    rows, terminal = [], []
+
+    def tap(k, t, x):
+        # the moments of every flow_every-th node and the terminal, as the
+        # run goes; only the terminal cloud is kept
+        if k % every == 0 or k == n_steps:
+            r2 = (x ** 2).sum(axis=1)
+            rows.append([t, *(x[:, j].mean() for j in range(spec.dim)),
+                         r2.mean(), (r2 ** 2).mean()])
+        if k == n_steps:
+            terminal.append(EmpiricalMeasure(x.copy()))
+
     fit = None
     if params["x0_prime"] is None:
-        bundle = simulate_mv(spec, theta, n_particles=int(params["particles"]),
-                             **run_args).bundle
+        x0 = _interacting_start(spec, theta, n, seed)
+        for k, t, x, _, _ in iter_mv(spec, x0, dt, n_steps, seed):
+            tap(k, t, x)
     else:
-        # the coupled run steps theta's system once; the moments come
-        # from its record
+        # the coupled run steps theta's system once and feeds it to the tap
         fit = contraction_rate(spec, theta, _dirac(spec, params["x0_prime"]),
-                               n=int(params["particles"]), p=int(params["p"]),
-                               **run_args)
-        bundle = fit.leg_a
-    times = bundle.times
-    states = bundle.states
-    _require_finite("simulate", states)
-    cols = {"t": times}
-    for j in range(spec.dim):
-        cols[f"m1.{j}"] = states[:, :, j].mean(axis=1)
-    cols["m2"] = (states ** 2).sum(axis=2).mean(axis=1)
-    cols["m4"] = ((states ** 2).sum(axis=2) ** 2).mean(axis=1)
+                               dt=dt, T=T, n=n, seed=seed, p=int(params["p"]),
+                               tap=tap)
+    cols = dict(zip(["t", *(f"m1.{j}" for j in range(spec.dim)), "m2", "m4"],
+                    np.array(rows).T))
     _write_csv(outdir / "simulate_moments.csv", cols)
-    final = EmpiricalMeasure(states[-1])
-    report = {"t_final": times[-1], "m1": final.m1(), "m2": final.m2(),
+    final = terminal[0]
+    report = {"t_final": cols["t"][-1], "m1": final.m1(), "m2": final.m2(),
               "m4": moment(final, 4.0)}
     outputs = ["simulate_moments.csv", "simulate.report"]
     ok = True
@@ -687,11 +695,11 @@ def run(argv=None) -> int:
         scenario = None
         if getattr(args, "scenario", None):
             scenario = load_scenario(args.scenario)
-            where = getattr(scenario.spec.drift, "_reads_t_at", None)
-            if where is not None and args.subcommand in _TIME_HOMOGENEOUS:
+            if scenario.spec.reads_t and args.subcommand in _TIME_HOMOGENEOUS:
                 raise ScenarioError(
                     f"drift reads t, but {args.subcommand} needs a "
-                    "time-homogeneous drift", scenario.source, *where)
+                    "time-homogeneous drift", scenario.source,
+                    *scenario.model_meta["drift"])
         defaults = dict(RUN_DEFAULTS[args.subcommand])
         if args.subcommand == "report" and getattr(args, "run_dir", None):
             defaults["run_dir"] = args.run_dir

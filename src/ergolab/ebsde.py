@@ -12,8 +12,9 @@ recentring at the anchor after each step (relative value iteration)
 converges to u_bar; the anchor's increment per step is lambda dt. That
 lambda is the Euler chain's own long-run average, which differs from the
 continuous-time one by O(dt). Coefficients are read at t = 0, so the
-model must be time-homogeneous: a drift marked as reading t raises
-ValueError, as does a basis degree below q + 1 (the default is
+model must be time-homogeneous: a drift declared as reading t
+(``ProblemSpec.reads_t``) raises ValueError before the burn-in runs, as
+a basis degree below q + 1 does after it (the default is
 max(q + 1, 3)).
 
 ``extract_ergodic_vanishing`` is the paper's construction. A family of
@@ -204,7 +205,12 @@ def _gradient_z(spec, u: RegressionFunction,
 def _stationary_law(spec, n_particles: int, dt: float, seed: int,
                     t_burn: float | None):
     """mu* from the interacting system on child seed 1, after a burn-in of
-    ``t_burn`` (``invariant_measure``'s 12 / rate by default)."""
+    ``t_burn`` (``invariant_measure``'s 12 / rate by default). Both routes
+    hold it fixed and read the drift at t = 0, so a drift that reads t is
+    refused first."""
+    if spec.reads_t:
+        raise ValueError("a law held fixed reads the drift at t = 0, but "
+                         "the drift reads t")
     return invariant_measure(spec, n_particles=n_particles, dt=dt,
                              t_burn=t_burn, seed=derive_seed(seed, 1))
 

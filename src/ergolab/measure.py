@@ -144,10 +144,11 @@ class EmpiricalMeasure:
 
 @dataclass(frozen=True, eq=False)
 class LawSummary:
-    """A flow node kept as the statistics ``ProblemSpec.law_stats``
-    declares, each the value its cloud gave: ``mean()`` and ``m1()``,
-    ``m2()``, ``expect(phi)``. Any other read, ``points`` included,
-    raises ValueError naming the read and t."""
+    """A cloud at time t kept as the statistics ``ProblemSpec.law_stats``
+    declares, each the value the cloud gave: ``mean()`` and ``m1()``,
+    ``m2()``, ``expect(phi)``. The coefficients read it at every
+    interacting Euler step and at every summary node of a flow. Any other
+    read, ``points`` included, raises ValueError naming the read and t."""
 
     t: float
     n_atoms: int
@@ -164,8 +165,9 @@ class LawSummary:
     def _read(self, key, what: str):
         if key not in self.stats:
             raise ValueError(
-                f"{what} at t = {self.t:.6g}: this flow node keeps only the "
-                "law statistics its spec declares (ProblemSpec.law_stats)")
+                f"{what} at t = {self.t:.6g}: the law is summarised by the "
+                "statistics its spec declares (ProblemSpec.law_stats), and "
+                "this is not one of them")
         return self.stats[key]
 
     @property
@@ -349,13 +351,11 @@ def invariant_measure(spec, n_particles: int, dt: float,
             f"burn-in {t_burn} is shorter than 10/{rate} = {10.0 / rate:.3g} "
             "required by the contraction-rate bound")
     theta = EmpiricalMeasure.dirac(0.0, dim=spec.dim)
-    n_steps = max(int(round(t_burn / dt)), 2)
-    record_every = max(n_steps // 2, 1)
-    result = sde.simulate_mv(spec, theta, dt=dt, T=t_burn,
-                             n_particles=n_particles, seed=seed,
-                             record_every=record_every)
-    flow = result.flow
-    mu_half = flow.at_time(t_burn / 2.0)
+    half = int(round(t_burn / dt)) // 2
+    flow = sde.interacting_flow(spec, theta, dt=dt, T=t_burn,
+                                n_particles=n_particles, seed=seed,
+                                keep=[half * dt])
+    mu_half = flow.measures[half]
     mu_star = flow.terminal
     diag = _w_capped(mu_half, mu_star, 2)
     # two same-law clouds of size N sit ~ sigma/sqrt(N) apart in W2

@@ -129,9 +129,11 @@ class ControlSpec:
 @dataclass(frozen=True, eq=False)
 class ProblemSpec:
     """Full model instance consumed by every numerical routine.
-    ``law_stats`` declares all the coefficients read of mu, for a flow
-    that keeps law statistics (``measure.LawSummary``): "mean" for
-    ``mean()`` and ``m1()``, "m2" for ``m2()``, phi for ``expect(phi)``."""
+    ``law_stats`` declares all the coefficients read of mu, which they
+    are handed as law statistics (``measure.LawSummary``): "mean" for
+    ``mean()`` and ``m1()``, "m2" for ``m2()``, phi for ``expect(phi)``.
+    ``reads_t`` declares a drift that reads t, which no routine reads at
+    t = 0 alone; undeclared, the drift is taken to ignore t."""
 
     dim: int
     drift: Callable[[float, np.ndarray, EmpiricalMeasure], np.ndarray]
@@ -143,6 +145,7 @@ class ProblemSpec:
     control: ControlSpec | None = None
     name: str = "custom"
     law_stats: tuple = ("mean",)
+    reads_t: bool = False
 
     def __post_init__(self):
         if self.dim < 1:
@@ -472,8 +475,10 @@ class Scenario:
     spec: ProblemSpec
     run: dict
     source: str
-    # (line, col) of each [run] key, for diagnostics past parse time
+    # (line, col) of each [run] and [model] key, for diagnostics past
+    # parse time
     run_meta: dict = field(default_factory=dict)
+    model_meta: dict = field(default_factory=dict)
 
 
 _SECTION_RE = re.compile(r"^\[([A-Za-z0-9_.\-]+)\]\s*$")
@@ -672,9 +677,6 @@ def _expression_coefficients(model: dict, constants: Constants, source: str):
         out = drift_e(t=t, x=x[:, 0], **_law_names(drift_e, mu))
         return np.broadcast_to(np.asarray(out, dtype=float), (x.shape[0],))[:, None]
 
-    if "t" in drift_e.names:  # where, for subcommands that freeze time
-        drift._reads_t_at = model["drift"][1:]
-
     def diffusion(x, mu):
         law = _law_names(diff_e, mu)
         if "x" in diff_e.names:
@@ -801,7 +803,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
                                driver=driver, terminal=terminal,
                                constants=constants, regime=regime,
                                control=control, name="scenario",
-                               law_stats=_law_stats(names))
+                               law_stats=_law_stats(names),
+                               reads_t="t" in names)
         except ValueError as exc:
             raise ScenarioError(str(exc), source) from None
 
@@ -813,7 +816,9 @@ def parse_scenario(text: str, source: str = "<scenario>") -> Scenario:
         run[key] = _parse_value(str(value)) if isinstance(value, str) else value
         run_meta[key] = (line, col)
 
-    return Scenario(spec=spec, run=run, source=source, run_meta=run_meta)
+    return Scenario(spec=spec, run=run, source=source, run_meta=run_meta,
+                    model_meta={key: (line, col)
+                                for key, (_, line, col) in model.items()})
 
 
 def load_scenario(path) -> Scenario:

@@ -24,16 +24,18 @@ held in memory ahead of use.
 
 Every run is resumable: ``iter_mv`` takes the global step ``start`` of
 the state it resumes from, and a run resumed from its step-g state
-repeats the unsplit run bit for bit. ``simulate_mv`` keeps every
-``record_every``-th node of an interacting run; at ``record_every = 1``
-that is the whole (M+1, N, d) record.
+repeats the unsplit run bit for bit.
 
-``interacting_flow`` keeps the interacting flow from one pass as the
-integrals of mu its coefficients read (``ProblemSpec.law_stats``) at
-every node, and as clouds only where its caller reads a law, so a
-backward sweep or a coupling loop reads it without simulating it again.
-Each Euler step checks its new states for finiteness once; an
-interacting step builds its measure from the checked copy.
+An interacting step hands its coefficients the law as a
+``measure.LawSummary``: the integrals of mu that ``ProblemSpec.law_stats``
+declares, computed once from the live states before they move. A
+coefficient that reads anything else of mu raises ValueError at step 0
+of every run, and no step copies the states. ``interacting_flow`` keeps
+those summaries at every node, and clouds only where its caller reads a
+law, so a backward sweep or a coupling loop reads the flow without
+simulating it again. ``simulate_mv`` keeps the cloud of every
+``record_every``-th node, a record that grows as M N: the tests' stored
+reference. Each Euler step checks its new states for finiteness once.
 """
 
 from __future__ import annotations
@@ -59,8 +61,6 @@ __all__ = [
     "INIT_DRAW_STEP",
     "BlowUpError",
     "DriftShift",
-    "PathBundle",
-    "MVResult",
     "ContractionFit",
     "gaussian_increments",
     "noise_blocks",
@@ -277,25 +277,6 @@ def derive_seed(seed: int, tag: int) -> int:
 
 
 @dataclass(frozen=True, eq=False)
-class PathBundle:
-    """States of N particles on a recorded time grid. Together with the
-    seed this reproduces every Brownian increment, so nothing else about
-    the noise is stored."""
-
-    times: np.ndarray
-    states: np.ndarray  # (M+1, N, d)
-    seed: int
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float).reshape(-1)
-        s = np.asarray(self.states, dtype=float)
-        if s.ndim != 3 or s.shape[0] != t.shape[0]:
-            raise ValueError("states must be (len(times), N, d)")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "states", s)
-
-
-@dataclass(frozen=True, eq=False)
 class DriftShift:
     """Bounded measurable drift shift beta(t, x, mu), entering the dynamics
     as sigma(x, mu)(beta dt + dW). The declared sup bound is enforced on
@@ -317,12 +298,6 @@ class DriftShift:
 
 
 @dataclass(frozen=True, eq=False)
-class MVResult:
-    bundle: PathBundle
-    flow: MeasureFlow
-
-
-@dataclass(frozen=True, eq=False)
 class ContractionFit:
     """Synchronous-coupling Wasserstein decay and its fitted exponential
     rate. ``note`` records truncation, degeneracy, and a W_p taken on the
@@ -335,7 +310,6 @@ class ContractionFit:
     p: int
     truncated_at: float | None = None
     note: str = ""
-    leg_a: PathBundle | None = None  # theta's system, when recorded
 
 
 def _steps_for(T: float, dt: float) -> int:
@@ -402,8 +376,10 @@ def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int, seed: int,
     state at ``start=g`` repeats the unsplit run bit for bit.
 
     Without ``flow`` this is the interacting-particle system: the
-    coefficients read the ensemble's own empirical measure. With ``flow``
-    it is the decoupled equation: they read ``flow.at_time(t)``, never the
+    coefficients read the ensemble's own empirical measure, as the
+    ``LawSummary`` of ``spec.law_stats`` computed from x once per step, so
+    an undeclared read raises ValueError at step 0. With ``flow`` it is
+    the decoupled equation: they read ``flow.at_time(t)``, never the
     simulated cloud, and the flow must cover the run on a grid of whole
     steps. ``shift`` adds sigma * beta dt to each step.
 
@@ -411,7 +387,7 @@ def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int, seed: int,
     counting the steps taken: mu is the measure the next step reads, and dw
     the Brownian increment sqrt(dt) * block that carried the previous state
     to x, without any shift (None at j = 0). x is the live buffer: copy
-    before storing. Each ensemble measure owns a copy of its states.
+    before storing.
 
     ``_blocks`` stands in for the run's own ``noise_blocks`` stream with
     the same blocks, so that synchronously coupled systems share one draw;
@@ -419,7 +395,8 @@ def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int, seed: int,
     x = np.array(states, dtype=float)
     n, d = x.shape
     if flow is None:
-        mu = EmpiricalMeasure(x.copy())
+        cloud = EmpiricalMeasure(x)  # checks the start; a view of x
+        mu = LawSummary.of(cloud, spec.law_stats, start * dt)
     else:
         _check_flow(flow, start * dt, (start + n_steps) * dt, dt)
         mu = flow.at_time(start * dt)
@@ -440,36 +417,12 @@ def iter_mv(spec, states: np.ndarray, dt: float, n_steps: int, seed: int,
             step += b * dt
             x += step
             _check_finite(x, g + 1, t + dt)
-            mu = EmpiricalMeasure._of_checked(x.copy()) if flow is None \
-                else flow.at_time(t + dt)
+            mu = LawSummary.of(cloud, spec.law_stats, t + dt) \
+                if flow is None else flow.at_time(t + dt)
             yield k + 1, t + dt, x, mu, dw
     finally:
         if _blocks is None:
             blocks.close()
-
-
-def _tap_record(steps, n_steps: int, record_every: int,
-                shape: tuple[int, int]):
-    """Pass an Euler iterator through while recording the times and states
-    of its every ``record_every``-th node, plus the terminal node, into one
-    preallocated (n_records, N, d) array. Returns (times, states, the
-    pass-through iterator); the arrays are full once it is exhausted."""
-    record_every = max(int(record_every), 1)
-    n_rec = -(-n_steps // record_every) + 1
-    times = np.empty(n_rec)
-    states = np.empty((n_rec, *shape))
-
-    def tapped():
-        i = 0
-        for item in steps:
-            k, t, x = item[:3]
-            if k % record_every == 0 or k == n_steps:
-                times[i] = t
-                states[i] = x
-                i += 1
-            yield item
-
-    return times, states, tapped()
 
 
 def _interacting_start(spec, theta: EmpiricalMeasure, n_particles: int,
@@ -483,23 +436,19 @@ def _interacting_start(spec, theta: EmpiricalMeasure, n_particles: int,
 
 def simulate_mv(spec, theta: EmpiricalMeasure, dt: float, T: float,
                 n_particles: int, seed: int,
-                record_every: int = 1) -> MVResult:
-    """Interacting-particle Euler scheme: the ensemble's own empirical
-    measure replaces the law in drift and diffusion. Initial states are
-    i.i.d. draws from theta. Records every ``record_every``-th node (the
-    terminal node always included) into the bundle and the measure flow."""
+                record_every: int = 1) -> MeasureFlow:
+    """The interacting-particle Euler scheme from i.i.d. draws from theta,
+    as the flow of its clouds at every ``record_every``-th node and at the
+    terminal node: the stored record, M N d floats at ``record_every``
+    = 1, against which the tests check ``interacting_flow``."""
     n_steps = _steps_for(T, dt)
+    every = max(int(record_every), 1)
     x0 = _interacting_start(spec, theta, n_particles, seed)
-    times, states, steps = _tap_record(iter_mv(spec, x0, dt, n_steps, seed),
-                                       n_steps, record_every, x0.shape)
-    for _ in steps:
-        pass
-    bundle = PathBundle(times, states, seed)
-    # flow nodes view the bundle's storage rather than holding copies
-    flow = MeasureFlow(bundle.times,
-                       [EmpiricalMeasure(bundle.states[i])
-                        for i in range(bundle.times.shape[0])])
-    return MVResult(bundle=bundle, flow=flow)
+    times, clouds = zip(*(
+        (t, EmpiricalMeasure._of_checked(x.copy()))
+        for k, t, x, _, _ in iter_mv(spec, x0, dt, n_steps, seed)
+        if k % every == 0 or k == n_steps))
+    return MeasureFlow(times, clouds)
 
 
 def interacting_flow(spec, theta: EmpiricalMeasure, dt: float, T: float,
@@ -507,17 +456,18 @@ def interacting_flow(spec, theta: EmpiricalMeasure, dt: float, T: float,
     """The interacting-particle flow of ``simulate_mv(spec, theta, dt, T,
     n_particles, seed)`` on its nodes 0..M, from one pass: the cloud at
     the nodes of the times in ``keep`` (whole steps of dt) and at the
-    terminal, and elsewhere the node's ``LawSummary`` of
-    ``spec.law_stats``. Every read returns what that run's
-    ``record_every=1`` flow returns, bit for bit, or raises ValueError."""
+    terminal, and elsewhere the ``LawSummary`` its Euler step read.
+    Every read returns what that run's ``record_every=1`` flow returns,
+    bit for bit, or raises ValueError."""
     n_steps = _steps_for(T, dt)
     kept = {int(round(t / dt)) for t in keep} | {n_steps}
     times = np.empty(n_steps + 1)
     nodes = []
     x0 = _interacting_start(spec, theta, n_particles, seed)
-    for k, t, _, mu, _ in iter_mv(spec, x0, dt, n_steps, seed):
+    for k, t, x, mu, _ in iter_mv(spec, x0, dt, n_steps, seed):
         times[k] = t
-        nodes.append(mu if k in kept else LawSummary.of(mu, spec.law_stats, t))
+        nodes.append(EmpiricalMeasure._of_checked(x.copy()) if k in kept
+                     else mu)
     return MeasureFlow(times, nodes)
 
 
@@ -544,7 +494,8 @@ def flow_property_check(spec, theta: EmpiricalMeasure, s: float, T: float,
 def contraction_rate(spec, theta: EmpiricalMeasure,
                      theta_prime: EmpiricalMeasure, dt: float, T: float,
                      n: int, seed: int, p: int = 2,
-                     record_every: int = 0) -> ContractionFit:
+                     tap: Callable[[int, float, np.ndarray], None]
+                     | None = None) -> ContractionFit:
     """Wasserstein contraction between two interacting systems driven by
     the same increments (synchronous coupling), from two initial laws.
     Fits log W_p against time by least squares and returns the decay rate
@@ -553,10 +504,10 @@ def contraction_rate(spec, theta: EmpiricalMeasure,
     first ``measure.ASSIGNMENT_LIMIT`` atoms of each system only, and
     ``note`` says so when n exceeds that.
 
-    With ``record_every`` > 0 the fit also carries theta's system as
-    ``leg_a``, recorded as ``simulate_mv`` with that ``record_every``
-    records the same run, bit for bit, so a caller that wants both needs
-    to step that system only once."""
+    ``tap``, when given, is fed (k, t, x) at every node of theta's system,
+    the states the plain interacting run from theta reaches, bit for bit;
+    x is the live buffer. So a caller that wants both steps that system
+    once."""
     if n < 1:
         raise ValueError("need at least one particle")
     n_steps = _steps_for(T, dt)
@@ -567,18 +518,15 @@ def contraction_rate(spec, theta: EmpiricalMeasure,
         blocks_a, blocks_b = itertools.tee(blocks)
         gen_a = iter_mv(spec, xa, dt, n_steps, seed, _blocks=blocks_a)
         gen_b = iter_mv(spec, xb, dt, n_steps, seed, _blocks=blocks_b)
-        record = None
-        if record_every > 0:
-            *record, gen_a = _tap_record(gen_a, n_steps, record_every,
-                                         xa.shape)
-
         times = np.empty(n_steps + 1)
         w = np.empty(n_steps + 1)
-        for (k, t, _, mu_a, _), (*_, mu_b, _) in zip(gen_a, gen_b):
+        for (k, t, x_a, _, _), (_, _, x_b, _, _) in zip(gen_a, gen_b):
+            if tap is not None:
+                tap(k, t, x_a)
             times[k] = t
-            w[k] = _w_capped(mu_a, mu_b, p)
+            w[k] = _w_capped(EmpiricalMeasure._of_checked(x_a),
+                             EmpiricalMeasure._of_checked(x_b), p)
 
-    leg_a = PathBundle(*record, seed) if record else None
     floor = 1e-8
     alive = w >= floor
     truncated_at = None
@@ -598,8 +546,7 @@ def contraction_rate(spec, theta: EmpiricalMeasure,
             note, f"W_{p} on the first {cap} of {n} atoms of each system"]))
     if not usable:
         return ContractionFit(rate=math.nan, times=times, w_values=w, p=p,
-                              truncated_at=truncated_at, note=note,
-                              leg_a=leg_a)
+                              truncated_at=truncated_at, note=note)
     slope = np.polyfit(times[alive], np.log(w[alive]), 1)[0]
     return ContractionFit(rate=float(-slope), times=times, w_values=w, p=p,
-                          truncated_at=truncated_at, note=note, leg_a=leg_a)
+                          truncated_at=truncated_at, note=note)

@@ -18,7 +18,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from ergolab import bsde, ebsde, model
 
 
-# a scenario drift that reads t: the compiler marks it (``_reads_t_at``)
+# a scenario drift that reads t: the compiler declares it (``reads_t``)
 TIME_DRIFT_SCN = """\
 [model]
 dim = 1

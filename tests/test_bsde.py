@@ -24,7 +24,7 @@ from ergolab.sde import INIT_DRAW_STEP, gaussian_increments, simulate_mv
 
 def _flow_for(spec, T, n=4000, seed=17, dt=0.01):
     return simulate_mv(spec, EmpiricalMeasure.dirac(0.0), dt=dt, T=T,
-                       n_particles=n, seed=seed, record_every=10).flow
+                       n_particles=n, seed=seed, record_every=10)
 
 
 def _bm_spec(driver, terminal, q=1.0, name="bm"):
@@ -326,23 +326,27 @@ def test_constant_flow_grid_is_the_per_horizon_solves(name, monkeypatch):
         assert sol.y0 == one.y0 and np.array_equal(sol.z0, one.z0)
 
 
-def test_drift_that_reads_t_gets_a_sweep_per_horizon(monkeypatch):
+def test_drift_that_reads_t_gets_a_sweep_per_horizon(ou_spec, monkeypatch):
     # a time shift of one sweep holds a shorter horizon only when the
     # coefficients ignore t; here a shared sweep read Y0 = 0.868 at
-    # T = 0.5 against the horizon's own 0.700
-    spec = model.parse_scenario(TIME_DRIFT_SCN).spec
+    # T = 0.5 against the horizon's own 0.700. The compiler declares the
+    # scenario drift's read of t; a Python caller declares its own
     mu = EmpiricalMeasure(np.random.default_rng(3).normal(0.0, 1.2, (400, 1)))
     flow = MeasureFlow.constant(mu, 0.0, 2.0)
     grid = (0.5, 1.0, 2.0)
     swept, clouds = record_sweeps(monkeypatch)
-    sols = bsde._solve_horizons(spec, flow, 0.0, grid, 0.02, 400, None, 5)
-    # every horizon has its own sweep
-    assert swept == [(T,) for T in grid] and len(clouds) == len(grid)
-    for T, sol in zip(grid, sols):
-        one = solve_finite_bsde(spec, flow, 0.0, T=T, dt=0.02,
-                                n_particles=400, seed=5)
-        assert sol.y0 == one.y0
-        assert np.array_equal(sol.u.coeffs, one.u.coeffs)
+    declared = ou_spec.replace(drift=lambda t, x, mu: -x + 2 * np.sin(3 * t),
+                               reads_t=True)
+    for spec in (model.parse_scenario(TIME_DRIFT_SCN).spec, declared):
+        swept.clear(), clouds.clear()
+        sols = bsde._solve_horizons(spec, flow, 0.0, grid, 0.02, 400, None, 5)
+        # every horizon has its own sweep
+        assert swept == [(T,) for T in grid] and len(clouds) == len(grid)
+        for T, sol in zip(grid, sols):
+            one = solve_finite_bsde(spec, flow, 0.0, T=T, dt=0.02,
+                                    n_particles=400, seed=5)
+            assert sol.y0 == one.y0
+            assert np.array_equal(sol.u.coeffs, one.u.coeffs)
 
 
 def test_moving_flow_grid_draws_a_cloud_per_horizon(ou_spec, monkeypatch):
@@ -397,7 +401,7 @@ def test_sine_weak_solve_over_law_statistics_is_the_stored_flow_solve():
     # read it from the node's cloud
     spec = model.preset("sine-weak")
     kw = dict(dt=0.02, T=0.6, n_particles=200, seed=6)
-    stored = simulate_mv(spec, EmpiricalMeasure.dirac(0.3), **kw).flow
+    stored = simulate_mv(spec, EmpiricalMeasure.dirac(0.3), **kw)
     flow = sde.interacting_flow(spec, EmpiricalMeasure.dirac(0.3), **kw,
                                 keep=[0.4])
     one, other = (solve_finite_bsde(spec, fl, 0.3, T=0.4, dt=0.02,

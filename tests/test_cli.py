@@ -5,6 +5,7 @@ import filecmp
 import math
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -314,10 +315,34 @@ def test_simulate_with_x0_prime_steps_each_system_once(scn_dir, tmp_path,
                 "--horizon", "0.5", "--set", "x0_prime=2.0"])
     assert code == 0
     # one block per step, shared by the two coupled systems; the moments
-    # come from the first system's record, not from a third run
+    # come from the first system's states as it steps, not from a third run
     assert drawn == Counter({(42, k): 1 for k in range(25)})
     moments = (tmp_path / "sim" / "simulate_moments.csv").read_text()
     assert len(moments.splitlines()) == 1 + 3 + 1  # header, every 10th, end
+
+
+@pytest.mark.parametrize("coupled", [[], ["--set", "x0_prime=1.0"]],
+                         ids=["plain", "x0_prime"])
+def test_simulate_memory_does_not_grow_with_the_horizon(scn_dir, tmp_path,
+                                                        coupled):
+    # the moments are taken node by node and only the terminal cloud is
+    # kept, so a run four times longer peaks at about the same memory; a
+    # record of every node would add 9.6 MB here
+    n, dt = 2000, 0.01
+    peaks = []
+    for horizon in (2.0, 8.0):
+        tracemalloc.start()
+        try:
+            assert run(["simulate", "--scenario", str(scn_dir / "ou.scn"),
+                        "--out", str(tmp_path / str(horizon)),
+                        "--particles", str(n), "--horizon", str(horizon),
+                        "--set", f"dt={dt}", "--set", "flow_every=1",
+                        *coupled]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    record_growth = round((8.0 - 2.0) / dt) * n * 8
+    assert peaks[1] - peaks[0] < record_growth / 20
 
 
 def test_bsde_rerun_is_byte_identical(scn_dir, tmp_path):

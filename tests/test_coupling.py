@@ -137,7 +137,7 @@ def test_band_limited_pair_is_sin_and_cos_of_the_angle(delta):
 def _sine_flows(spec, T, n, seed):
     mv = simulate_mv(spec, EmpiricalMeasure.dirac(0.0), dt=0.01, T=T,
                      n_particles=n, seed=seed, record_every=10)
-    return mv.flow
+    return mv
 
 
 def test_identical_starts_stay_glued(sine_spec):
@@ -319,7 +319,7 @@ def _reference_coupling(spec, flow, flow_prime, x0, x0_prime, dt, T, n,
 def background_flows():
     return {name: simulate_mv(model.preset(name),
                               EmpiricalMeasure.dirac(0.0), dt=0.01, T=6.0,
-                              n_particles=200, seed=3, record_every=10).flow
+                              n_particles=200, seed=3, record_every=10)
             for name in ("sine-weak", "ou-attract")}
 
 
@@ -395,7 +395,7 @@ def test_coupling_over_law_statistics_is_the_stored_flow_coupling(sine_spec):
     # from the node's cloud
     kw = dict(dt=0.02, T=1.0, n_particles=200)
     flows = [(simulate_mv(sine_spec, EmpiricalMeasure.dirac(start), seed=s,
-                          **kw).flow,
+                          **kw),
               interacting_flow(sine_spec, EmpiricalMeasure.dirac(start),
                                seed=s, **kw))
              for start, s in ((-1.0, 3), (1.5, 4))]

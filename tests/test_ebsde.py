@@ -10,7 +10,7 @@ import pytest
 
 import oracle_reference as oracle
 from conftest import TIME_DRIFT_SCN
-from ergolab import bsde, ebsde, model, sde
+from ergolab import bsde, ebsde, ltb, model, sde
 from ergolab.ebsde import (HorizonBudgetError, discount_horizon,
                            extract_ergodic, extract_ergodic_vanishing,
                            lambda_by_time_average)
@@ -264,12 +264,36 @@ def test_degree_below_growth_is_refused(ou_spec, extract):
         extract(ou_spec, n_particles=200, dt=0.05, degree=1, seed=1)
 
 
-@pytest.mark.filterwarnings("ignore:burn-in diagnostic")
-def test_law_held_fixed_refuses_a_drift_that_reads_t():
-    # the fixed point reads the coefficients at t = 0 only
-    spec = model.parse_scenario(TIME_DRIFT_SCN).spec
-    with pytest.raises(ValueError, match="reads t"):
+def test_law_held_fixed_refuses_a_drift_that_reads_t(ou_spec, monkeypatch):
+    # both routes read the coefficients at t = 0 only, so they refuse a
+    # drift declared as reading t, by the compiler or by a Python caller,
+    # before they step its burn-in
+    steps = []
+    monkeypatch.setattr(sde, "iter_mv",
+                        lambda *args, **kwargs: steps.append(args))
+    specs = (model.parse_scenario(TIME_DRIFT_SCN).spec,
+             ou_spec.replace(drift=lambda t, x, mu: -x + 2.0 * np.sin(3 * t),
+                             reads_t=True))
+    for spec, route in itertools.product(
+            specs, (extract_ergodic, extract_ergodic_vanishing)):
+        with pytest.raises(ValueError, match="reads t"):
+            route(spec, n_particles=200, dt=0.05, seed=1)
+    assert steps == []
+
+
+def test_undeclared_law_read_is_refused_at_the_first_step(ou_spec):
+    # the drift reads m2 but the spec declares the mean alone: every run
+    # refuses it at its first Euler step, before any result is formed
+    spec = ou_spec.replace(
+        drift=lambda t, x, mu: -x - 0.5 * mu.mean() - 0.01 * mu.m2())
+    refused = r"^m2\(\) at t = 0: "
+    with pytest.raises(ValueError, match=refused):
         extract_ergodic(spec, n_particles=200, dt=0.05, seed=1)
+    with pytest.raises(ValueError, match=refused):
+        lambda_by_time_average(spec, t_long=30.0, dt=0.05, n_particles=200)
+    with pytest.raises(ValueError, match=refused):
+        ltb.ltb1_experiment(spec, 0.5, t_grid=(1.0, 2.0), dt=0.05,
+                            n_particles=200)
 
 
 def test_fixed_point_that_does_not_settle_is_flagged(ou_spec):

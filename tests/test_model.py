@@ -155,6 +155,20 @@ def test_compiled_coefficients_read_only_the_statistics_they_name(
                           source="inline").spec.law_stats == ()
 
 
+def test_compiler_declares_a_drift_that_reads_t():
+    text = ("[model]\ndim = 1\nregime = strong\n"
+            "drift = -x + sin(3*t)\ndiffusion = 1\n"
+            "driver = x**2\nterminal = x**2\n")
+    scn = parse_scenario(text, source="inline")
+    assert scn.spec.reads_t
+    # where the drift entry sits, for the diagnostics of a caller that
+    # refuses it
+    assert scn.model_meta["drift"] == (4, 9)
+    assert not parse_scenario(text.replace(" + sin(3*t)", ""),
+                              source="inline").spec.reads_t
+    assert not any(preset(name).reads_t for name in PRESET_NAMES)
+
+
 @pytest.mark.parametrize("text,fragment", [
     ("[model]\npreset = ou-attract\npreset-extra = 1\n", "unknown model key"),
     ("[run]\ndt = 0.1\n", "missing \\[model\\]"),

@@ -17,15 +17,19 @@ import oracle_reference as oracle
 from ergolab import measure, model, sde
 from ergolab.measure import (EmpiricalMeasure, LawSummary, MeasureFlow, moment,
                              wasserstein)
-from ergolab.sde import (INIT_DRAW_STEP, BlowUpError, DriftShift, PathBundle,
-                         _sigma_dot, contraction_rate, derive_seed,
-                         draw_initial, flow_property_check,
-                         gaussian_increments, interacting_flow, iter_mv,
-                         noise_blocks, simulate_mv)
+from ergolab.sde import (INIT_DRAW_STEP, BlowUpError, DriftShift, _sigma_dot,
+                         contraction_rate, derive_seed, draw_initial,
+                         flow_property_check, gaussian_increments,
+                         interacting_flow, iter_mv, noise_blocks, simulate_mv)
 
 # rows of a one-dimensional block large enough for noise_blocks to share
 # its drawing with the helper thread
 SHARED_ROWS = 4096
+
+
+def _states(flow):
+    """The (nodes, N, d) clouds of a stored ``simulate_mv`` flow."""
+    return np.stack([mu.points for mu in flow.measures])
 
 
 def _quiet_spec(drift, sigma0=1.0, name="quiet"):
@@ -256,21 +260,23 @@ def test_simulation_reproducible(ou_spec):
     theta = EmpiricalMeasure.dirac(1.0)
     a = simulate_mv(ou_spec, theta, dt=0.01, T=0.5, n_particles=300, seed=9)
     b = simulate_mv(ou_spec, theta, dt=0.01, T=0.5, n_particles=300, seed=9)
-    np.testing.assert_array_equal(a.bundle.states, b.bundle.states)
+    np.testing.assert_array_equal(_states(a), _states(b))
     c = simulate_mv(ou_spec, theta, dt=0.01, T=0.5, n_particles=300, seed=10)
-    assert not np.array_equal(a.bundle.states, c.bundle.states)
+    assert not np.array_equal(_states(a), _states(c))
 
 
 def test_thread_count_never_changes_bits(tmp_path, subprocess_env):
     script = tmp_path / "hash_run.py"
     script.write_text(
         "import hashlib\n"
+        "import numpy as np\n"
         "from ergolab import model, sde\n"
         "from ergolab.measure import EmpiricalMeasure\n"
         "spec = model.preset('ou-attract')\n"
         "r = sde.simulate_mv(spec, EmpiricalMeasure.dirac(1.0), dt=0.01,\n"
         "                    T=0.5, n_particles=400, seed=9)\n"
-        "print(hashlib.sha256(r.bundle.states.tobytes()).hexdigest())\n")
+        "states = np.stack([mu.points for mu in r.measures])\n"
+        "print(hashlib.sha256(states.tobytes()).hexdigest())\n")
     digests = set()
     for threads in ("1", "4"):
         env = dict(subprocess_env,
@@ -285,19 +291,20 @@ def test_thread_count_never_changes_bits(tmp_path, subprocess_env):
 def test_zero_dynamics_freeze_paths():
     spec = _quiet_spec(lambda t, x, mu: np.zeros_like(x), sigma0=0.0)
     theta = EmpiricalMeasure([0.0, 1.0, -2.0])
-    res = simulate_mv(spec, theta, dt=0.1, T=1.0, n_particles=32, seed=0)
-    assert set(np.unique(res.bundle.states[0])) <= {-2.0, 0.0, 1.0}
-    for snap in res.bundle.states[1:]:
-        np.testing.assert_array_equal(snap, res.bundle.states[0])
+    states = _states(simulate_mv(spec, theta, dt=0.1, T=1.0, n_particles=32,
+                                 seed=0))
+    assert set(np.unique(states[0])) <= {-2.0, 0.0, 1.0}
+    for snap in states[1:]:
+        np.testing.assert_array_equal(snap, states[0])
 
 
 def test_ou_mean_and_variance(ou_spec):
     res = simulate_mv(ou_spec, EmpiricalMeasure.dirac(1.0), dt=0.01, T=2.0,
                       n_particles=10_000, seed=2)
-    m_t1 = res.flow.at_time(1.0).points.mean()
+    m_t1 = res.at_time(1.0).points.mean()
     assert m_t1 == pytest.approx(oracle.mv_mean(1.0, 1.0, attract=True),
                                  abs=0.02)
-    v_t2 = res.flow.at_time(2.0).points[:, 0].var()
+    v_t2 = res.at_time(2.0).points[:, 0].var()
     assert v_t2 == pytest.approx(oracle.ou_variance(2.0), abs=0.03)
 
 
@@ -309,8 +316,8 @@ def test_moment_boundedness_sweep(name, p):
     T = 50.0 / rate
     res = simulate_mv(spec, EmpiricalMeasure.dirac(2.0), dt=0.02, T=T,
                       n_particles=500, seed=1, record_every=20)
-    times = res.flow.times
-    vals = np.array([moment(m, p) for m in res.flow.measures])
+    times = res.times
+    vals = np.array([moment(m, p) for m in res.measures])
     early_max = vals[times <= 5.0 / rate].max()
     assert vals.max() <= 1.5 * early_max
 
@@ -351,7 +358,7 @@ def test_noise_free_decay_is_euler_exact():
     spec = _quiet_spec(lambda t, x, mu: -x, sigma0=0.0)
     res = simulate_mv(spec, EmpiricalMeasure.dirac(1.0), dt=0.01, T=1.0,
                       n_particles=1, seed=0)
-    x_T = float(res.bundle.states[-1, 0, 0])
+    x_T = float(res.terminal.points[0, 0])
     assert x_T == pytest.approx((1.0 - 0.01) ** 100, abs=1e-12)
     assert x_T == pytest.approx(math.exp(-1.0), abs=2 * 0.01)
 
@@ -361,11 +368,11 @@ def test_decoupled_marginal_matches_interacting(ou_spec):
     n = 8000
     mv = simulate_mv(ou_spec, theta, dt=0.01, T=1.0, n_particles=n, seed=6)
     *_, (_, _, dec, _, _) = iter_mv(ou_spec, draw_initial(theta, n, seed=7),
-                                    0.01, 100, 7, flow=mv.flow)
+                                    0.01, 100, 7, flow=mv)
     # Monte Carlo scale from two fully independent interacting runs
     ref = simulate_mv(ou_spec, theta, dt=0.01, T=1.0, n_particles=n, seed=8)
-    mc = max(wasserstein(mv.flow.terminal, ref.flow.terminal, 2), 5e-3)
-    gap = wasserstein(EmpiricalMeasure(dec), mv.flow.terminal, 2)
+    mc = max(wasserstein(mv.terminal, ref.terminal, 2), 5e-3)
+    gap = wasserstein(EmpiricalMeasure(dec), mv.terminal, 2)
     assert gap <= 2.0 * mc
 
 
@@ -448,24 +455,13 @@ def test_flow_coverage_guard(ou_spec):
 
 def test_sparse_records_match_the_full_bundle(ou_spec):
     theta = EmpiricalMeasure.dirac(1.0)
-    full = simulate_mv(ou_spec, theta, dt=0.1, T=1.0, n_particles=50,
-                       seed=3).bundle
+    full = simulate_mv(ou_spec, theta, dt=0.1, T=1.0, n_particles=50, seed=3)
     sparse = simulate_mv(ou_spec, theta, dt=0.1, T=1.0, n_particles=50,
-                         seed=3, record_every=3).bundle
+                         seed=3, record_every=3)
     # 10 steps, every third recorded, plus the terminal node
     nodes = [0, 3, 6, 9, 10]
     np.testing.assert_array_equal(sparse.times, full.times[nodes])
-    np.testing.assert_array_equal(sparse.states, full.states[nodes])
-
-
-def test_bundle_accessors(ou_spec):
-    res = simulate_mv(ou_spec, EmpiricalMeasure.dirac(0.0), dt=0.1, T=1.0,
-                      n_particles=5, seed=0, record_every=2)
-    b = res.bundle
-    assert b.states.shape == (len(b.times), 5, 1)
-    np.testing.assert_array_equal(b.states[-1], res.flow.terminal.points)
-    with pytest.raises(ValueError):
-        PathBundle(np.array([0.0, 1.0]), np.zeros((3, 2, 1)), seed=0)
+    np.testing.assert_array_equal(_states(sparse), _states(full)[nodes])
 
 
 def test_scalar_diffusion_product_matches_matmul():
@@ -481,7 +477,7 @@ def test_scalar_diffusion_product_matches_matmul():
 def mv_flow(ou_spec):
     # an interacting flow out of a Dirac mass: its law moves every step
     return simulate_mv(ou_spec, EmpiricalMeasure.dirac(1.5), dt=0.1, T=4.0,
-                       n_particles=40, seed=2).flow
+                       n_particles=40, seed=2)
 
 
 @settings(max_examples=40, deadline=None)
@@ -527,17 +523,18 @@ def test_resumed_mv_run_is_the_unsplit_run(data):
     sparse = simulate_mv(spec, _CLOUD, dt=dt, T=m * dt, n_particles=20,
                          seed=seed, record_every=every)
     nodes = list(range(0, m, every)) + [m]
-    np.testing.assert_array_equal(sparse.bundle.states,
-                                  unsplit.bundle.states[nodes])
+    np.testing.assert_array_equal(_states(sparse), _states(unsplit)[nodes])
     resumed = [(t, x.copy(), mu) for _j, t, x, mu, _dw in iter_mv(
-        spec, unsplit.bundle.states[k], dt, m - k, seed, start=k)]
+        spec, unsplit.measures[k].points, dt, m - k, seed, start=k)]
     assert len(resumed) == m - k + 1
     for j, (t, x, mu) in enumerate(resumed):
         if j > 0:
-            assert t == unsplit.bundle.times[k + j]
-        np.testing.assert_array_equal(x, unsplit.bundle.states[k + j])
-        np.testing.assert_array_equal(mu.points,
-                                      unsplit.flow.measures[k + j].points)
+            assert t == unsplit.times[k + j]
+        cloud = unsplit.measures[k + j]
+        np.testing.assert_array_equal(x, cloud.points)
+        # the step reads the law as the summary of the record's cloud
+        assert mu.t == t
+        np.testing.assert_array_equal(mu.mean(), cloud.mean())
 
 
 def test_decoupled_run_on_its_own_flow_is_the_interacting_run():
@@ -571,7 +568,7 @@ def test_checkpointed_flow_matches_the_stored_flow(data):
     spec = _timed_mv_spec().replace(law_stats=("mean", "m2", phi))
     dt, seed = 0.1, 8
     stored = simulate_mv(spec, _CLOUD, dt=dt, T=m * dt, n_particles=20,
-                         seed=seed).flow
+                         seed=seed)
     flow = interacting_flow(spec, _CLOUD, dt=dt, T=m * dt, n_particles=20,
                             seed=seed, keep=[k * dt for k in keep])
     np.testing.assert_array_equal(flow.times, stored.times)
@@ -604,7 +601,7 @@ def test_checkpointed_flow_memory_is_a_fraction_of_the_record(ou_spec):
 def test_checkpointed_flow_reads_from_threads_match_the_stored_flow(ou_spec):
     # reads are lookups: no lock, and any order on any thread
     kw = dict(dt=0.1, T=6.0, n_particles=30, seed=12)
-    stored = simulate_mv(ou_spec, EmpiricalMeasure.dirac(1.0), **kw).flow
+    stored = simulate_mv(ou_spec, EmpiricalMeasure.dirac(1.0), **kw)
     flow = interacting_flow(ou_spec, EmpiricalMeasure.dirac(1.0), **kw,
                             keep=[3.0])
 
