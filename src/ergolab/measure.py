@@ -142,7 +142,7 @@ class EmpiricalMeasure:
         return float(self._weights @ vals)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LawSummary:
     """A cloud at time t kept as the statistics ``ProblemSpec.law_stats``
     declares, each the value the cloud gave: ``mean()`` and ``m1()``,

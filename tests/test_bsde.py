@@ -338,7 +338,8 @@ def test_drift_that_reads_t_gets_a_sweep_per_horizon(ou_spec, monkeypatch):
     declared = ou_spec.replace(drift=lambda t, x, mu: -x + 2 * np.sin(3 * t),
                                reads_t=True)
     for spec in (model.parse_scenario(TIME_DRIFT_SCN).spec, declared):
-        swept.clear(), clouds.clear()
+        swept.clear()
+        clouds.clear()
         sols = bsde._solve_horizons(spec, flow, 0.0, grid, 0.02, 400, None, 5)
         # every horizon has its own sweep
         assert swept == [(T,) for T in grid] and len(clouds) == len(grid)
