@@ -135,9 +135,8 @@ def test_band_limited_pair_is_sin_and_cos_of_the_angle(delta):
 
 
 def _sine_flows(spec, T, n, seed):
-    mv = simulate_mv(spec, EmpiricalMeasure.dirac(0.0), dt=0.01, T=T,
-                     n_particles=n, seed=seed, record_every=10)
-    return mv
+    return simulate_mv(spec, EmpiricalMeasure.dirac(0.0), dt=0.01, T=T,
+                       n_particles=n, seed=seed, record_every=10)
 
 
 def test_identical_starts_stay_glued(sine_spec):
