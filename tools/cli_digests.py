@@ -35,6 +35,13 @@ SCENARIOS = {
     "law-m2": "[model]\ndim = 1\nregime = strong\n"
               "drift = -x + 0.2*m1 - 0.05*m2\ndiffusion = 1\n"
               "driver = x**2\nterminal = x**2\n",
+    # a control model read from [model.control]: its running cost is not
+    # declared quadratic in the action, so the Hamiltonian is minimised by
+    # golden-section search
+    "control-scn": "[model]\ndim = 1\nregime = strong\n"
+                   "drift = -x - 0.5*m1\ndiffusion = 1\n"
+                   "driver = x**2 - 0.25*z**2\nterminal = x**2\n"
+                   "[model.control]\nrunning_cost = x**2 + a**2\n",
 }
 
 # (run name, scenario, subcommand, extra arguments)
@@ -90,6 +97,9 @@ RUNS = [
     # the long-time comparison on four horizons, with its two noise floors
     ("control-grid", "control-lq", "control",
      ["--particles", "500", "--set", "t_grid=2 4 6 8"]),
+    ("control-scn", "control-scn", "control",
+     ["--particles", "200", "--horizon", "0.5", "--set", "t_long=5",
+      "--set", "n_controls=1"]),
 ]
 
 SKIPPED = {"manifest", "report.report"}
