@@ -55,7 +55,6 @@ __all__ = [
     "BsdeSolution",
     "monomial_exponents",
     "solve_finite_bsde",
-    "backward_lsmc",
     "z_from_gradient",
 ]
 
@@ -398,18 +397,6 @@ def _sweep(spec, flow, n: int, dt: float, degree: int | None, cloud_at,
         coeffs[k, :, :fitted.shape[1]] = fitted
         residuals[k] = op.rmse(fitted[:, 0], target[:, 0])
     return op, coeffs, residuals
-
-
-def backward_lsmc(spec, cloud: np.ndarray, flow: MeasureFlow, T: float,
-                  dt: float, degree: int | None):
-    """Backward sweep on [0, T] over a fixed (N, d) cloud, the one-horizon
-    ``_sweep``, reading the flow at every node: the value surface u, the
-    z-field zeta and the per-node residuals."""
-    op, coeffs, residuals = _sweep(spec, flow, _steps_for(T, dt), dt,
-                                   degree, lambda mu: cloud)
-    times = np.arange(len(coeffs)) * dt
-    return (op.surface(coeffs[:, :, :1], times),
-            op.surface(coeffs[:, :, 1:], times), residuals)
 
 
 def _solve_horizons(spec, flow: MeasureFlow, x0, t_grid, dt: float,

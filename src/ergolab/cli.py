@@ -182,15 +182,28 @@ def _as_floats(value) -> tuple:
     return tuple(float(v) for v in value)
 
 
-def _coerce_like(default, value):
-    """Force a scenario value to the type its default documents."""
-    if value is None or default is None or isinstance(default, (tuple, str)):
+# the type a run key takes where RUN_DEFAULTS does not show it: seed and
+# threads have no entry there, and the rest default to None somewhere
+_KEY_TYPES = {"degree": int, "seed": int, "threads": int, "r_max": float,
+              "x0_prime": float, "t_burn": float, "delta": float,
+              "lam": float, "t_long": float}
+
+
+def _coerce(key: str, value, default):
+    """A [run] or --set value as the int or float its key takes; a key
+    that takes neither (a list, a path) keeps its value. A value that is
+    not a number, or not a whole one for an int, raises ValueError naming
+    the key."""
+    kind = _KEY_TYPES.get(key, type(default))
+    if kind not in (int, float):
         return value
-    if isinstance(default, int) and not isinstance(default, bool):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (kind is int and isinstance(value, float)
+                and not value.is_integer()):
+        raise ValueError(f"run key {key!r} needs "
+                         f"{'an integer' if kind is int else 'a number'}, "
+                         f"got {value!r}")
+    return kind(value)
 
 
 def _resolve(scenario: Scenario | None, args, defaults: dict) -> dict:
@@ -206,13 +219,10 @@ def _resolve(scenario: Scenario | None, args, defaults: dict) -> dict:
                       f"{args.subcommand}; ignored", file=sys.stderr)
                 continue
             try:
-                params[key] = _coerce_like(defaults.get(key), value)
-            except (TypeError, ValueError):
-                line, col = scenario.run_meta.get(key, (0, 0))
-                raise ScenarioError(
-                    f"run key {key!r} needs a "
-                    f"{type(defaults[key]).__name__}, got {value!r}",
-                    scenario.source, line, col) from None
+                params[key] = _coerce(key, value, defaults.get(key))
+            except ValueError as exc:
+                raise ScenarioError(str(exc), scenario.source,
+                                    *scenario.run_meta[key]) from None
     for key in ("dt", "horizon", "particles", "seed", "threads"):
         value = getattr(args, key, None)
         if value is None:
@@ -228,9 +238,10 @@ def _resolve(scenario: Scenario | None, args, defaults: dict) -> dict:
         key = key.strip().lower()
         if key not in params and key not in ("seed", "threads"):
             raise _UsageError(f"unknown parameter {key!r} for this subcommand")
-        params[key] = _parse_value(value.strip())
-    params["seed"] = int(params.get("seed", DEFAULT_SEED))
-    params["threads"] = max(int(params.get("threads", 1)), 1)
+        params[key] = _coerce(key, _parse_value(value.strip()),
+                              defaults.get(key))
+    params.setdefault("seed", DEFAULT_SEED)
+    params["threads"] = max(params.get("threads", 1), 1)
     return params
 
 
@@ -243,12 +254,6 @@ def _require_finite(label: str, *values) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommand pipelines: each returns (ok, params, outputs, rng_streams)
-
-def _dirac(spec, x0) -> EmpiricalMeasure:
-    atom = np.full(spec.dim, float(x0)) if np.isscalar(x0) \
-        else np.asarray(x0, dtype=float)
-    return EmpiricalMeasure.dirac(atom)
-
 
 def _cmd_audit(scenario, params, outdir):
     spec = scenario.spec
@@ -289,7 +294,7 @@ def _cmd_audit(scenario, params, outdir):
 def _cmd_simulate(scenario, params, outdir):
     spec = scenario.spec
     seed = params["seed"]
-    theta = _dirac(spec, params["x0"])
+    theta = EmpiricalMeasure.dirac(params["x0"], dim=spec.dim)
     n = int(params["particles"])
     dt, T = params["dt"], params["horizon"]
     n_steps = _steps_for(T, dt)
@@ -313,9 +318,9 @@ def _cmd_simulate(scenario, params, outdir):
             tap(k, t, x)
     else:
         # the coupled run steps theta's system once and feeds it to the tap
-        fit = contraction_rate(spec, theta, _dirac(spec, params["x0_prime"]),
-                               dt=dt, T=T, n=n, seed=seed, p=int(params["p"]),
-                               tap=tap)
+        theta_p = EmpiricalMeasure.dirac(params["x0_prime"], dim=spec.dim)
+        fit = contraction_rate(spec, theta, theta_p, dt=dt, T=T, n=n,
+                               seed=seed, p=int(params["p"]), tap=tap)
     cols = dict(zip(["t", *(f"m1.{j}" for j in range(spec.dim)), "m2", "m4"],
                     np.array(rows).T))
     _write_csv(outdir / "simulate_moments.csv", cols)
@@ -383,7 +388,8 @@ def _cmd_bsde(scenario, params, outdir):
     seed = params["seed"]
     T = params["horizon"]
     # the decoupled background: the point-start interacting flow
-    flow = interacting_flow(spec, _dirac(spec, params["x0"]),
+    flow = interacting_flow(spec,
+                            EmpiricalMeasure.dirac(params["x0"], dim=spec.dim),
                             dt=params["dt"], T=T,
                             n_particles=int(params["particles"]),
                             seed=derive_seed(seed, 7))

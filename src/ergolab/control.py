@@ -50,11 +50,12 @@ class AdmissibilityError(RuntimeError):
 
 
 def _coordinate_golden(objective, lo: np.ndarray, hi: np.ndarray,
-                       a: np.ndarray, coord: int,
-                       tol: float = 1e-10) -> np.ndarray:
-    """Golden-section minimization of one action coordinate, vectorized
-    over samples, restarted on three subintervals of the box edge."""
+                       a: np.ndarray, coord: int) -> np.ndarray:
+    """Golden-section minimization of one action coordinate to a bracket
+    of 1e-10, vectorized over samples, restarted on three subintervals of
+    the box edge."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    tol = 1e-10
     n = a.shape[0]
     best_val = None
     best_a = a[:, coord].copy()
@@ -107,14 +108,18 @@ def _argmin_actions(control: ControlSpec, x: np.ndarray,
     return a
 
 
+def _control_of(spec) -> ControlSpec:
+    if spec.control is None:
+        raise ControlConfigurationError(
+            f"model {spec.name!r} declares no control set")
+    return spec.control
+
+
 def hamiltonian(spec, x, mu: EmpiricalMeasure, z) -> tuple[np.ndarray, np.ndarray]:
     """Pointwise minimum of L(x, mu, a) + (zR) . a over the control box,
     with its minimizer. Closed form when the action cost is |a|^2,
     golden-section coordinate descent otherwise."""
-    if spec.control is None:
-        raise ControlConfigurationError(
-            f"model {spec.name!r} declares no control set")
-    control = spec.control
+    control = _control_of(spec)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     z = np.atleast_2d(np.asarray(z, dtype=float))
     if x.shape[0] != z.shape[0]:
@@ -136,7 +141,6 @@ class ControlPolicy:
     control: ControlSpec
     z_source: str
     zeta: RegressionFunction | None = None
-    z_const: np.ndarray | None = None
     a_const: np.ndarray | None = None
 
     def __post_init__(self):
@@ -172,12 +176,8 @@ class ControlPolicy:
         return cls(control=control, z_source="zero")
 
     def z_values(self, t: float, x: np.ndarray, dim: int) -> np.ndarray:
-        if self.z_source == "zero" or (self.z_source == "constant"
-                                       and self.z_const is None):
+        if self.z_source in ("zero", "constant"):
             return np.zeros((x.shape[0], dim))
-        if self.z_source == "constant":
-            return np.broadcast_to(
-                np.asarray(self.z_const, dtype=float), (x.shape[0], dim))
         return np.asarray(self.zeta(t, x)).reshape(x.shape[0], -1)
 
     def actions(self, t: float, x: np.ndarray,
@@ -257,9 +257,7 @@ def evaluate_cost_finite(spec, policy: ControlPolicy, x0, theta, T: float,
     a float, or None to solve one here (Hamiltonian driver assumed on
     the spec, as in the control presets).
     """
-    if spec.control is None:
-        raise ControlConfigurationError(
-            f"model {spec.name!r} declares no control set")
+    _control_of(spec)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     n_steps = _steps_for(T, dt)
     flow = _resolve_flow(spec, theta, T, dt, n_particles,
@@ -300,9 +298,7 @@ def girsanov_reweighted_cost(spec, policy: ControlPolicy, x0, theta,
     change-of-measure density exp(-1/2 int |Ra|^2 + int (Ra)' dW), the
     actions read along the uncontrolled path. Small horizons only: the
     weight variance grows exponentially in T."""
-    if spec.control is None:
-        raise ControlConfigurationError(
-            f"model {spec.name!r} declares no control set")
+    _control_of(spec)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     n_steps = _steps_for(T, dt)
     flow = _resolve_flow(spec, theta, T, dt, n_particles,
@@ -343,9 +339,7 @@ def evaluate_cost_ergodic(spec, policy: ControlPolicy, x0, mu_star,
                           theta=None) -> CostReport:
     """Long-run average running cost (1/T) E[int L dt] under the policy,
     tail-window averaged, against the extracted long-run value."""
-    if spec.control is None:
-        raise ControlConfigurationError(
-            f"model {spec.name!r} declares no control set")
+    _control_of(spec)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     if theta is not None or mu_star is None:
         flow = _resolve_flow(spec, theta, t_long, dt, n_particles,
@@ -401,9 +395,7 @@ def ocp_longtime(spec, erg: ErgodicSolution, ell_hat: float,
     """Cost of the horizon-T optimal feedback against the long-run
     expansion lam T + u_bar(x0) + ell, and the feedback gap at time zero
     against the stationary feedback, each fit to an exponential."""
-    if spec.control is None:
-        raise ControlConfigurationError(
-            f"model {spec.name!r} declares no control set")
+    _control_of(spec)
     if lam is None:
         lam = erg.lambda_
     t_grid = np.asarray(sorted(t_grid), dtype=float)

@@ -249,24 +249,12 @@ def build_lyapunov(constants: LyapunovConstants, r_max: float,
                          constants=constants)
 
 
-def verify_lyapunov_inequality(table: LyapunovTable, drift_samples) -> float:
+def verify_lyapunov_inequality(table: LyapunovTable, kappa_hat) -> float:
     """Worst margin of 2 sigma0^2 Phi'' + kappa_hat Phi' + 2 sigma0^2 r over
-    the table nodes; nonpositive (up to ~1e-6) certifies the inequality
-    for the sampled rate function.
-
-    ``drift_samples`` is either a callable r -> kappa_hat(r) or an (M, 2)
-    array of (radius, rate) pairs, interpolated linearly onto the nodes.
-    """
+    the table nodes, for a rate function r -> kappa_hat(r); nonpositive
+    (up to ~1e-6) certifies the inequality for it."""
     two_s2 = 2 * _LD(table.constants.sigma0) ** 2
-    if callable(drift_samples):
-        kap = np.asarray(drift_samples(table.r), dtype=_LD)
-    else:
-        arr = np.asarray(drift_samples, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] != 2:
-            raise ValueError("drift samples must be (M, 2) pairs (r, kappa)")
-        order = np.argsort(arr[:, 0])
-        kap = np.interp(table.r.astype(float), arr[order, 0],
-                        arr[order, 1]).astype(_LD)
+    kap = np.asarray(kappa_hat(table.r), dtype=_LD)
     margin = two_s2 * table.d2phi + kap * table.dphi + two_s2 * table.r
     return float(np.max(margin))
 
@@ -385,14 +373,14 @@ class CouplingRun:
     def se_radius(self) -> np.ndarray:
         return self.radii.se
 
-    def monotone_after(self, t_start: float, slack_se: float = 2.0) -> bool:
-        """Is the mean radius nonincreasing (within slack_se standard
-        errors) at every grid step from t_start on?"""
+    def monotone_after(self, t_start: float) -> bool:
+        """Is the mean radius nonincreasing (within two standard errors)
+        at every grid step from t_start on?"""
         m = self.mean_radius
         se = self.se_radius
         idx = np.where(self.times >= t_start)[0]
         rises = m[idx[1:]] - m[idx[:-1]]
-        allow = slack_se * (se[idx[1:]] + se[idx[:-1]])
+        allow = 2.0 * (se[idx[1:]] + se[idx[:-1]])
         return bool(np.all(rises <= allow))
 
 

@@ -144,12 +144,12 @@ def driver_growth_constant(spec, mu_star: EmpiricalMeasure) -> float:
     return float(max(f.mean() + 2.0 * f.std(), 0.1))
 
 
-def discount_horizon(alpha: float, c_hat: float, dt: float,
-                     tol: float = _TRUNCATION_TOL) -> float:
-    """Smallest whole-step horizon with discounted tail below tol."""
+def discount_horizon(alpha: float, c_hat: float, dt: float) -> float:
+    """Smallest whole-step horizon with discounted tail below
+    _TRUNCATION_TOL."""
     if alpha <= 0.0:
         raise ValueError(f"discount must be positive, got {alpha}")
-    t = math.log(c_hat / (alpha * tol)) / alpha
+    t = math.log(c_hat / (alpha * _TRUNCATION_TOL)) / alpha
     steps = math.ceil(max(t, dt) / dt - 1e-9)
     if steps > _MAX_STEPS:
         raise HorizonBudgetError(alpha, dt, steps)

@@ -1,7 +1,7 @@
 """Empirical probability measures, their flows and law summaries,
 Wasserstein distances, and the invariant-measure estimator.
 
-Measures are weighted particle clouds. The 1D Wasserstein distance is exact
+Measures are uniform particle clouds. The 1D Wasserstein distance is exact
 via quantile coupling; in higher dimension it is exact via the optimal
 assignment over the atom-pair cost matrix, which caps the supported cloud
 size (see :data:`ASSIGNMENT_LIMIT`).
@@ -10,7 +10,7 @@ size (see :data:`ASSIGNMENT_LIMIT`).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,8 +30,6 @@ __all__ = [
 
 # Exact assignment is O(N^3); beyond this cloud size the call is refused.
 ASSIGNMENT_LIMIT = 2048
-
-_WEIGHT_TOL = 1e-12
 
 
 class UnsupportedSizeError(ValueError):
@@ -55,39 +53,22 @@ def _as_points(points) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmpiricalMeasure:
-    """Weighted cloud of atoms in R^d.
-
-    ``weights=None`` means uniform; that case is stored without materialising
-    the weight vector so flows of thousands of node measures stay cheap.
-    """
+    """Uniform cloud of atoms in R^d: each atom has mass 1/N."""
 
     points: np.ndarray
-    _weights: np.ndarray | None = field(default=None, repr=False)
 
-    def __init__(self, points, weights=None):
+    def __init__(self, points):
         pts = _as_points(points)
         if not np.all(np.isfinite(pts)):
             raise ValueError("atoms must be finite")
-        if weights is not None:
-            w = np.asarray(weights, dtype=float).reshape(-1)
-            if w.shape[0] != pts.shape[0]:
-                raise ValueError("weights length does not match atom count")
-            if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-                raise ValueError("weights must be finite and nonnegative")
-            if abs(w.sum() - 1.0) > _WEIGHT_TOL:
-                raise ValueError(f"weights sum to {w.sum()!r}, expected 1")
-        else:
-            w = None
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "_weights", w)
 
     @classmethod
     def _of_checked(cls, points: np.ndarray) -> "EmpiricalMeasure":
-        """Uniform measure on an (N, d) float array its caller has already
+        """The measure on an (N, d) float array its caller has already
         checked to be finite: the Euler loops check each state once."""
         mu = object.__new__(cls)
         object.__setattr__(mu, "points", points)
-        object.__setattr__(mu, "_weights", None)
         return mu
 
     # -- basic accessors ----------------------------------------------------
@@ -100,17 +81,6 @@ class EmpiricalMeasure:
     def dim(self) -> int:
         return self.points.shape[1]
 
-    @property
-    def is_uniform(self) -> bool:
-        return self._weights is None
-
-    @property
-    def weights(self) -> np.ndarray:
-        if self._weights is None:
-            n = self.n_atoms
-            return np.full(n, 1.0 / n)
-        return self._weights
-
     @classmethod
     def dirac(cls, x, dim: int | None = None) -> "EmpiricalMeasure":
         pt = np.atleast_1d(np.asarray(x, dtype=float))
@@ -121,11 +91,9 @@ class EmpiricalMeasure:
     # -- statistics ----------------------------------------------------------
 
     def mean(self) -> np.ndarray:
-        if self._weights is None:
-            # the sum and division that ndarray.mean makes, without its
-            # Python-level overhead
-            return np.add.reduce(self.points, axis=0) / self.n_atoms
-        return self._weights @ self.points
+        # the sum and division that ndarray.mean makes, without its
+        # Python-level overhead
+        return np.add.reduce(self.points, axis=0) / self.n_atoms
 
     def m1(self) -> float:
         """First coordinate of the mean; the symbolic-model shorthand."""
@@ -137,9 +105,7 @@ class EmpiricalMeasure:
 
     def expect(self, fn: Callable[[np.ndarray], np.ndarray]) -> float:
         vals = np.asarray(fn(self.points), dtype=float).reshape(self.n_atoms)
-        if self._weights is None:
-            return float(vals.mean())
-        return float(self._weights @ vals)
+        return float(vals.mean())
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -228,8 +194,9 @@ class MeasureFlow:
     def t1(self) -> float:
         return float(self.times[-1])
 
-    def covers(self, t0: float, t1: float, slack: float = 1e-9) -> bool:
-        return self.times[0] <= t0 + slack and t1 <= self.times[-1] + slack
+    def covers(self, t0: float, t1: float) -> bool:
+        """Does the grid span [t0, t1], up to 1e-9?"""
+        return self.times[0] <= t0 + 1e-9 and t1 <= self.times[-1] + 1e-9
 
     def at_time(self, t: float) -> EmpiricalMeasure | LawSummary:
         """The node that holds at time t: the last grid point <= t, up to a
@@ -239,28 +206,22 @@ class MeasureFlow:
 
 
 def moment(mu: EmpiricalMeasure, p: float) -> float:
-    """(sum_i w_i |x_i|^p)^{1/p} with the Euclidean atom norm."""
+    """(mean_i |x_i|^p)^{1/p} with the Euclidean atom norm."""
     if p < 1.0:
         raise ValueError(f"order must be >= 1, got {p}")
     norms = np.linalg.norm(mu.points, axis=1)
-    if mu.is_uniform:
-        val = np.mean(norms ** p)
-    else:
-        val = mu.weights @ norms ** p
-    return float(val ** (1.0 / p))
+    return float(np.mean(norms ** p) ** (1.0 / p))
 
 
 def _quantile_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int) -> float:
     """Exact 1D W_p on the common quantile partition of [0, 1]."""
-    xs = mu.points[:, 0]
-    ys = nu.points[:, 0]
-    ix, iy = np.argsort(xs, kind="stable"), np.argsort(ys, kind="stable")
-    xs, ys = xs[ix], ys[iy]
-    if mu.is_uniform and nu.is_uniform and mu.n_atoms == nu.n_atoms:
+    xs = np.sort(mu.points[:, 0], kind="stable")
+    ys = np.sort(nu.points[:, 0], kind="stable")
+    if mu.n_atoms == nu.n_atoms:
         cost = np.mean(np.abs(xs - ys) ** p)
         return float(cost ** (1.0 / p))
-    cw = np.cumsum(mu.weights[ix])
-    cv = np.cumsum(nu.weights[iy])
+    cw = np.cumsum(np.full(mu.n_atoms, 1.0 / mu.n_atoms))
+    cv = np.cumsum(np.full(nu.n_atoms, 1.0 / nu.n_atoms))
     cw[-1] = cv[-1] = 1.0
     qs = np.union1d(cw, cv)
     qs = np.concatenate([[0.0], qs])
@@ -276,8 +237,7 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int = 2) -> float
     """Exact W_p between two clouds, p in {1, 2}.
 
     d = 1 uses the quantile coupling; d > 1 solves the optimal assignment,
-    which requires uniform weights, equal atom counts, and at most
-    ASSIGNMENT_LIMIT atoms.
+    which requires equal atom counts and at most ASSIGNMENT_LIMIT atoms.
     """
     if p not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {p!r}")
@@ -293,9 +253,6 @@ def wasserstein(mu: EmpiricalMeasure, nu: EmpiricalMeasure, p: int = 2) -> float
         raise UnsupportedSizeError(
             f"assignment path supports at most {ASSIGNMENT_LIMIT} atoms, got "
             f"{mu.n_atoms}")
-    if not (mu.is_uniform and nu.is_uniform):
-        raise UnsupportedSizeError(
-            "assignment path requires uniformly weighted clouds")
     from scipy.optimize import linear_sum_assignment
     from scipy.spatial.distance import cdist
     cost = cdist(mu.points, nu.points, "sqeuclidean" if p == 2 else "euclidean")

@@ -89,15 +89,15 @@ class Constants:
 class ControlSpec:
     """Box control set, action matrix, and running cost.
 
-    ``quadratic_action=True`` declares L(x, mu, a) = base_cost(x, mu) + |a|^2,
-    which unlocks the closed-form Hamiltonian minimiser downstream.
+    ``quadratic_action=True`` declares that the running cost is a state
+    cost plus |a|^2, which unlocks the closed-form Hamiltonian minimiser
+    downstream.
     """
 
     lo: np.ndarray
     hi: np.ndarray
     r_matrix: np.ndarray
     running_cost: Callable[[np.ndarray, EmpiricalMeasure, np.ndarray], np.ndarray]
-    base_cost: Callable[[np.ndarray, EmpiricalMeasure], np.ndarray] | None = None
     quadratic_action: bool = False
 
     def __post_init__(self):
@@ -110,8 +110,6 @@ class ControlSpec:
             raise ValueError(
                 f"action matrix has {r.shape[1]} columns for a "
                 f"{lo.shape[0]}-dimensional control box")
-        if self.quadratic_action and self.base_cost is None:
-            raise ValueError("quadratic_action requires base_cost")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         object.__setattr__(self, "r_matrix", r)
@@ -291,7 +289,6 @@ def preset(name: str) -> ProblemSpec:
             lo=np.array([-1.0]), hi=np.array([1.0]), r_matrix=np.array([[1.0]]),
             running_cost=lambda x, mu, a: _quadratic_state_cost(x, mu)
             + np.sum(a * a, axis=-1),
-            base_cost=_quadratic_state_cost,
             quadratic_action=True,
         )
         return _make_ou(-1.0, nu=1.0, name=name, control=control,
@@ -522,8 +519,7 @@ _MODEL_KEYS = frozenset({
 })
 _CONSTANT_KEYS = ("nu", "eta", "k_b_x", "k_b_l", "k_s_x", "k_s_l", "sigma0",
                   "r_ball", "q", "eps")
-_CONTROL_KEYS = frozenset({"lo", "hi", "r_matrix", "running_cost", "base_cost",
-                           "quadratic_action"})
+_CONTROL_KEYS = frozenset({"lo", "hi", "r_matrix", "running_cost"})
 
 
 @dataclass(frozen=True)

@@ -349,9 +349,7 @@ def draw_initial(theta: EmpiricalMeasure, n_particles: int,
     rng = np.random.Generator(np.random.Philox(key=_philox_key(seed, INIT_DRAW_STEP)))
     if theta.n_atoms == 1:
         return np.tile(theta.points[0], (n_particles, 1))
-    idx = rng.choice(theta.n_atoms, size=n_particles,
-                     p=None if theta.is_uniform else theta.weights)
-    return theta.points[idx].copy()
+    return theta.points[rng.choice(theta.n_atoms, size=n_particles)]
 
 
 def _check_flow(flow: MeasureFlow, t0: float, t1: float,

@@ -16,7 +16,7 @@ import oracle_reference as oracle
 from conftest import TIME_DRIFT_SCN, record_sweeps
 from ergolab import bsde, model, sde
 from ergolab.bsde import (_RIDGE, BasisDegeneracyError, OffGridWarning,
-                          _NodeRegressor, backward_lsmc, monomial_exponents,
+                          _NodeRegressor, _sweep, monomial_exponents,
                           solve_finite_bsde, z_from_gradient)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
 from ergolab.sde import INIT_DRAW_STEP, gaussian_increments, simulate_mv
@@ -182,7 +182,7 @@ def test_degenerate_basis_is_reported():
     cloud = np.zeros((n, 1))
     cloud[-1, 0] = 1e6  # single outlier swamps the standardized basis
     with pytest.raises(BasisDegeneracyError) as err:
-        backward_lsmc(spec, cloud, flow, T=1.0, dt=0.5, degree=6)
+        _sweep(spec, flow, 2, 0.5, 6, lambda mu: cloud)
     assert err.value.node in (0, 1, 2)
     assert err.value.cond > 1e12
 

@@ -160,6 +160,25 @@ def test_usage_errors_exit_one(scn_dir, tmp_path, capsys):
     assert "'t_long'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sub,key,value", [
+    ("simulate", "dt", "abc"), ("bsde", "degree", "abc"),
+    ("bsde", "degree", "4.5"), ("simulate", "particles", "2.7"),
+    ("invariant", "t_burn", "abc")])
+def test_run_value_of_the_wrong_type_exits_one(scn_dir, tmp_path, capsys,
+                                               sub, key, value):
+    assert run([sub, "--scenario", str(scn_dir / "ou.scn"),
+                "--set", f"{key}={value}", "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ergolab:") and f"{key!r}" in err
+    # the same value in a [run] section is refused at its line:col
+    path = tmp_path / "typed.scn"
+    path.write_text(f"[model]\npreset = ou-attract\n[run]\n{key} = {value}\n")
+    assert run([sub, "--scenario", str(path),
+                "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert f"ergolab: {path}:4:{len(key) + 4}:" in err and f"{key!r}" in err
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert run(["bsde", "--help"]) == 0

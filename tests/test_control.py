@@ -164,10 +164,6 @@ def test_policy_constant_and_zero_actions(lq_spec, erg_lq):
     np.testing.assert_array_equal(
         ControlPolicy.constant_action(control, [0.25]).actions(0.0, x, mu),
         np.full((3, 1), 0.25))
-    pinned_z = ControlPolicy(control=control, z_source="constant",
-                             z_const=np.array([3.0]))
-    np.testing.assert_array_equal(pinned_z.actions(0.0, x, mu),
-                                  np.full((3, 1), -1.0))
 
 
 def test_optimal_policy_cost_matches_y0(lq_spec, erg_lq, flow2, sol_t2):

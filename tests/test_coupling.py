@@ -81,13 +81,6 @@ def test_differential_inequality_margins(sine_table):
     weaker = verify_lyapunov_inequality(
         t, lambda r: kappa_star(r, SINE).astype(float) + 10.0)
     assert weaker > 0.0
-    # the (r, kappa) pairs path rounds kappa to float64; Phi' ~ 1e10 near 0
-    # amplifies that rounding, so agreement is only to ~ |kappa| eps max Phi'
-    pairs = np.column_stack([t.r.astype(float),
-                             kappa_star(t.r, SINE).astype(float)])
-    envelope = 15.0 * np.finfo(float).eps * float(t.dphi0)
-    assert verify_lyapunov_inequality(t, pairs) == pytest.approx(
-        t.identity_margin(), abs=3.0 * envelope)
 
 
 def test_build_guards():
@@ -198,7 +191,7 @@ def test_coupled_radius_contracts(sine_spec):
                                        x0_prime=2.0, dt=0.01, T=8.0,
                                        n_paths=400, seed=22)
     assert run.rate > 0.0
-    assert run.monotone_after(run.rate_window_start, slack_se=2.0)
+    assert run.monotone_after(run.rate_window_start)
     assert run.mean_radius[-1] < run.mean_radius[0]
 
 

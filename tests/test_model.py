@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from ergolab import measure, model
+from ergolab import cli, measure, model
 from ergolab.measure import EmpiricalMeasure
 from ergolab.model import (PRESET_NAMES, Constants, ProblemSpec, ScenarioError,
                            audit, load_scenario, parse_scenario, preset)
@@ -179,6 +179,23 @@ def test_compiler_declares_a_drift_that_reads_t():
 def test_scenario_rejects_malformed(text, fragment):
     with pytest.raises(ScenarioError, match=fragment):
         parse_scenario(text, source="bad.scn")
+
+
+@pytest.mark.parametrize("entry", ["quadratic_action = true",
+                                   "base_cost = x**2"])
+def test_control_section_refuses_keys_it_does_not_read(entry, tmp_path):
+    path = tmp_path / "ctrl.scn"
+    path.write_text("[model]\ndim = 1\nregime = strong\ndrift = -x\n"
+                    "diffusion = 1\ndriver = x**2 - 0.25*z**2\n"
+                    "terminal = x**2\n[model.control]\n"
+                    f"running_cost = x**2 + a**2\n{entry}\n")
+    key = entry.split()[0]
+    with pytest.raises(ScenarioError,
+                       match=f"unknown control key '{key}'") as err:
+        load_scenario(path)
+    assert err.value.line == 10
+    assert cli.run(["control", "--scenario", str(path),
+                    "--out", str(tmp_path / "out")]) == 1
 
 
 def test_scenario_error_carries_position(tmp_path):
