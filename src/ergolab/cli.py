@@ -12,9 +12,7 @@ failed, 3 numeric blow-up inside a solver.
 Reports are flat key=value text, data files flat CSV, floats %.17g in
 both; only the manifest's wall_seconds is fixed-width %016.6f. Every data
 file goes through ``_write_csv``, the only CSV writer in the package, and
-each subcommand builds its columns next to the file name. Threads
-only ever parallelize a list of independent experiments (each with its
-own derived seed), so results do not depend on the thread count.
+each subcommand builds its columns next to the file name.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import metadata
 from pathlib import Path
@@ -174,34 +171,35 @@ class RunManifest:
         return manifest
 
 
-def _as_floats(value) -> tuple:
-    if isinstance(value, str):
-        value = value.split()
-    if np.isscalar(value):
-        value = [value]
-    return tuple(float(v) for v in value)
-
-
-# the type a run key takes where RUN_DEFAULTS does not show it: seed and
-# threads have no entry there, and the rest default to None somewhere
-_KEY_TYPES = {"degree": int, "seed": int, "threads": int, "r_max": float,
-              "x0_prime": float, "t_burn": float, "delta": float,
-              "lam": float, "t_long": float}
+# the type a run key takes where RUN_DEFAULTS does not show it: seed has
+# no entry there, and the rest default to None somewhere
+_KEY_TYPES = {"degree": int, "seed": int, "r_max": float, "x0_prime": float,
+              "t_burn": float, "delta": float, "lam": float, "t_long": float,
+              "t_grid": tuple}
+# the least value a count key takes
+_KEY_MIN = {"flow_every": 1, "n_controls": 0}
+_NEEDS = {int: "an integer", float: "a number", tuple: "numbers"}
 
 
 def _coerce(key: str, value, default):
-    """A [run] or --set value as the int or float its key takes; a key
-    that takes neither (a list, a path) keeps its value. A value that is
-    not a number, or not a whole one for an int, raises ValueError naming
-    the key."""
+    """A [run] or --set value as the int, float or tuple of floats its key
+    takes; a key that takes none of these (a path) keeps its value. A
+    value that is not a number, not a whole one for an int, or below its
+    key's least value raises ValueError naming the key."""
     kind = _KEY_TYPES.get(key, type(default))
-    if kind not in (int, float):
+    if kind not in _NEEDS:
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or (kind is int and isinstance(value, float)
-                and not value.is_integer()):
-        raise ValueError(f"run key {key!r} needs "
-                         f"{'an integer' if kind is int else 'a number'}, "
+    items = value if kind is tuple and isinstance(value, list) else [value]
+    for v in items:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) \
+                or (kind is int and isinstance(v, float)
+                    and not v.is_integer()):
+            raise ValueError(f"run key {key!r} needs {_NEEDS[kind]}, "
+                             f"got {value!r}")
+    if kind is tuple:
+        return tuple(float(v) for v in items)
+    if key in _KEY_MIN and value < _KEY_MIN[key]:
+        raise ValueError(f"run key {key!r} needs at least {_KEY_MIN[key]}, "
                          f"got {value!r}")
     return kind(value)
 
@@ -214,7 +212,7 @@ def _resolve(scenario: Scenario | None, args, defaults: dict) -> dict:
     params = dict(defaults)
     if scenario is not None:
         for key, value in scenario.run.items():
-            if key not in params and key not in ("seed", "threads"):
+            if key not in params and key != "seed":
                 print(f"ergolab: note: [run] key {key!r} does not apply to "
                       f"{args.subcommand}; ignored", file=sys.stderr)
                 continue
@@ -223,11 +221,11 @@ def _resolve(scenario: Scenario | None, args, defaults: dict) -> dict:
             except ValueError as exc:
                 raise ScenarioError(str(exc), scenario.source,
                                     *scenario.run_meta[key]) from None
-    for key in ("dt", "horizon", "particles", "seed", "threads"):
+    for key in ("dt", "horizon", "particles", "seed"):
         value = getattr(args, key, None)
         if value is None:
             continue
-        if key not in params and key not in ("seed", "threads"):
+        if key not in params and key != "seed":
             raise _UsageError(
                 f"--{key} does not apply to {args.subcommand}")
         params[key] = value
@@ -236,12 +234,11 @@ def _resolve(scenario: Scenario | None, args, defaults: dict) -> dict:
         if not eq:
             raise _UsageError(f"--set needs key=value, got {item!r}")
         key = key.strip().lower()
-        if key not in params and key not in ("seed", "threads"):
+        if key not in params and key != "seed":
             raise _UsageError(f"unknown parameter {key!r} for this subcommand")
         params[key] = _coerce(key, _parse_value(value.strip()),
                               defaults.get(key))
     params.setdefault("seed", DEFAULT_SEED)
-    params["threads"] = max(params.get("threads", 1), 1)
     return params
 
 
@@ -298,7 +295,7 @@ def _cmd_simulate(scenario, params, outdir):
     n = int(params["particles"])
     dt, T = params["dt"], params["horizon"]
     n_steps = _steps_for(T, dt)
-    every = max(int(params["flow_every"]), 1)
+    every = params["flow_every"]
     rows, terminal = [], []
 
     def tap(k, t, x):
@@ -436,7 +433,7 @@ def _cmd_ebsde(scenario, params, outdir):
     seed = params["seed"]
     erg = extract_ergodic_vanishing(
         spec, n_particles=int(params["particles"]), dt=params["dt"],
-        degree=params["degree"], alphas=_as_floats(params["alphas"]),
+        degree=params["degree"], alphas=params["alphas"],
         seed=seed, t_burn=params["t_burn"])
     _require_finite("ebsde", erg.lambda_)
     trace = erg.trace
@@ -492,7 +489,7 @@ def _cmd_ltb1(scenario, params, outdir):
     if lam is None:
         lam = _ergodic(spec, params).lambda_
     fit = ltb1_experiment(spec, lam=float(lam),
-                          t_grid=_as_floats(params["t_grid"]),
+                          t_grid=params["t_grid"],
                           x0=float(params["x0"]), dt=params["dt"],
                           n_particles=int(params["particles"]),
                           degree=params["degree"], seed=seed)
@@ -506,7 +503,7 @@ def _cmd_ltb2(scenario, params, outdir):
     spec = scenario.spec
     erg = _ergodic(spec, params)
     fit = ltb2_experiment(spec, erg, lam=params["lam"],
-                          t_grid=_as_floats(params["t_grid"]),
+                          t_grid=params["t_grid"],
                           x0=float(params["x0"]), dt=params["dt"],
                           n_particles=int(params["particles"]),
                           degree=params["degree"], seed=params["seed"])
@@ -518,7 +515,7 @@ def _cmd_ltb2(scenario, params, outdir):
 def _cmd_ltb3(scenario, params, outdir):
     spec = scenario.spec
     erg = _ergodic(spec, params)
-    fit = ltb3_experiment(spec, erg, t_grid=_as_floats(params["t_grid"]),
+    fit = ltb3_experiment(spec, erg, t_grid=params["t_grid"],
                           x0=float(params["x0"]), dt=params["dt"],
                           n_particles=int(params["particles"]),
                           degree=params["degree"], seed=params["seed"])
@@ -547,19 +544,14 @@ def _cmd_control(scenario, params, outdir):
     jobs = [("optimal", ControlPolicy.from_finite(spec.control, sol))]
     jobs.append(("zero", ControlPolicy.zero(spec.control)))
     rng = np.random.default_rng(derive_seed(seed, 77))
-    for i in range(int(params["n_controls"])):
+    for i in range(params["n_controls"]):
         a = rng.uniform(spec.control.lo, spec.control.hi)
         jobs.append((f"const{i}", ControlPolicy.constant_action(
             spec.control, a)))
-
-    def evaluate(item):
-        idx, (name, policy) = item
-        return evaluate_cost_finite(spec, policy, x0, flow, T, dt, n,
+    reports = [evaluate_cost_finite(spec, policy, x0, flow, T, dt, n,
                                     seed=derive_seed(seed, 100 + idx),
-                                    benchmark=sol)
-
-    with ThreadPoolExecutor(max_workers=params["threads"]) as pool:
-        reports = list(pool.map(evaluate, enumerate(jobs)))
+                                    benchmark=sol.y0)
+               for idx, (_, policy) in enumerate(jobs)]
 
     ok = reports[0].verdict == "consistent"
     for rep in reports[1:]:
@@ -577,11 +569,10 @@ def _cmd_control(scenario, params, outdir):
         spec.control, 0.25 * (spec.control.lo + spec.control.hi)
         + 0.1 * (spec.control.hi - spec.control.lo))
     t_short = min(T, 1.0)
-    # only j and se of this run are used, as the Girsanov benchmark, so it
-    # needs no BSDE solve of its own at t_short
+    # only j and se of this run are read, as the Girsanov benchmark, so it
+    # takes no benchmark of its own
     direct = evaluate_cost_finite(spec, small, x0, flow, t_short, dt, n,
-                                  seed=derive_seed(seed, 60), benchmark=sol.y0
-                                  if t_short == T else math.nan)
+                                  seed=derive_seed(seed, 60))
     weighted = girsanov_reweighted_cost(spec, small, x0, flow, t_short, dt,
                                         n, seed=derive_seed(seed, 61),
                                         benchmark=direct.j,
@@ -607,7 +598,7 @@ def _cmd_control(scenario, params, outdir):
 
     if params["t_grid"] is not None:
         ocp = ocp_longtime(spec, erg, ell_hat=float(params["ell"]),
-                           x0=x0, t_grid=_as_floats(params["t_grid"]),
+                           x0=x0, t_grid=params["t_grid"],
                            dt=dt, n_particles=n, degree=params["degree"],
                            seed=derive_seed(seed, 88))
         _write_csv(outdir / "control_ocp.csv", ocp.table)
@@ -672,7 +663,6 @@ def _build_parser() -> _Parser:
                        required=(name != "report"))
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
         p.add_argument("--particles", type=int, default=None)
         p.add_argument("--dt", type=float, default=None)
         p.add_argument("--horizon", type=float, default=None)
@@ -745,6 +735,7 @@ def rerun_from_manifest(manifest_path, out) -> int:
     if manifest.scenario != "-":
         argv += ["--scenario", manifest.scenario]
     for key, value in manifest.params.items():
+        # older manifests carry param.threads, a key no run takes any more
         if key in ("seed", "threads"):
             continue
         argv += ["--set", f"{key}={value}"]

@@ -2,10 +2,11 @@
 controlled-path cost evaluation, and the long-horizon cost comparison.
 
 Only the tagged particle is controlled; the measure flow is always the
-uncontrolled one. Controlled dynamics run with the shifted drift
-b + sigma R a (equal in law to the change-of-measure formulation, without
-its exponentially growing weight variance); the reweighting estimator is
-kept as a small-horizon cross-check.
+uncontrolled one, built by the caller and passed in. Controlled dynamics
+run with the shifted drift b + sigma R a (equal in law to the
+change-of-measure formulation, without its exponentially growing weight
+variance); the reweighting estimator is kept as a small-horizon
+cross-check.
 """
 
 from __future__ import annotations
@@ -15,14 +16,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ergolab.bsde import BsdeSolution, RegressionFunction, solve_finite_bsde
+from ergolab.bsde import BsdeSolution, RegressionFunction
 from ergolab.ebsde import ErgodicSolution, _tail_average
 from ergolab.ltb import (DecayFit, _fit_exponential, _horizon_run,
                          _noise_floor)
 from ergolab.measure import EmpiricalMeasure, MeasureFlow
 from ergolab.model import ControlSpec
-from ergolab.sde import (DriftShift, derive_seed, interacting_flow, iter_mv,
-                         _steps_for)
+from ergolab.sde import DriftShift, derive_seed, iter_mv, _steps_for
 
 __all__ = [
     "ControlConfigurationError",
@@ -221,20 +221,20 @@ class CostReport:
                 "z_source": self.z_source}
 
 
-def _verdict(gap: float, tol: float) -> str:
-    if abs(gap) <= tol:
-        return "consistent"
-    return "above" if gap > 0 else "below"
-
-
-def _resolve_flow(spec, theta, t_max: float, dt: float, n_particles: int,
-                  seed: int) -> MeasureFlow:
-    if isinstance(theta, MeasureFlow):
-        return theta
-    if theta is None:
-        theta = EmpiricalMeasure.dirac(np.zeros(spec.dim))
-    return interacting_flow(spec, theta, dt=dt, T=t_max,
-                            n_particles=n_particles, seed=seed)
+def _cost_report(kind: str, j: float, se: float, benchmark: float,
+                 benchmark_se: float, horizon: float, n_particles: int,
+                 seed: int, policy: ControlPolicy) -> CostReport:
+    """Cost j against its benchmark, "consistent" within 3 (se +
+    benchmark_se); a NaN benchmark means none: NaN gap, "consistent"."""
+    gap = j - benchmark if math.isfinite(benchmark) else math.nan
+    if not math.isfinite(benchmark) or abs(gap) <= 3.0 * (se + benchmark_se):
+        verdict = "consistent"
+    else:
+        verdict = "above" if gap > 0 else "below"
+    return CostReport(kind=kind, j=j, se=se, benchmark=benchmark,
+                      benchmark_se=benchmark_se, gap=gap, verdict=verdict,
+                      horizon=horizon, n_particles=n_particles, seed=seed,
+                      z_source=policy.z_source)
 
 
 def _policy_shift(spec, policy: ControlPolicy) -> DriftShift:
@@ -246,29 +246,17 @@ def _policy_shift(spec, policy: ControlPolicy) -> DriftShift:
     return DriftShift(beta, bound=spec.control.action_sup_norm())
 
 
-def evaluate_cost_finite(spec, policy: ControlPolicy, x0, theta, T: float,
-                         dt: float, n_particles: int, seed: int = 0,
-                         benchmark=None,
+def evaluate_cost_finite(spec, policy: ControlPolicy, x0, flow: MeasureFlow,
+                         T: float, dt: float, n_particles: int, seed: int = 0,
+                         benchmark: float = math.nan,
                          benchmark_se: float = 0.0) -> CostReport:
     """Monte Carlo J^T = E[int L dt + g] under the policy's feedback,
-    from a point start, against the uncontrolled flow.
-
-    ``benchmark`` is the matching finite-horizon value: a BsdeSolution,
-    a float, or None to solve one here (Hamiltonian driver assumed on
-    the spec, as in the control presets).
-    """
+    from a point start, on the uncontrolled flow ``flow`` over [0, T],
+    against ``benchmark``, the matching finite-horizon value such as a
+    solution's y0 (NaN, the default, means none)."""
     _control_of(spec)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     n_steps = _steps_for(T, dt)
-    flow = _resolve_flow(spec, theta, T, dt, n_particles,
-                         derive_seed(seed, 7))
-    if benchmark is None:
-        benchmark = solve_finite_bsde(spec, flow, x0, T=T, dt=dt,
-                                      n_particles=n_particles,
-                                      seed=derive_seed(seed, 3))
-    bench_y0 = benchmark.y0 if isinstance(benchmark, BsdeSolution) \
-        else float(benchmark)
-
     shift = _policy_shift(spec, policy)
     states = np.tile(x0, (n_particles, 1))
     costs = np.zeros(n_particles)
@@ -280,29 +268,23 @@ def evaluate_cost_finite(spec, policy: ControlPolicy, x0, theta, T: float,
                 spec.control.running_cost(x, mu, a), dtype=float)
         else:
             costs += np.asarray(spec.terminal(x, mu), dtype=float)
-    j = float(costs.mean())
-    se = float(costs.std(ddof=1) / math.sqrt(n_particles))
-    gap = j - bench_y0
-    return CostReport(kind="finite", j=j, se=se, benchmark=bench_y0,
-                      benchmark_se=benchmark_se, gap=gap,
-                      verdict=_verdict(gap, 3.0 * (se + benchmark_se)),
-                      horizon=T, n_particles=n_particles, seed=seed,
-                      z_source=policy.z_source)
+    return _cost_report("finite", float(costs.mean()),
+                        float(costs.std(ddof=1) / math.sqrt(n_particles)),
+                        benchmark, benchmark_se, T, n_particles, seed, policy)
 
 
-def girsanov_reweighted_cost(spec, policy: ControlPolicy, x0, theta,
-                             T: float, dt: float, n_particles: int,
-                             seed: int = 0, benchmark: float = math.nan,
+def girsanov_reweighted_cost(spec, policy: ControlPolicy, x0,
+                             flow: MeasureFlow, T: float, dt: float,
+                             n_particles: int, seed: int = 0,
+                             benchmark: float = math.nan,
                              benchmark_se: float = 0.0) -> CostReport:
-    """J^T by reweighting the uncontrolled simulation with the exact
-    change-of-measure density exp(-1/2 int |Ra|^2 + int (Ra)' dW), the
-    actions read along the uncontrolled path. Small horizons only: the
-    weight variance grows exponentially in T."""
+    """J^T by reweighting the uncontrolled simulation on ``flow`` with the
+    exact change-of-measure density exp(-1/2 int |Ra|^2 + int (Ra)' dW),
+    the actions read along the uncontrolled path. Small horizons only:
+    the weight variance grows exponentially in T. NaN ``benchmark``: none."""
     _control_of(spec)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     n_steps = _steps_for(T, dt)
-    flow = _resolve_flow(spec, theta, T, dt, n_particles,
-                         derive_seed(seed, 7))
     r = spec.control.r_matrix
     states = np.tile(x0, (n_particles, 1))
     costs = np.zeros(n_particles)
@@ -321,31 +303,21 @@ def girsanov_reweighted_cost(spec, policy: ControlPolicy, x0, theta,
         else:
             costs += np.asarray(spec.terminal(x, mu), dtype=float)
     weighted = np.exp(log_rho) * costs
-    j = float(weighted.mean())
-    se = float(weighted.std(ddof=1) / math.sqrt(n_particles))
-    gap = j - benchmark if math.isfinite(benchmark) else math.nan
-    verdict = _verdict(gap, 3.0 * (se + benchmark_se)) \
-        if math.isfinite(benchmark) else "consistent"
-    return CostReport(kind="finite", j=j, se=se, benchmark=benchmark,
-                      benchmark_se=benchmark_se, gap=gap, verdict=verdict,
-                      horizon=T, n_particles=n_particles, seed=seed,
-                      z_source=policy.z_source)
+    return _cost_report("finite", float(weighted.mean()),
+                        float(weighted.std(ddof=1) / math.sqrt(n_particles)),
+                        benchmark, benchmark_se, T, n_particles, seed, policy)
 
 
 def evaluate_cost_ergodic(spec, policy: ControlPolicy, x0, mu_star,
                           t_long: float, dt: float, n_particles: int,
                           seed: int = 0, lam: float = math.nan,
-                          lam_se: float = 0.0,
-                          theta=None) -> CostReport:
+                          lam_se: float = 0.0) -> CostReport:
     """Long-run average running cost (1/T) E[int L dt] under the policy,
-    tail-window averaged, against the extracted long-run value."""
+    tail-window averaged, on the flow frozen at ``mu_star``, against the
+    extracted long-run value ``lam`` (NaN: none)."""
     _control_of(spec)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
-    if theta is not None or mu_star is None:
-        flow = _resolve_flow(spec, theta, t_long, dt, n_particles,
-                             derive_seed(seed, 7))
-    else:
-        flow = MeasureFlow.constant(mu_star, 0.0, t_long)
+    flow = MeasureFlow.constant(mu_star, 0.0, t_long)
 
     def cost(t, x, mu):
         return float(np.mean(spec.control.running_cost(
@@ -357,13 +329,8 @@ def evaluate_cost_ergodic(spec, policy: ControlPolicy, x0, mu_star,
         lambda n_steps: iter_mv(spec, states, dt, n_steps, seed, flow=flow,
                                 shift=shift),
         t_long, dt, spec.contraction_rate_bound(), cost)
-    gap = j - lam if math.isfinite(lam) else math.nan
-    verdict = _verdict(gap, 3.0 * (se + lam_se)) if math.isfinite(lam) \
-        else "consistent"
-    return CostReport(kind="ergodic", j=j, se=se, benchmark=lam,
-                      benchmark_se=lam_se, gap=gap, verdict=verdict,
-                      horizon=t_long, n_particles=n_particles, seed=seed,
-                      z_source=policy.z_source)
+    return _cost_report("ergodic", j, se, lam, lam_se, t_long, n_particles,
+                        seed, policy)
 
 
 @dataclass(frozen=True, eq=False)
@@ -416,7 +383,8 @@ def ocp_longtime(spec, erg: ErgodicSolution, ell_hat: float,
 
     costs = [evaluate_cost_finite(
         spec, ControlPolicy.from_finite(spec.control, sol), x0v, flow,
-        float(T), dt, n_particles, seed=derive_seed(seed, 5), benchmark=sol)
+        float(T), dt, n_particles, seed=derive_seed(seed, 5),
+        benchmark=sol.y0)
         for T, sol in zip(t_grid, sols)]
     a_gap = [a_readout(sol, flow) for sol in sols]
     z_gap = [float(np.linalg.norm(sol.z0 - z_bar)) for sol in sols]

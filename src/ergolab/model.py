@@ -487,7 +487,7 @@ _LAW_STATS = {"m1": "mean", "m2": "m2"}
 
 # Each subcommand's run parameters and their defaults. A scenario's [run]
 # section and the command line's --set accept exactly these keys, plus
-# seed and threads.
+# seed.
 RUN_DEFAULTS = {
     "audit": {"particles": 2000, "r_max": None, "grid_nodes": 1000},
     "simulate": {"dt": 0.01, "horizon": 2.0, "particles": 2000, "x0": 0.0,
@@ -512,7 +512,7 @@ RUN_DEFAULTS = {
     "report": {"run_dir": None},
 }
 
-_RUN_KEYS = frozenset({"seed", "threads"}).union(*RUN_DEFAULTS.values())
+_RUN_KEYS = frozenset({"seed"}).union(*RUN_DEFAULTS.values())
 
 _MODEL_KEYS = frozenset({
     "preset", "dim", "regime", "drift", "diffusion", "driver", "terminal",

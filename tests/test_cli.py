@@ -163,16 +163,30 @@ def test_usage_errors_exit_one(scn_dir, tmp_path, capsys):
 @pytest.mark.parametrize("sub,key,value", [
     ("simulate", "dt", "abc"), ("bsde", "degree", "abc"),
     ("bsde", "degree", "4.5"), ("simulate", "particles", "2.7"),
-    ("invariant", "t_burn", "abc")])
-def test_run_value_of_the_wrong_type_exits_one(scn_dir, tmp_path, capsys,
+    ("invariant", "t_burn", "abc"), ("ltb1", "t_grid", "abc"),
+    ("ltb2", "t_grid", "2 abc"), ("control", "t_grid", "true"),
+    ("ebsde", "alphas", "abc"), ("simulate", "flow_every", "0"),
+    ("control", "n_controls", "-2")])
+def test_run_value_of_the_wrong_type_exits_one(tmp_path, capsys, monkeypatch,
                                                sub, key, value):
-    assert run([sub, "--scenario", str(scn_dir / "ou.scn"),
+    # a value of the wrong type, or below its key's least value, exits 1
+    # before any solve runs
+    def refused(*args, **kwargs):
+        raise AssertionError("a solve ran before the run values were checked")
+
+    for name in ("iter_mv", "_interacting_start", "extract_ergodic",
+                 "extract_ergodic_vanishing"):
+        monkeypatch.setattr(cli, name, refused)
+    model = "[model]\npreset = {}\n".format(
+        "control-lq" if sub == "control" else "ou-attract")
+    path = tmp_path / "typed.scn"
+    path.write_text(model)
+    assert run([sub, "--scenario", str(path),
                 "--set", f"{key}={value}", "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("ergolab:") and f"{key!r}" in err
     # the same value in a [run] section is refused at its line:col
-    path = tmp_path / "typed.scn"
-    path.write_text(f"[model]\npreset = ou-attract\n[run]\n{key} = {value}\n")
+    path.write_text(f"{model}[run]\n{key} = {value}\n")
     assert run([sub, "--scenario", str(path),
                 "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -311,12 +325,22 @@ def test_manifest_width_does_not_depend_on_wall_time(tmp_path):
 
 @pytest.mark.parametrize("subcommand", cli.SUBCOMMANDS)
 def test_every_set_key_is_accepted_in_the_run_section(subcommand):
-    for key in [*RUN_DEFAULTS[subcommand], "seed", "threads"]:
+    for key in [*RUN_DEFAULTS[subcommand], "seed"]:
         scn = parse_scenario(f"[model]\npreset = ou-attract\n[run]\n"
                              f"{key} = 1\n", source="run-keys.scn")
         params = cli._resolve(scn, argparse.Namespace(set=None),
                               dict(RUN_DEFAULTS[subcommand]))
-        assert params[key] == 1, key
+        # a list key takes one number as a one-entry list
+        want = (1.0,) if key in ("t_grid", "alphas") else 1
+        assert params[key] == want, key
+
+
+def test_list_keys_resolve_to_tuples_of_floats():
+    args = argparse.Namespace(set=["t_grid=5 10 20"], subcommand="ltb1")
+    params = cli._resolve(None, args, dict(RUN_DEFAULTS["ltb1"]))
+    assert params["t_grid"] == (5.0, 10.0, 20.0)
+    # the manifest keeps writing param.t_grid=5 10 20
+    assert cli._fmt(params["t_grid"]) == "5 10 20"
 
 
 def test_simulate_with_x0_prime_steps_each_system_once(scn_dir, tmp_path,
@@ -414,16 +438,23 @@ def test_coupling_rerun_is_byte_identical(scn_dir, tmp_path):
         assert filecmp.cmp(first / name, again / name, shallow=False), name
 
 
-def test_thread_count_does_not_change_results(scn_dir, tmp_path):
-    outs = []
-    for threads in ("3", "1"):
-        out = tmp_path / f"t{threads}"
-        code = run(["control", "--scenario", str(scn_dir / "lq.scn"),
-                    "--out", str(out), "--threads", threads])
-        assert code == 0
-        outs.append(out)
-    assert filecmp.cmp(outs[0] / "control_costs.csv",
-                       outs[1] / "control_costs.csv", shallow=False)
+def test_manifest_with_a_thread_count_still_reruns(scn_dir, tmp_path):
+    # older manifests of the same version carry param.threads=1
+    first = tmp_path / "first"
+    again = tmp_path / "again"
+    assert run(["simulate", "--scenario", str(scn_dir / "ou.scn"),
+                "--out", str(first), "--particles", "200",
+                "--horizon", "0.5"]) == 0
+    manifest = first / "manifest"
+    assert "param.threads" not in manifest.read_text()
+    with open(manifest, "a", encoding="utf-8") as fh:
+        fh.write("param.threads=1\n")
+    assert rerun_from_manifest(manifest, again) == 0
+    assert "param.threads" not in (again / "manifest").read_text()
+    assert filecmp.cmp(first / "simulate_moments.csv",
+                       again / "simulate_moments.csv", shallow=False)
+    assert run(["simulate", "--scenario", str(scn_dir / "ou.scn"),
+                "--out", str(tmp_path / "o"), "--threads", "2"]) == 1
 
 
 def test_control_requires_control_set(scn_dir, tmp_path, capsys):

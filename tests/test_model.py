@@ -175,6 +175,7 @@ def test_compiler_declares_a_drift_that_reads_t():
     ("[model]\npreset = ou-attract\n[weird]\nx = 1\n", "unknown section"),
     ("[model]\ndim = 2\ndrift = -x\n", "one-dimensional"),
     ("[model]\npreset = ou-attract\n[run]\npicard = 3\n", "unknown run key"),
+    ("[model]\npreset = ou-attract\n[run]\nthreads = 2\n", "unknown run key"),
 ])
 def test_scenario_rejects_malformed(text, fragment):
     with pytest.raises(ScenarioError, match=fragment):

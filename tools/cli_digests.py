@@ -75,6 +75,9 @@ RUNS = [
     ("bsde-law-m2", "law-m2", "bsde", ["--particles", "500"]),
     ("ebsde", "ou-attract", "ebsde", ["--particles", "500"]),
     ("ebsde-sine", "sine-weak", "ebsde", ["--particles", "500"]),
+    # a two-rung ladder read from a list-valued run key
+    ("ebsde-alphas", "ou-attract", "ebsde",
+     ["--particles", "500", "--set", "alphas=0.4 0.1"]),
     # the time average reads the ladder's zeta_bar at every step
     ("ebsde-tavg", "ou-attract", "ebsde",
      ["--particles", "500", "--set", "t_long=40"]),
